@@ -8,29 +8,10 @@
 //	fig8b     synthetic solve time vs difference ratio
 //	fig8c     synthetic solve time vs vocabulary size
 //	all       everything above
-//	milpbench solver baseline: sparse vs dense engines on fixed MILP
-//	          workloads, written to -benchout (BENCH_milp.json) so PRs can
-//	          track the solver's perf trajectory (not part of "all")
-//	servebench explanation-as-a-service baseline: cold one-shot solve vs
-//	          sustained warm request streams against a resident explaind
-//	          server on the Fig 7c workload, written to -servebenchout
-//	          (BENCH_serve.json); fails unless warm p50 beats the cold
-//	          solve by >= 5x (not part of "all")
-//	shardbench sharded Stage-1 baseline on the million-row scenario (at
-//	          -scale 1): wall time and peak heap across shard counts,
-//	          written to -shardbenchout (BENCH_shard.json); fails if matches
-//	          diverge across shard counts, if peak heap exceeds
-//	          -shardheapbudget, or — on >= 4 CPUs — if 8 shards are not
-//	          >= 2x faster than the sequential baseline (not part of "all")
-//	deltabench incremental-maintenance baseline: a 1%-row impact-only
-//	          delta against a warm explaind server vs a full one-shot
-//	          recompute on the post-delta data, written to -deltabenchout
-//	          (BENCH_delta.json); fails unless the two bodies are
-//	          byte-identical and the delta path is >= 5x faster (not part
-//	          of "all")
 //
 // The -scale flag shrinks or grows the sweeps (1 = paper-shaped defaults
-// sized for a laptop; the absolute paper scales need hours).
+// sized for a laptop; the absolute paper scales need hours). Performance
+// measurement of the system itself lives in cmd/e3bench.
 package main
 
 import (
@@ -49,24 +30,18 @@ import (
 )
 
 var (
-	exp             = flag.String("exp", "all", "experiment: "+strings.Join(validExperiments, "|"))
-	scale           = flag.Float64("scale", 1, "workload scale multiplier")
-	budget          = flag.Duration("budget", 120*time.Second, "per-solve budget before DNF")
-	workers         = flag.Int("workers", 0, "parallel solve workers (0 = GOMAXPROCS, 1 = sequential)")
-	benchout        = flag.String("benchout", "BENCH_milp.json", "output path for the milpbench baseline")
-	servebenchout   = flag.String("servebenchout", "BENCH_serve.json", "output path for the servebench baseline")
-	shardbenchout   = flag.String("shardbenchout", "BENCH_shard.json", "output path for the shardbench baseline")
-	deltabenchout   = flag.String("deltabenchout", "BENCH_delta.json", "output path for the deltabench baseline")
-	shardheapbudget = flag.Float64("shardheapbudget", 4096, "shardbench peak-heap budget in MiB (0 = unlimited)")
-	cpuprofile      = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
-	memprofile      = flag.String("memprofile", "", "write a heap profile (after a final GC) to this file on exit")
+	exp        = flag.String("exp", "all", "experiment: "+strings.Join(validExperiments, "|"))
+	scale      = flag.Float64("scale", 1, "workload scale multiplier")
+	budget     = flag.Duration("budget", 120*time.Second, "per-solve budget before DNF")
+	workers    = flag.Int("workers", 0, "parallel solve workers (0 = GOMAXPROCS, 1 = sequential)")
+	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
+	memprofile = flag.String("memprofile", "", "write a heap profile (after a final GC) to this file on exit")
 )
 
 // validExperiments is the closed set -exp accepts; anything else is a
 // spelling mistake the run must refuse instead of silently doing nothing.
 var validExperiments = []string{
 	"fig4", "fig6", "fig7", "fig8a", "fig8b", "fig8c", "all",
-	"milpbench", "servebench", "shardbench", "deltabench",
 }
 
 func main() {
@@ -127,34 +102,6 @@ func main() {
 	run("fig8a", fig8a)
 	run("fig8b", fig8b)
 	run("fig8c", fig8c)
-	if *exp == "servebench" {
-		fmt.Println("==== servebench ====")
-		if err := servebench(*servebenchout); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: servebench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *exp == "milpbench" {
-		fmt.Println("==== milpbench ====")
-		if err := milpbench(*benchout); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: milpbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *exp == "shardbench" {
-		fmt.Println("==== shardbench ====")
-		if err := shardbench(*shardbenchout, *shardheapbudget); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: shardbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *exp == "deltabench" {
-		fmt.Println("==== deltabench ====")
-		if err := deltabench(*deltabenchout); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: deltabench: %v\n", err)
-			os.Exit(1)
-		}
-	}
 }
 
 func fig4(params core.Params) error {

@@ -35,17 +35,6 @@ type Input struct {
 	// the initial mapping is split across this many goroutines (0 defaults
 	// to runtime.GOMAXPROCS(0); results are identical at any count).
 	Workers int
-	// Side1 and Side2 optionally supply a side's prebuilt Stage-1 prefix
-	// (provenance + canonical relation); when set, that side's DB/Q fields
-	// are not consulted. A resident server builds each side once per
-	// (database, query, matched attributes) and injects it here.
-	Side1, Side2 *BuiltSide
-	// RightIndex optionally supplies the prebuilt candidate index over
-	// side 2's comparison columns. When set (and Mapping is nil), initial
-	// matching scans side 1 against it instead of building both sides'
-	// token index from scratch; PairOpts must resolve to the options the
-	// index was built with. Output is identical to the one-shot path.
-	RightIndex *PairIndex
 }
 
 // Result is the full framework output.
@@ -116,31 +105,12 @@ func BuildInstance(in Input) (*Instance, *Result, error) {
 	return inst, res, nil
 }
 
-// InitialMapping scores candidate tuple matches between two canonical
+// RawSimilarities scores candidate tuple matches between two canonical
 // relations using the matching attributes (one comparison column per
-// attribute match; multi-attribute sides are concatenated) and calibrates
-// similarities into probabilities.
-func InitialMapping(t1, t2 *Canonical, mattr schemamap.Matching, cal *linkage.Calibrator) ([]linkage.Match, error) {
-	return InitialMappingWith(t1, t2, mattr, cal, linkage.DefaultPairOptions())
-}
-
-// InitialMappingWith is InitialMapping with explicit candidate-generation
-// options.
-func InitialMappingWith(t1, t2 *Canonical, mattr schemamap.Matching, cal *linkage.Calibrator, popt linkage.PairOptions) ([]linkage.Match, error) {
-	sims, err := RawSimilarities(t1, t2, mattr, popt)
-	if err != nil {
-		return nil, err
-	}
-	if cal == nil {
-		cal = linkage.NewCalibrator(50) // unfitted: identity mapping
-	}
-	return linkage.Calibrate(sims, cal), nil
-}
-
-// RawSimilarities scores candidate tuple matches between the two canonical
-// relations and returns them uncalibrated (Sim set, P unset) — the
-// cacheable half of the initial mapping: calibration and probability
-// filtering are cheap and parameter-dependent, so they run per request.
+// attribute match; multi-attribute sides are concatenated) and returns them
+// uncalibrated (Sim set, P unset) — the cacheable half of the initial
+// mapping: calibration and probability filtering are cheap and
+// parameter-dependent, so they run per request.
 func RawSimilarities(t1, t2 *Canonical, mattr schemamap.Matching, popt linkage.PairOptions) ([]linkage.Match, error) {
 	// One dictionary spans both comparison relations, so the two sides'
 	// token ids live in the same code space and the linkage stage's joint

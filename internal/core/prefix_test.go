@@ -277,37 +277,3 @@ func TestSolveCacheByteIdentical(t *testing.T) {
 		t.Fatalf("cache counters inconsistent: %+v", cs)
 	}
 }
-
-// TestSolveCacheWarmStart: with Warm enabled, a structurally identical
-// re-solve under perturbed priors seeds from the cached assignment; on the
-// paper's Figure-1 instance (unique optimum) the result still matches a
-// fresh uncached solve exactly.
-func TestSolveCacheWarmStart(t *testing.T) {
-	inst := fig1Instance(t)
-	cache := NewSolveCache(0)
-	cache.Warm = true
-	ctx := context.Background()
-	p := DefaultParams()
-	if _, _, err := SolveInstanceCached(ctx, inst, p, cache); err != nil {
-		t.Fatal(err)
-	}
-	p2 := p
-	p2.Alpha = 0.91 // objective constants move: key misses, structure hits
-	warm, warmStats, err := SolveInstanceCached(ctx, inst, p2, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmStats.WarmStarted == 0 {
-		t.Fatalf("expected warm-started sub-problems, got %+v", warmStats)
-	}
-	fresh, _, err := SolveInstance(inst, p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(warm, fresh) {
-		t.Fatal("warm-started solve diverges from fresh solve on unique-optimum instance")
-	}
-	if cache.Stats().WarmStarts == 0 {
-		t.Fatal("cache warm counters not recorded")
-	}
-}

@@ -123,19 +123,6 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 		st.MILPVars = enc.model.NumVars()
 		st.MILPRows = enc.model.NumRows()
 		opt := milp.Options{MaxNodes: p.SolverMaxNodes, WarmStart: warmStart(inst, enc)}
-		var skey string
-		warmPrevIters := -1
-		if cache != nil && cache.Warm {
-			skey = structKey(inst, sub, p)
-			if se := cache.lookupStruct(skey, enc.model.NumVars()); se != nil {
-				// Seed from the last optimal assignment of an identically
-				// shaped sub-problem; the solver feasibility-checks it and
-				// falls back to the greedy incumbent if the numbers moved
-				// too far. Opt-in: tied optima may come out differently.
-				opt.WarmStart = append([]float64(nil), se.x...)
-				warmPrevIters = se.iters
-			}
-		}
 		sol, err := milp.SolveContext(ctx, enc.model, opt)
 		if err != nil {
 			fail(fmt.Errorf("core: solving sub-problem: %w", err))
@@ -148,11 +135,6 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 		st.CertInfeas = sol.CertInfeas
 		st.SparseBlocks = sol.SparseBlocks
 		st.DenseBlocks = sol.DenseBlocks
-		if warmPrevIters >= 0 {
-			st.WarmStarted = 1
-			st.WarmItersSaved = warmPrevIters - sol.Iters
-			cache.recordWarm(st.WarmItersSaved)
-		}
 		switch sol.Status {
 		case milp.StatusOptimal:
 		case milp.StatusLimit:
@@ -178,12 +160,7 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 		if cache != nil && sol.Status == milp.StatusOptimal {
 			stored := *st
 			stored.SolveCacheMisses = 0
-			stored.WarmStarted = 0
-			stored.WarmItersSaved = 0
 			cache.store(key, localFragOf(inst, enc, sol), stored)
-			if cache.Warm {
-				cache.storeStruct(skey, sol)
-			}
 		}
 	}
 
@@ -248,8 +225,6 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 		stats.DenseBlocks += subStats[si].DenseBlocks
 		stats.SolveCacheHits += subStats[si].SolveCacheHits
 		stats.SolveCacheMisses += subStats[si].SolveCacheMisses
-		stats.WarmStarted += subStats[si].WarmStarted
-		stats.WarmItersSaved += subStats[si].WarmItersSaved
 		if subStats[si].TimedOut {
 			stats.TimedOut = true
 		}

@@ -22,20 +22,10 @@ import (
 // explanation fragment in local coordinates too, remapped to global ids on
 // every hit; only solves proven optimal are cached (budget-limited
 // incumbents are timing-dependent and must not be replayed).
-//
-// Optional warm-starting (Warm=true) additionally remembers the last optimal
-// assignment per model STRUCTURE (same shape, different numbers) and seeds
-// changed partitions' solves with it instead of the greedy incumbent. The
-// solver still proves optimality, so objectives are unchanged — but among
-// tied optima a different one may be returned, so warm mode is opt-in and
-// stays off wherever byte-identity to a fresh solve is required.
 
 // SolveCache is an LRU of proven-optimal sub-problem solutions, safe for
 // concurrent use by the solve worker pool.
 type SolveCache struct {
-	// Warm enables structure-keyed warm-start reuse; set before first use.
-	Warm bool
-
 	mu  sync.Mutex
 	max int
 	// guarded by mu
@@ -43,28 +33,19 @@ type SolveCache struct {
 	// guarded by mu
 	ll *list.List
 	// guarded by mu
-	structs map[string]*structEntry
-	// guarded by mu
-	hits, misses, warmStarts, warmItersSaved int64
+	hits, misses int64
 }
 
 // SolveCacheStats is a snapshot of cache effectiveness counters.
 type SolveCacheStats struct {
-	Entries        int
-	Hits, Misses   int64
-	WarmStarts     int64
-	WarmItersSaved int64
+	Entries      int
+	Hits, Misses int64
 }
 
 type cachedSolution struct {
 	key   string
 	frag  localFrag
 	stats Stats
-}
-
-type structEntry struct {
-	x     []float64
-	iters int
 }
 
 // NewSolveCache creates a cache bounded to max entries (≤0 defaults to 4096).
@@ -75,7 +56,7 @@ func NewSolveCache(max int) *SolveCache {
 	return &SolveCache{
 		max: max,
 		//lint:ignore guarded constructor: the fresh cache is not shared until returned
-		items: make(map[string]*list.Element), ll: list.New(), structs: make(map[string]*structEntry),
+		items: make(map[string]*list.Element), ll: list.New(),
 	}
 }
 
@@ -86,13 +67,7 @@ func (c *SolveCache) Stats() SolveCacheStats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return SolveCacheStats{
-		Entries:        c.ll.Len(),
-		Hits:           c.hits,
-		Misses:         c.misses,
-		WarmStarts:     c.warmStarts,
-		WarmItersSaved: c.warmItersSaved,
-	}
+	return SolveCacheStats{Entries: c.ll.Len(), Hits: c.hits, Misses: c.misses}
 }
 
 func (c *SolveCache) lookup(key string) (*cachedSolution, bool) {
@@ -122,32 +97,6 @@ func (c *SolveCache) store(key string, frag localFrag, stats Stats) {
 		c.ll.Remove(back)
 		delete(c.items, back.Value.(*cachedSolution).key)
 	}
-}
-
-func (c *SolveCache) lookupStruct(key string, nvars int) *structEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if se, ok := c.structs[key]; ok && len(se.x) == nvars {
-		return se
-	}
-	return nil
-}
-
-func (c *SolveCache) storeStruct(key string, sol *milp.Solution) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Bound the side table by the main LRU capacity.
-	if len(c.structs) >= c.max {
-		return
-	}
-	c.structs[key] = &structEntry{x: append([]float64(nil), sol.X...), iters: sol.Iters}
-}
-
-func (c *SolveCache) recordWarm(itersSaved int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.warmStarts++
-	c.warmItersSaved += int64(itersSaved)
 }
 
 // localFrag is a decoded explanation fragment in sub-problem-local
@@ -262,44 +211,6 @@ func subKey(inst *Instance, sub *subProblem, p Params) string {
 		wInt(int64(posL[m.L]))
 		wInt(int64(posR[m.R]))
 		wFloat(m.P)
-	}
-	flags := int64(0)
-	if inst.Card.LeftAtMostOne {
-		flags |= 1
-	}
-	if inst.Card.RightAtMostOne {
-		flags |= 2
-	}
-	wInt(flags)
-	wInt(int64(p.SolverMaxNodes))
-	return string(h.Sum(nil))
-}
-
-// structKey hashes only the model structure — sizes, match endpoints,
-// cardinality, budget — ignoring every float. Two sub-problems with equal
-// structure build identical variable layouts, so one's optimal assignment is
-// a candidate warm start for the other (the solver feasibility-checks it).
-func structKey(inst *Instance, sub *subProblem, p Params) string {
-	h := sha256.New()
-	var buf [8]byte
-	wInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	wInt(int64(len(sub.left)))
-	wInt(int64(len(sub.right)))
-	posL := make(map[int]int32, len(sub.left))
-	for k, id := range sub.left {
-		posL[id] = int32(k)
-	}
-	posR := make(map[int]int32, len(sub.right))
-	for k, id := range sub.right {
-		posR[id] = int32(k)
-	}
-	wInt(int64(len(sub.matches)))
-	for _, m := range sub.matches {
-		wInt(int64(posL[m.L]))
-		wInt(int64(posR[m.R]))
 	}
 	flags := int64(0)
 	if inst.Card.LeftAtMostOne {

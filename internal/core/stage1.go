@@ -106,22 +106,16 @@ type Stage1 struct {
 }
 
 // BuildStage1 runs the Stage-1 prefix: extract provenance, canonicalize,
-// and score raw candidate similarities. Prebuilt sides (Input.Side1/Side2)
-// and a prebuilt right-side candidate index (Input.RightIndex) are honored;
-// whatever is missing is computed, with the two sides running concurrently
-// unless Workers == 1.
+// and score raw candidate similarities, with the two sides running
+// concurrently unless Workers == 1.
 func BuildStage1(in Input) (*Stage1, error) {
-	s1, s2 := in.Side1, in.Side2
+	var s1, s2 *BuiltSide
 	build1 := func() (err error) {
-		if s1 == nil {
-			s1, err = BuildSide(in.Q1, in.DB1, in.Mattr.LeftAttrs(), "Q1")
-		}
+		s1, err = BuildSide(in.Q1, in.DB1, in.Mattr.LeftAttrs(), "Q1")
 		return err
 	}
 	build2 := func() (err error) {
-		if s2 == nil {
-			s2, err = BuildSide(in.Q2, in.DB2, in.Mattr.RightAttrs(), "Q2")
-		}
+		s2, err = BuildSide(in.Q2, in.DB2, in.Mattr.RightAttrs(), "Q2")
 		return err
 	}
 	var err1, err2 error
@@ -158,11 +152,7 @@ func BuildStage1(in Input) (*Stage1, error) {
 		popt.Workers = in.Workers
 	}
 	var err error
-	if in.RightIndex != nil {
-		st.RawMatches, err = in.RightIndex.match(st.T1, in.Mattr, popt.Workers)
-	} else {
-		st.RawMatches, err = RawSimilarities(st.T1, st.T2, in.Mattr, popt)
-	}
+	st.RawMatches, err = RawSimilarities(st.T1, st.T2, in.Mattr, popt)
 	if err != nil {
 		return nil, err
 	}

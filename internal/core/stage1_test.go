@@ -22,13 +22,16 @@ func academicInput(t *testing.T) Input {
 	return Input{DB1: pair.DB1, DB2: pair.DB2, Q1: pair.Q1, Q2: pair.Q2, Mattr: pair.Mattr}
 }
 
-// TestPrebuiltStage1Equivalence pins the serving contract: injecting
-// prebuilt sides and a prebuilt right-side candidate index into Input
-// produces an instance — and end-to-end explanations — identical to the
-// one-shot build.
+// TestPrebuiltStage1Equivalence pins the serving contract: the path a
+// resident server takes — prebuilt sides, a prebuilt right-side candidate
+// index, BuildPairPrefixFrom, then ExplainPrefixContext — produces matches,
+// canonical keys and explanations identical to one-shot ExplainContext.
 func TestPrebuiltStage1Equivalence(t *testing.T) {
 	in := academicInput(t)
-	instPlain, resPlain, err := BuildInstance(in)
+	p := DefaultParams()
+	p.BatchSize = 16
+	ctx := context.Background()
+	plain, err := ExplainContext(ctx, in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,32 +48,23 @@ func TestPrebuiltStage1Equivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre := in
-	pre.Side1, pre.Side2, pre.RightIndex = s1, s2, pi
-	instPre, resPre, err := BuildInstance(pre)
+	pp, err := BuildPairPrefixFrom(s1, s2, in.Mattr, pi, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := ExplainPrefixContext(ctx, pp, nil, 0, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if !reflect.DeepEqual(instPlain.Matches, instPre.Matches) {
-		t.Fatalf("prebuilt path diverged: %d vs %d matches", len(instPlain.Matches), len(instPre.Matches))
+	if !reflect.DeepEqual(plain.Instance.Matches, served.Instance.Matches) {
+		t.Fatalf("prebuilt path diverged: %d vs %d matches", len(plain.Instance.Matches), len(served.Instance.Matches))
 	}
-	if !reflect.DeepEqual(resPlain.T1.Keys, resPre.T1.Keys) || !reflect.DeepEqual(resPlain.T2.Keys, resPre.T2.Keys) {
-		t.Fatal("canonical keys differ between plain and prebuilt builds")
+	if !reflect.DeepEqual(plain.T1.Keys, served.T1.Keys) || !reflect.DeepEqual(plain.T2.Keys, served.T2.Keys) {
+		t.Fatal("canonical keys differ between one-shot and prebuilt builds")
 	}
-
-	p := DefaultParams()
-	p.BatchSize = 16
-	resA, err := Explain(in, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := Explain(pre, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resA.Expl, resB.Expl) {
-		t.Fatal("explanations differ between plain and prebuilt builds")
+	if !reflect.DeepEqual(plain.Expl, served.Expl) {
+		t.Fatal("explanations differ between one-shot and prebuilt builds")
 	}
 }
 

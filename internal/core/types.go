@@ -251,11 +251,6 @@ type Stats struct {
 	// both stay zero without a cache. Misses on an incrementally advanced
 	// instance are exactly its dirty partitions.
 	SolveCacheHits, SolveCacheMisses int
-	// WarmStarted counts sub-problems seeded from a cached assignment
-	// (SolveCache.Warm); WarmItersSaved totals the previous solves'
-	// iteration counts minus these solves' — negative when warm seeds
-	// did not help.
-	WarmStarted, WarmItersSaved int
 	// TimedOut reports that at least one sub-problem hit a solver budget
 	// and returned its incumbent instead of a proven optimum.
 	TimedOut bool

@@ -80,26 +80,6 @@ func (s ScenarioSpec) withDefaults() ScenarioSpec {
 	return s
 }
 
-// MillionRowScenario is the canonical large-scale workload: a million-row
-// disjoint pair with a 0.2% true-disagreement rate and 2% dirty keys. The
-// vocabulary scales with the row count so filler-word posting lists stay
-// ~rows/vocab long and blocking stays near-linear.
-func MillionRowScenario() ScenarioSpec {
-	return ScenarioSpec{Rows: 1_000_000, Vocab: 100_000, Disagree: 0.002, Noise: 0.02, Seed: 1}
-}
-
-// ScaledScenario shrinks or grows the canonical workload, keeping the
-// rows-to-vocabulary ratio (and so the per-row candidate count) fixed.
-func ScaledScenario(scale float64) ScenarioSpec {
-	spec := MillionRowScenario()
-	spec.Rows = int(float64(spec.Rows) * scale)
-	if spec.Rows < 1000 {
-		spec.Rows = 1000
-	}
-	spec.Vocab = spec.Rows / 10
-	return spec
-}
-
 // Scenario is a generated pair plus its generation trace.
 type Scenario struct {
 	Spec     ScenarioSpec

@@ -71,16 +71,3 @@ func TestScenarioDeterministic(t *testing.T) {
 		t.Fatal("same seed, different treatment counts")
 	}
 }
-
-// TestMillionRowScenarioSpec pins the canonical workload's declared shape
-// without generating it (the full million-row build belongs to shardbench).
-func TestMillionRowScenarioSpec(t *testing.T) {
-	spec := MillionRowScenario().withDefaults()
-	if spec.Rows != 1_000_000 || spec.Disagree != 0.002 || spec.Noise != 0.02 {
-		t.Fatalf("unexpected canonical spec: %+v", spec)
-	}
-	small := ScaledScenario(0.01)
-	if small.Rows != 10_000 || small.Vocab != 1000 {
-		t.Fatalf("unexpected scaled spec: %+v", small)
-	}
-}

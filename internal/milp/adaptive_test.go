@@ -24,8 +24,8 @@ func TestAdaptiveMatchesForcedEngines(t *testing.T) {
 			label string
 			opt   Options
 		}{
-			{"sparse", Options{Engine: EngineSparse}},
-			{"dense", Options{Engine: EngineDense}},
+			{"sparse", Options{engine: engineSparse}},
+			{"dense", Options{engine: engineDense}},
 		} {
 			sol, err := Solve(m, forced.opt)
 			if err != nil {
@@ -47,6 +47,12 @@ func TestAdaptiveMatchesForcedEngines(t *testing.T) {
 	for name, m := range fixtureModels() {
 		check(name, m)
 	}
+	// The three models the adaptive thresholds were tuned on (branch.go):
+	// two dense-routed trees and a sparse-routed banded LP.
+	pathCover, _ := pathCoverModel(200, 200)
+	check("knapsack-26", benchModel(26, 100))
+	check("pigeonhole-4", pigeonholeModel(4))
+	check("pathcover-lp", pathCover)
 	rng := rand.New(rand.NewSource(301))
 	for trial := 0; trial < 40; trial++ {
 		m, _ := randomBinaryModel(rng, 12)
@@ -67,7 +73,7 @@ func TestAdaptiveEngineRouting(t *testing.T) {
 	if sol.DenseBlocks == 0 || sol.SparseBlocks != 0 {
 		t.Fatalf("small dense block: sparse=%d dense=%d, want all dense", sol.SparseBlocks, sol.DenseBlocks)
 	}
-	forced, err := Solve(knap, Options{Engine: EngineSparse})
+	forced, err := Solve(knap, Options{engine: engineSparse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +104,12 @@ func TestAdaptiveEngineRouting(t *testing.T) {
 func TestPresolveOnOffEquivalence(t *testing.T) {
 	check := func(name string, m *Model) {
 		t.Helper()
-		for _, eng := range []EngineMode{EngineAdaptive, EngineSparse, EngineDense} {
-			on, err := Solve(m, Options{Engine: eng})
+		for _, eng := range []engineMode{engineAdaptive, engineSparse, engineDense} {
+			on, err := Solve(m, Options{engine: eng})
 			if err != nil {
 				t.Fatalf("%s: presolve-on solve: %v", name, err)
 			}
-			off, err := Solve(m, Options{Engine: eng, NoPresolve: true})
+			off, err := Solve(m, Options{engine: eng, noPresolve: true})
 			if err != nil {
 				t.Fatalf("%s: presolve-off solve: %v", name, err)
 			}
@@ -251,7 +257,7 @@ func TestPresolveTightenUnit(t *testing.T) {
 // (toggled via disableDevex), at the same optimal objective.
 func TestDevexReducesIterations(t *testing.T) {
 	m, want := pathCoverModel(800, 800)
-	opt := Options{Engine: EngineSparse, DisableBlocks: true}
+	opt := Options{engine: engineSparse, DisableBlocks: true}
 
 	devex, err := Solve(m, opt)
 	if err != nil {
@@ -285,12 +291,12 @@ func TestDevexOnOffEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	for trial := 0; trial < 40; trial++ {
 		m, _ := randomBinaryModel(rng, 12)
-		devex, err := Solve(m, Options{Engine: EngineSparse})
+		devex, err := Solve(m, Options{engine: engineSparse})
 		if err != nil {
 			t.Fatal(err)
 		}
 		disableDevex = true
-		dantzig, err := Solve(m, Options{Engine: EngineSparse})
+		dantzig, err := Solve(m, Options{engine: engineSparse})
 		disableDevex = false
 		if err != nil {
 			t.Fatal(err)

@@ -61,7 +61,7 @@ func benchmarkBB(b *testing.B, opt Options) {
 
 func BenchmarkBranchAndBoundWarm(b *testing.B) { benchmarkBB(b, Options{}) }
 
-func BenchmarkBranchAndBoundCold(b *testing.B) { benchmarkBB(b, Options{ColdLP: true}) }
+func BenchmarkBranchAndBoundCold(b *testing.B) { benchmarkBB(b, Options{cold: true}) }
 
 // BenchmarkSparseVsDense compares per-pivot cost of the two LP engines on
 // a single large block sized just under the dense cell cap (the dense
@@ -104,21 +104,21 @@ func benchmarkEngine(b *testing.B, n int, opt Options) {
 // every pivot touches all of them, while the sparse engine touches a few
 // dozen nonzeros.
 func BenchmarkSparseVsDenseSparse(b *testing.B) {
-	benchmarkEngine(b, 800, Options{Engine: EngineSparse})
+	benchmarkEngine(b, 800, Options{engine: engineSparse})
 }
 
-func BenchmarkSparseVsDenseDense(b *testing.B) { benchmarkEngine(b, 800, Options{DenseLP: true}) }
+func BenchmarkSparseVsDenseDense(b *testing.B) { benchmarkEngine(b, 800, Options{engine: engineDense}) }
 
 // BenchmarkDevexOn/Off isolates the pricing rule on the 800-var block:
 // devex scans a bounded candidate window per iteration where full Dantzig
 // prices every nonbasic column, so the win is per-pivot cost at near-equal
 // iteration counts.
-func BenchmarkDevexOn(b *testing.B) { benchmarkEngine(b, 800, Options{Engine: EngineSparse}) }
+func BenchmarkDevexOn(b *testing.B) { benchmarkEngine(b, 800, Options{engine: engineSparse}) }
 
 func BenchmarkDevexOff(b *testing.B) {
 	disableDevex = true
 	defer func() { disableDevex = false }()
-	benchmarkEngine(b, 800, Options{Engine: EngineSparse})
+	benchmarkEngine(b, 800, Options{engine: engineSparse})
 }
 
 // pigeonBenchModel is the infeasibility-heavy pigeonhole tree (holes+1
@@ -171,4 +171,4 @@ func benchmarkPresolve(b *testing.B, opt Options) {
 
 func BenchmarkPresolveOn(b *testing.B) { benchmarkPresolve(b, Options{}) }
 
-func BenchmarkPresolveOff(b *testing.B) { benchmarkPresolve(b, Options{NoPresolve: true}) }
+func BenchmarkPresolveOff(b *testing.B) { benchmarkPresolve(b, Options{noPresolve: true}) }

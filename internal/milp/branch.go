@@ -194,19 +194,19 @@ type bbResult struct {
 	dense      bool // which LP engine solved the block
 }
 
-// Adaptive engine thresholds (chooseDense), tuned against the frozen
-// milpbench workloads: knapsack-conflicts-26 (~700 tableau cells) and
-// pigeonhole-4 (~4700 cells at 0.11 density) route dense, where the
-// tableau beats the revised simplex by ~1.2-1.3× pivots/sec;
-// pathcover-lp-800 (1.9M cells, banded) routes sparse, where the tableau
-// loses 7×.
+// Adaptive engine thresholds (chooseDense), tuned on three models the
+// engine-agreement tests also solve: a 26-variable conflict knapsack
+// (~700 tableau cells) and pigeonhole-4 (~4700 cells at 0.11 density) route
+// dense, where the tableau beat the revised simplex by ~1.2-1.3×
+// pivots/sec; an 800-vertex path-cover LP (1.9M cells, banded) routes
+// sparse, where the tableau lost 7×.
 const (
 	adaptiveMaxCells   = 32768 // above this, per-pivot O(cells) always loses to per-nonzero
 	adaptiveTinyCells  = 4096  // below this, the tableau always wins (no LU/eta overhead)
 	adaptiveMinDensity = 0.05  // between the caps, nonzero density decides
 )
 
-// chooseDense picks the LP engine for one block under EngineAdaptive. The
+// chooseDense picks the LP engine for one block by default. The
 // dense tableau pays m·n cells per pivot but carries no factorization or
 // eta-replay overhead; the sparse revised simplex pays per nonzero plus
 // LU/eta bookkeeping that only amortizes over enough pivots. Tiny
@@ -260,13 +260,13 @@ type bbNode struct {
 // minimization; maximization models are negated on entry and restored on
 // exit. Cancellation of ctx is treated exactly like an expired deadline.
 //
-// Node relaxations are solved by an lpEngine (engine.go): the sparse
-// revised simplex by default, the dense tableau under Options.DenseLP.
-// Whenever the parent's basis is available the engine warm-starts: the
-// root (and any engine-forced refactorization) pays for a full two-phase
-// primal solve, every other node applies its one bound delta to an
-// existing optimal basis and repairs it with dual pivots. Options.ColdLP
-// restores the historical solve-from-scratch behavior.
+// Node relaxations are solved by an lpEngine (engine.go), chosen per block
+// by chooseDense unless Options.engine forces one. Whenever the parent's
+// basis is available the engine warm-starts: the root (and any
+// engine-forced refactorization) pays for a full two-phase primal solve,
+// every other node applies its one bound delta to an existing optimal
+// basis and repairs it with dual pivots. Options.cold restores the
+// historical solve-from-scratch behavior.
 func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, deadline time.Time) bbResult {
 	n := len(m.vars)
 	c := make([]float64, n)
@@ -307,9 +307,9 @@ func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, 
 	// The LP engine holds all warm-start state: the most recently solved
 	// node's optimal basis (identified by seq; 0 = none), the snapshot
 	// memory budget, and the refactorization policy.
-	useWarm := !opt.ColdLP
-	dense := opt.Engine == EngineDense ||
-		(opt.Engine == EngineAdaptive && chooseDense(m, len(intVars)))
+	useWarm := !opt.cold
+	dense := opt.engine == engineDense ||
+		(opt.engine == engineAdaptive && chooseDense(m, len(intVars)))
 	var eng lpEngine
 	if dense {
 		eng = &denseEngine{ctx: ctx, deadline: deadline, c: c, rows: m.rows, useWarm: useWarm}
@@ -317,7 +317,7 @@ func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, 
 		eng = &sparseEngine{ctx: ctx, deadline: deadline, c: c, rows: m.rows, useWarm: useWarm}
 	}
 	var pre *presolver
-	if !opt.NoPresolve {
+	if !opt.noPresolve {
 		pre = newPresolver(m)
 	}
 

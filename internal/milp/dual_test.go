@@ -85,7 +85,7 @@ func TestWarmColdEquivalenceFixtures(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: warm solve: %v", name, err)
 		}
-		cold, err := Solve(m, Options{ColdLP: true})
+		cold, err := Solve(m, Options{cold: true})
 		if err != nil {
 			t.Fatalf("%s: cold solve: %v", name, err)
 		}
@@ -144,7 +144,7 @@ func TestWarmStartedSolverMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := Solve(m, Options{ColdLP: true})
+		cold, err := Solve(m, Options{cold: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestWarmColdEquivalenceRandomMixed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := Solve(m, Options{ColdLP: true})
+		cold, err := Solve(m, Options{cold: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +300,7 @@ func TestWarmStartReducesItersPerNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Solve(m, Options{ColdLP: true})
+	cold, err := Solve(m, Options{cold: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,11 @@ import (
 )
 
 // lpEngine abstracts the per-node LP solver behind branch-and-bound. Two
-// implementations exist: the sparse revised simplex (default — LU basis +
-// eta file, snapshots are O(bounds)) and the historical dense tableau
-// (Options.DenseLP — the reference implementation, snapshots copy m·n
-// cells). Branch-and-bound owns the tree policy; engines own warm-start
-// state, snapshot budgets, and refactorization policy.
+// implementations exist: the sparse revised simplex (LU basis + eta file,
+// snapshots are O(bounds)) and the dense tableau (snapshots copy m·n
+// cells); chooseDense picks one per block. Branch-and-bound owns the tree
+// policy; engines own warm-start state, snapshot budgets, and
+// refactorization policy.
 type lpEngine interface {
 	// cold solves the node's materialized bounds from scratch; on
 	// optimality the engine's state becomes the warm parent (seq advances).
@@ -192,7 +192,7 @@ type sparseEngine struct {
 	// optimal state — the precondition for reading duals in rcFix. It is
 	// false after the (effectively unreachable) dense fallback of cold and
 	// after failed warm solves, independent of curSeq, which also goes to
-	// zero under Options.ColdLP where rcFix is still valid.
+	// zero under Options.cold where rcFix is still valid.
 	solvedOK bool
 }
 

@@ -199,22 +199,20 @@ func (s Status) String() string {
 	}
 }
 
-// EngineMode selects the LP engine branch-and-bound uses for node
+// engineMode selects the LP engine branch-and-bound uses for node
 // relaxations.
-type EngineMode int
+type engineMode int
 
 const (
-	// EngineAdaptive (the default) picks dense vs sparse per block from the
+	// engineAdaptive (the default) picks dense vs sparse per block from the
 	// block's shape: tableau cells, nonzero density, and the expected tree
-	// size. Small dense blocks route to the dense tableau (cheap per-cell
-	// pivots, no factorization overhead), everything else to the sparse
-	// revised simplex.
-	EngineAdaptive EngineMode = iota
-	// EngineSparse forces the sparse revised simplex for every block.
-	EngineSparse
-	// EngineDense forces the dense tableau for every block. The dense
+	// size (chooseDense).
+	engineAdaptive engineMode = iota
+	// engineSparse forces the sparse revised simplex for every block.
+	engineSparse
+	// engineDense forces the dense tableau for every block. The dense
 	// engine refuses relaxations above maxTableauCells.
-	EngineDense
+	engineDense
 )
 
 // Options tunes the solver.
@@ -234,29 +232,21 @@ type Options struct {
 	WarmStart []float64
 	// DisableBlocks turns off block decomposition (solve as one problem).
 	DisableBlocks bool
-	// ColdLP disables the warm-started dual simplex: every branch-and-bound
+
+	// The fields below are differential and measurement hooks, set only by
+	// this package's tests and benchmarks (like disableDevex). Every setting
+	// returns the default's statuses and objectives, except that the forced
+	// dense engine refuses blocks above its size cap.
+
+	// engine forces one LP engine for every block instead of the
+	// per-block adaptive choice.
+	engine engineMode
+	// cold disables the warm-started dual simplex: every branch-and-bound
 	// node rebuilds its basis and solves phase 1/phase 2 from scratch.
-	// The warm and cold paths return identical statuses and objectives;
-	// this switch exists for benchmarks, equivalence tests, and as an
-	// escape hatch.
-	ColdLP bool
-	// Engine picks the per-node LP engine. The zero value (EngineAdaptive)
-	// chooses dense vs sparse per block from the block's shape; the forced
-	// modes exist for benchmarks and differential tests, which assert all
-	// engine choices agree on statuses and objectives.
-	Engine EngineMode
-	// DenseLP is the historical switch routing every node relaxation
-	// through the dense-tableau simplex; it is kept as an alias for
-	// Engine = EngineDense (the dense path is the reference
-	// implementation). Note the dense engine refuses relaxations above
-	// maxTableauCells; the sparse engine has no such cap.
-	DenseLP bool
-	// NoPresolve disables the per-node presolve (bound tightening at cold
+	cold bool
+	// noPresolve disables the per-node presolve (bound tightening at cold
 	// solves, reduced-cost fixing of nonbasic integer variables).
-	// Presolve-on and presolve-off return identical statuses and
-	// objectives; the switch exists for equivalence tests and as an escape
-	// hatch.
-	NoPresolve bool
+	noPresolve bool
 }
 
 //lint:floatexact option sentinel: the float zero value means unset
@@ -266,9 +256,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.IntTol == 0 {
 		o.IntTol = 1e-6
-	}
-	if o.DenseLP && o.Engine == EngineAdaptive {
-		o.Engine = EngineDense
 	}
 	return o
 }
@@ -286,7 +273,8 @@ type Solution struct {
 	Iters int
 	// Refactors counts basis LU factorizations performed by the sparse
 	// revised simplex (crash factorizations plus eta-file-length and
-	// stability-triggered rebuilds). Zero under Options.DenseLP.
+	// stability-triggered rebuilds). Zero for blocks the dense tableau
+	// solved.
 	Refactors int
 	// LUFill totals the L+U nonzeros produced by those factorizations —
 	// the solver's fill-in metric.
@@ -295,8 +283,7 @@ type Solution struct {
 	// direct Farkas certificate check instead of a cold phase-1 re-proof.
 	CertInfeas int
 	// SparseBlocks/DenseBlocks count the blocks solved by each LP engine —
-	// under EngineAdaptive they record the per-block choices the shape
-	// heuristic made.
+	// the per-block choices the shape heuristic made.
 	SparseBlocks int
 	DenseBlocks  int
 }

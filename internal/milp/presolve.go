@@ -17,7 +17,7 @@ import "math"
 //
 // Both halves only shrink the region the LP engines search without cutting
 // any improving solution, so presolve-on and presolve-off return identical
-// statuses and objectives (Options.NoPresolve is the differential switch).
+// statuses and objectives (Options.noPresolve is the differential switch).
 
 // boundFix pins one variable to a sub-interval of its branch bounds for a
 // whole subtree. Fixes intersect with branch bounds; an empty intersection

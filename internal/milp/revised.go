@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the sparse revised simplex that branch-and-bound
-// uses by default (Options.DenseLP restores the dense tableau). The
+// uses for every block chooseDense does not route to the dense tableau. The
 // working problem keeps the dense solver's column layout — structural
 // variables, slacks, artificials — but the constraint matrix lives in
 // CSC/CSR form (sparse.go) and the basis inverse is an LU factorization

@@ -14,11 +14,11 @@ import (
 // in adaptive_test.go.
 func solveBoth(t *testing.T, name string, m *Model) (*Solution, *Solution) {
 	t.Helper()
-	sparse, err := Solve(m, Options{Engine: EngineSparse})
+	sparse, err := Solve(m, Options{engine: engineSparse})
 	if err != nil {
 		t.Fatalf("%s: sparse solve: %v", name, err)
 	}
-	dense, err := Solve(m, Options{DenseLP: true})
+	dense, err := Solve(m, Options{engine: engineDense})
 	if err != nil {
 		t.Fatalf("%s: dense solve: %v", name, err)
 	}
@@ -71,7 +71,7 @@ func TestSparseDenseRandomBinaryMatchBruteForce(t *testing.T) {
 }
 
 // Differential property test on mixed integer/continuous models with
-// general bounds, including the ColdLP escape hatch on both engines.
+// general bounds, including cold (non-warm-started) solves on both engines.
 func TestSparseDenseRandomMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 60; trial++ {
@@ -102,11 +102,11 @@ func TestSparseDenseRandomMixed(t *testing.T) {
 			m.AddConstr(terms, sense, float64(rng.Intn(11)-5), "r")
 		}
 		sparse, _ := solveBoth(t, "random-mixed", m)
-		coldSparse, err := Solve(m, Options{ColdLP: true, Engine: EngineSparse})
+		coldSparse, err := Solve(m, Options{cold: true, engine: engineSparse})
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldDense, err := Solve(m, Options{ColdLP: true, DenseLP: true})
+		coldDense, err := Solve(m, Options{cold: true, engine: engineDense})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestFarkasCertificateOnInfeasibilityHeavyTree(t *testing.T) {
 	}
 	// The certificate replaces cold re-proofs, so the warm sparse solver
 	// must spend fewer iterations than its own cold mode on this tree.
-	cold, err := Solve(m, Options{ColdLP: true, Engine: EngineSparse})
+	cold, err := Solve(m, Options{cold: true, engine: engineSparse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +236,9 @@ func TestLargeBlockBeyondDenseCap(t *testing.T) {
 	if cells := rows * (vars + 2*rows); cells <= maxTableauCells {
 		t.Fatalf("fixture no longer exceeds the dense cap: %d <= %d", cells, maxTableauCells)
 	}
-	opt := Options{DisableBlocks: true, Engine: EngineSparse} // padding must not split into its own blocks
+	opt := Options{DisableBlocks: true, engine: engineSparse} // padding must not split into its own blocks
 	dense := opt
-	dense.Engine = EngineDense
+	dense.engine = engineDense
 	dsol, err := Solve(m, dense)
 	if err != nil {
 		t.Fatal(err)

@@ -148,12 +148,8 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown dataset %q", r.PathValue("name"))
 		return
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.UseNumber()
 	var dr DeltaRequest
-	if err := dec.Decode(&dr); err != nil {
-		s.errCount.Add(1)
-		httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	if !s.decodeBody(w, r, maxDeltaBody, &dr) {
 		return
 	}
 	dd1, err := toDBDelta(dr.DB1)

@@ -248,25 +248,6 @@ func TestDeltaEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDeltaWarmStart: with Options.WarmStart, a structurally identical
-// re-solve under different priors seeds from cached assignments and the
-// warm-start counters move.
-func TestDeltaWarmStart(t *testing.T) {
-	s, ts, sc := scenarioServer(t, serve.Options{WarmStart: true})
-	rq := scenarioRequest(sc)
-	if resp, body := post(t, ts.URL, rq); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	rq2 := rq
-	rq2.Alpha = 0.91
-	if resp, body := post(t, ts.URL, rq2); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	if m := s.Metrics(); m.WarmStarts == 0 {
-		t.Fatalf("WarmStarts = 0 after structurally identical re-solve: %+v", m)
-	}
-}
-
 // TestDeltaValidation covers the endpoint's error paths; failed deltas must
 // not advance the version.
 func TestDeltaValidation(t *testing.T) {

@@ -35,6 +35,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -87,12 +88,6 @@ type Options struct {
 	CacheSize int
 	// MaxWorkers caps the per-request Workers budget (0 = uncapped).
 	MaxWorkers int
-	// WarmStart additionally seeds changed partitions' MILP solves from the
-	// last optimal assignment with the same model structure. The solver
-	// still proves optimality, but among TIED optima a different one may be
-	// returned — so responses are no longer guaranteed byte-identical to a
-	// fresh one-shot Explain, and the option is off by default.
-	WarmStart bool
 }
 
 // ConflictError reports a Register against a name that is already taken.
@@ -143,11 +138,6 @@ type Metrics struct {
 	// the hit rate is the fraction of MILP sub-problems never re-solved.
 	SolutionHits   int64 `json:"solution_hits"`
 	SolutionMisses int64 `json:"solution_misses"`
-	// WarmStarts/WarmItersSaved aggregate warm-start reuse (Options.WarmStart):
-	// sub-problems seeded from a cached assignment and the simplex
-	// iterations saved versus the previous solve of that structure.
-	WarmStarts     int64 `json:"warm_starts"`
-	WarmItersSaved int64 `json:"warm_iters_saved"`
 }
 
 // sideEntry / indexEntry build a cached prefix exactly once; concurrent
@@ -379,7 +369,6 @@ func (s *Server) Register(name string, db1, db2 *relation.Database) error {
 	db1.FreezeDicts()
 	db2.FreezeDicts()
 	ds := &Dataset{Name: name, solve: core.NewSolveCache(0)}
-	ds.solve.Warm = s.opts.WarmStart
 	ds.cur.Store(newDataVersion(0, db1, db2))
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -407,8 +396,6 @@ func (s *Server) Metrics() Metrics {
 		st := ds.solve.Stats()
 		sol.Hits += st.Hits
 		sol.Misses += st.Misses
-		sol.WarmStarts += st.WarmStarts
-		sol.WarmItersSaved += st.WarmItersSaved
 	}
 	s.mu.RUnlock()
 	return Metrics{
@@ -432,8 +419,6 @@ func (s *Server) Metrics() Metrics {
 		DirtyPartitions: s.dirtyPartitions.Load(),
 		SolutionHits:    sol.Hits,
 		SolutionMisses:  sol.Misses,
-		WarmStarts:      sol.WarmStarts,
-		WarmItersSaved:  sol.WarmItersSaved,
 	}
 }
 
@@ -449,6 +434,38 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, `{"status":"ok"}`)
 	})
 	return mux
+}
+
+// Request-body caps. An /explain body is two queries, their attribute
+// matches and a few scalars — well under a kilobyte in practice; a delta
+// body carries whole row batches.
+const (
+	maxExplainBody = 1 << 20  // 1 MiB
+	maxDeltaBody   = 64 << 20 // 64 MiB
+)
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes;
+// numbers decoded into untyped cells stay json.Number. On failure it counts
+// the error, writes 413 (body over limit, declared or read) or 400 (not
+// valid JSON), and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	var err error
+	if r.ContentLength > limit {
+		err = &http.MaxBytesError{Limit: limit}
+	} else {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+		dec.UseNumber()
+		if err = dec.Decode(v); err == nil {
+			return true
+		}
+	}
+	s.errCount.Add(1)
+	if mbe := (*http.MaxBytesError)(nil); errors.As(err, &mbe) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", limit)
+		return false
+	}
+	httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	return false
 }
 
 // httpError writes a JSON error body.
@@ -491,9 +508,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	start := time.Now()
 	var rq Request
-	if err := json.NewDecoder(r.Body).Decode(&rq); err != nil {
-		s.errCount.Add(1)
-		httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	if !s.decodeBody(w, r, maxExplainBody, &rq) {
 		return
 	}
 	ds, ok := s.Dataset(rq.Dataset)

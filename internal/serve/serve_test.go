@@ -360,6 +360,54 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedBodies: /explain refuses bodies over 1 MiB and the delta
+// endpoint bodies over 64 MiB with 413, whether the size is declared up
+// front or only found while reading a streamed body. The delta case is
+// declared-only, so the test never materializes 64 MiB.
+func TestOversizedBodies(t *testing.T) {
+	s, _, _ := scenarioServer(t, serve.Options{})
+	h := s.Handler()
+	const (
+		explainCap = 1 << 20
+		deltaCap   = 64 << 20
+	)
+	// streamed hides its length: httptest.NewRequest only sets
+	// ContentLength for in-memory readers, so the body arrives as if chunked.
+	streamed := func(body string) io.Reader { return io.MultiReader(strings.NewReader(body)) }
+	bigExplain := `{"dataset":"scen","q1":"` + strings.Repeat("x", explainCap) + `"}`
+	cases := []struct {
+		name, path string
+		body       io.Reader
+		declared   int64
+	}{
+		{"explain streamed", "/explain", streamed(bigExplain), -1},
+		{"explain declared", "/explain", strings.NewReader(`{}`), explainCap + 1},
+		{"delta declared", "/datasets/scen/delta", strings.NewReader(`{}`), deltaCap + 1},
+	}
+	for _, tc := range cases {
+		before := s.Metrics().Errors
+		req := httptest.NewRequest(http.MethodPost, tc.path, tc.body)
+		if tc.declared >= 0 {
+			req.ContentLength = tc.declared
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413 (%.200s)", tc.name, w.Code, w.Body)
+		}
+		if got := s.Metrics().Errors - before; got != 1 {
+			t.Fatalf("%s: errors counter moved by %d, want 1", tc.name, got)
+		}
+	}
+	// A small streamed body is read in full and judged on its content.
+	req := httptest.NewRequest(http.MethodPost, "/explain", streamed(`{"dataset":"nope"}`))
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusNotFound {
+		t.Fatalf("small body: status %d, want 404", w.Code)
+	}
+}
+
 // TestAuxEndpoints covers /datasets, /stats, and /healthz.
 func TestAuxEndpoints(t *testing.T) {
 	_, ts, pair := newTestServer(t, serve.Options{})
