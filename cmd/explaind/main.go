@@ -18,7 +18,7 @@
 //	GET  /stats     request/solve counters, cache hit/miss/eviction
 //	                counts, single-flight joins, and delta metrics
 //	                (deltas/rows applied, invalidations, dirty
-//	                partitions, side builds)
+//	                partitions, side builds, Stage-1 memo entries)
 //	GET  /healthz   liveness
 //
 // Repeat and textually-equivalent requests are answered from a result
@@ -27,12 +27,14 @@
 //
 // Deltas apply copy-on-write: each batch publishes a new dataset
 // generation atomically while in-flight explains keep reading the
-// generation they started on. Untouched relations share storage across
-// generations, so a re-explain after a delta rebuilds Stage 1 only for
-// dirty partitions, reuses cached block solutions whose instance hashes
-// are unchanged, and reuses whole prebuilt query sides when a query's
-// read set was not touched. Result-cache entries are invalidated only
-// if their queries read a touched relation.
+// generation they started on. Untouched relations are the same objects in
+// every generation, so each dataset keeps one Stage-1 memo entry per query
+// side, candidate index and pair prefix, reused while the relations it was
+// built from are unchanged. A re-explain after a delta rebuilds only the
+// sides whose read set the delta touched, advances the pair prefix over
+// the dirty rows, and reuses cached block solutions whose instance hashes
+// are unchanged. Result-cache entries are invalidated only if their
+// queries read a touched relation.
 package main
 
 import (
@@ -55,6 +57,14 @@ var (
 	addr       = flag.String("addr", ":8080", "listen address")
 	cacheSize  = flag.Int("cache", 128, "result cache capacity (entries)")
 	maxWorkers = flag.Int("maxworkers", 0, "cap on per-request solve workers (0 = uncapped)")
+)
+
+// Connection timeouts: a client gets readHeaderTimeout to send its request
+// headers, and an idle keep-alive connection is closed after idleTimeout.
+// Neither bounds a request body or a solve.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
 )
 
 func main() {
@@ -91,7 +101,10 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{
+		Addr: *addr, Handler: srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout,
+	}
 	go func() {
 		<-ctx.Done()
 		fmt.Println("explaind: shutting down")

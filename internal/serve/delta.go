@@ -195,9 +195,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	ndb1.FreezeDicts()
 	ndb2.FreezeDicts()
 
-	nv := newDataVersion(cur.version+1, ndb1, ndb2)
-	nv.parent.Store(cur)
-	trimChain(nv)
+	nv := &dataVersion{version: cur.version + 1, db1: ndb1, db2: ndb2}
 	ds.cur.Store(nv)
 
 	// Drop exactly the result-cache entries this delta could have changed,
@@ -222,18 +220,4 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		Version: nv.version, Invalidated: inv,
 		DB1: statsOf(res1), DB2: statsOf(res2),
 	})
-}
-
-// trimChain cuts the ancestor chain below maxVersionChain generations so
-// retired generations and their Stage-1 caches become collectable.
-func trimChain(nv *dataVersion) {
-	v := nv
-	for i := 0; i < maxVersionChain; i++ {
-		next := v.parent.Load()
-		if next == nil {
-			return
-		}
-		v = next
-	}
-	v.parent.Store(nil)
 }

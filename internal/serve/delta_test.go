@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -127,10 +128,12 @@ func postDelta(t *testing.T, url, name string, dr serve.DeltaRequest) (*http.Res
 
 // TestDeltaEndToEnd drives the full delta path over HTTP: cold solve,
 // cache hit, a delta to a relation no query reads (version bump, zero
-// invalidation, still a hit), then an impact-only delta to the queried
-// relation (targeted invalidation, incremental prefix advance, solution-
-// cache reuse) whose re-solve is byte-identical to a fresh one-shot
-// Explain on the post-delta data. Metrics are pinned at each step.
+// invalidation, still a hit, and a new request over the same Stage-1 key
+// reuses every memo entry), then an impact-only delta to the queried
+// relation (targeted invalidation, one side rebuilt, incremental prefix
+// advance, solution-cache reuse) whose re-solve is byte-identical to a
+// fresh one-shot Explain on the post-delta data. Metrics are pinned at each
+// step.
 func TestDeltaEndToEnd(t *testing.T) {
 	s, ts, sc := scenarioServer(t, serve.Options{})
 	rq := scenarioRequest(sc)
@@ -147,6 +150,9 @@ func TestDeltaEndToEnd(t *testing.T) {
 	}
 	if resp, body := post(t, ts.URL, rq); resp.Header.Get("X-Explaind-Cache") != "hit" || !bytes.Equal(body, cold) {
 		t.Fatal("repeat must be a byte-identical cache hit")
+	}
+	if m := s.Metrics(); m.SideBuilds != 2 || m.IndexBuilds != 1 {
+		t.Fatalf("cold SideBuilds/IndexBuilds = %d/%d, want 2/1", m.SideBuilds, m.IndexBuilds)
 	}
 
 	// Delta to the spare relation: version bumps, but no cached answer read
@@ -168,6 +174,27 @@ func TestDeltaEndToEnd(t *testing.T) {
 	resp, body := post(t, ts.URL, rq)
 	if resp.Header.Get("X-Explaind-Cache") != "hit" || !bytes.Equal(body, cold) {
 		t.Fatal("untouched-relation delta must not invalidate the cached answer")
+	}
+
+	// A new result key over the same Stage-1 key on the new generation: the
+	// sides, index and prefix all come from the memo, untouched.
+	before := s.Metrics()
+	rqAlpha := rq
+	rqAlpha.Alpha = 0.95
+	resp, body = post(t, ts.URL, rqAlpha)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Explaind-Cache") != "miss" {
+		t.Fatalf("alpha request: status %d, disposition %q", resp.StatusCode, resp.Header.Get("X-Explaind-Cache"))
+	}
+	if !bytes.Equal(body, scenarioOneShot(t, sc.DB1, sc.DB2, sc, rqAlpha)) {
+		t.Fatal("alpha body differs from one-shot Explain")
+	}
+	after := s.Metrics()
+	if after.SideBuilds != before.SideBuilds || after.IndexBuilds != before.IndexBuilds ||
+		after.PrefixBuilds != before.PrefixBuilds || after.PrefixAdvances != before.PrefixAdvances {
+		t.Fatalf("Stage-1 work across an untouched-relation delta: side/index/prefix builds %d/%d/%d -> %d/%d/%d, advances %d -> %d",
+			before.SideBuilds, before.IndexBuilds, before.PrefixBuilds,
+			after.SideBuilds, after.IndexBuilds, after.PrefixBuilds,
+			before.PrefixAdvances, after.PrefixAdvances)
 	}
 
 	// Impact-only delta to the queried relation: the cached answer dies,
@@ -196,8 +223,8 @@ func TestDeltaEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("impact delta status %d: %s", resp.StatusCode, raw)
 	}
-	if dres.Version != 2 || dres.Invalidated != 1 {
-		t.Fatalf("impact delta response = %+v, want version 2, invalidated 1", dres)
+	if dres.Version != 2 || dres.Invalidated != 2 {
+		t.Fatalf("impact delta response = %+v, want version 2, invalidated 2", dres)
 	}
 
 	ndb1, _, err := sc.DB1.ApplyDelta(relation.DBDelta{rel1: local})
@@ -226,15 +253,18 @@ func TestDeltaEndToEnd(t *testing.T) {
 	if m.DeltaRows != 2+3 {
 		t.Fatalf("DeltaRows = %d, want 5", m.DeltaRows)
 	}
-	if m.Invalidated != 1 {
-		t.Fatalf("Invalidated = %d, want 1", m.Invalidated)
+	if m.Invalidated != 2 {
+		t.Fatalf("Invalidated = %d, want 2", m.Invalidated)
+	}
+	if m.SideBuilds != 3 || m.IndexBuilds != 1 {
+		t.Fatalf("SideBuilds/IndexBuilds = %d/%d, want 3/1 (only side 1 is rebuilt)", m.SideBuilds, m.IndexBuilds)
 	}
 	if m.PrefixBuilds != 1 || m.PrefixAdvances != 1 {
 		t.Fatalf("PrefixBuilds/Advances = %d/%d, want 1/1 (fresh cold build, one advance across two versions)",
 			m.PrefixBuilds, m.PrefixAdvances)
 	}
-	if m.Solves != 2 {
-		t.Fatalf("Solves = %d, want 2", m.Solves)
+	if m.Solves != 3 {
+		t.Fatalf("Solves = %d, want 3 (cold, alpha, post-delta)", m.Solves)
 	}
 	if m.SolutionHits == 0 {
 		t.Fatal("solution cache never hit: untouched partitions must replay")
@@ -311,5 +341,47 @@ func TestDeltaValidation(t *testing.T) {
 	dresp.Body.Close()
 	if len(infos) != 1 || infos[0].Version != 0 {
 		t.Fatalf("failed deltas must not advance the version: %+v", infos)
+	}
+}
+
+// TestStage1MemoBounded applies more deltas to the queried relation than
+// any fixed generation window would hold, explaining after each: the
+// Stage-1 memo keeps one entry per key throughout, and the final answer is
+// byte-identical to one-shot Explain on the final data.
+func TestStage1MemoBounded(t *testing.T) {
+	s, ts, sc := scenarioServer(t, serve.Options{})
+	rq := scenarioRequest(sc)
+	if resp, body := post(t, ts.URL, rq); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold status %d: %s", resp.StatusCode, body)
+	}
+	entries := s.Metrics().Stage1Entries
+	if entries != 4 {
+		t.Fatalf("cold Stage1Entries = %d, want 4 (two sides, an index, a prefix)", entries)
+	}
+
+	rel1 := sc.Spec.Name + "1"
+	rng := rand.New(rand.NewSource(12))
+	db1 := sc.DB1
+	var body []byte
+	for j := 0; j < 12; j++ {
+		ld, wd := stressDelta(t, db1, rel1, rng, j)
+		ndb, _, err := db1.ApplyDelta(relation.DBDelta{rel1: ld})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db1 = ndb
+		resp, _, raw := postDelta(t, ts.URL, "scen", serve.DeltaRequest{DB1: map[string]serve.RelationDelta{rel1: wd}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("delta %d: status %d: %s", j, resp.StatusCode, raw)
+		}
+		if resp, body = post(t, ts.URL, rq); resp.StatusCode != http.StatusOK {
+			t.Fatalf("explain after delta %d: status %d: %s", j, resp.StatusCode, body)
+		}
+		if got := s.Metrics().Stage1Entries; got != entries {
+			t.Fatalf("after delta %d: Stage1Entries = %d, want %d", j, got, entries)
+		}
+	}
+	if !bytes.Equal(body, scenarioOneShot(t, db1, sc.DB2, sc, rq)) {
+		t.Fatal("final body differs from one-shot Explain on the final data")
 	}
 }

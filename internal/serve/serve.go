@@ -8,10 +8,10 @@
 //
 //   - datasets are registered once; their dictionaries are frozen
 //     (relation.Dict.Freeze) so concurrent readers take the lock-free path;
-//   - each side's Stage-1 prefix (provenance + canonicalization), the right
-//     side's candidate index (core.PairIndex), and the full pair prefix
-//     (core.PairPrefix) are built once per canonical (query, matches) and
-//     shared;
+//   - each query side's Stage-1 prefix (provenance + canonicalization),
+//     the right side's candidate index (core.PairIndex), and the full pair
+//     prefix (core.PairPrefix) live in a per-dataset Stage-1 memo, built
+//     once per canonical (query, matches, options) key and shared;
 //   - finished responses are cached in an LRU keyed on the canonicalized
 //     (dataset-pair, query-pair, matches, params) tuple;
 //   - concurrent identical requests share one solve (single-flight), and a
@@ -22,8 +22,10 @@
 // copy-on-write append/update/delete batch, atomically publishing a new
 // immutable generation while in-flight requests keep reading the old one.
 // Deltas invalidate only the result-cache entries whose queries read a
-// touched relation; Stage-1 prefixes advance incrementally from the
-// nearest cached ancestor generation (core.PairPrefix.Advance), and
+// touched relation. A memo entry is reused while the pointers it was built
+// from (a side's relations, an index's side, a prefix's two sides) are
+// unchanged, which copy-on-write guarantees for untouched relations; a
+// prefix whose sides changed advances (core.PairPrefix.Advance), and
 // unchanged MILP partitions replay from a per-dataset solution cache.
 //
 // Response bodies are byte-identical to one-shot Explain output for the
@@ -118,7 +120,11 @@ type Metrics struct {
 	Cancelled    int64 `json:"cancelled"`
 	Errors       int64 `json:"errors"`
 	CachedBodies int64 `json:"cached_bodies"`
-	Datasets     int64 `json:"datasets"`
+	// Stage1Entries counts the Stage-1 memo entries (query sides, candidate
+	// indexes, pair prefixes) over all datasets: at most one per key,
+	// however many generations a dataset has been through.
+	Stage1Entries int64 `json:"stage1_entries"`
+	Datasets      int64 `json:"datasets"`
 	// DeltasApplied counts delta batches accepted; DeltaRows totals their
 	// appended+updated+deleted rows.
 	DeltasApplied int64 `json:"deltas_applied"`
@@ -126,8 +132,9 @@ type Metrics struct {
 	// Invalidated counts result-cache entries dropped because a delta
 	// touched a relation their queries read.
 	Invalidated int64 `json:"invalidated"`
-	// PrefixAdvances counts Stage-1 prefixes advanced incrementally from an
-	// ancestor generation; PrefixBuilds counts prefixes built from scratch.
+	// PrefixAdvances counts pair prefixes advanced incrementally from the
+	// memo's prefix for the same key after a delta changed one of its sides;
+	// PrefixBuilds counts prefixes built from scratch.
 	PrefixAdvances int64 `json:"prefix_advances"`
 	PrefixBuilds   int64 `json:"prefix_builds"`
 	// DirtyPartitions totals solution-cache misses of solves that ran on an
@@ -140,156 +147,18 @@ type Metrics struct {
 	SolutionMisses int64 `json:"solution_misses"`
 }
 
-// sideEntry / indexEntry build a cached prefix exactly once; concurrent
-// requests for the same key share the build through the sync.Once. done
-// flips after the Once completes so ancestor walks can check for a
-// finished build without blocking behind an in-flight one.
-type sideEntry struct {
-	once sync.Once
-	side *core.BuiltSide
-	err  error
-	done atomic.Bool
-}
-
-type indexEntry struct {
-	once sync.Once
-	ix   *core.PairIndex
-	err  error
-}
-
-// prefixEntry is one pair prefix under construction or built; done closes
-// when pp/diff/err are final, so ancestor walks can check completion
-// without blocking.
-type prefixEntry struct {
-	done chan struct{}
-	// pp/advanced/err are written by the builder before close(done).
-	pp       *core.PairPrefix
-	advanced bool
-	err      error
-}
-
-// dataVersion is one immutable copy-on-write generation of a dataset pair,
-// plus the per-(query, matches) Stage-1 caches built against it. In-flight
-// requests hold the generation they started on; a delta publishes a new
-// one without disturbing them.
+// dataVersion is one immutable copy-on-write generation of a dataset pair.
+// In-flight requests hold the generation they started on; a delta publishes
+// a new one without disturbing them.
 type dataVersion struct {
 	version  int64
 	db1, db2 *relation.Database
-	// parent links to the previous generation so prefixes can advance
-	// incrementally; the chain is trimmed to maxVersionChain so retired
-	// generations (and their caches) become collectable.
-	parent atomic.Pointer[dataVersion]
-
-	mu sync.Mutex
-	// guarded by mu
-	sides map[string]*sideEntry
-	// guarded by mu
-	indexes map[string]*indexEntry
-	// guarded by mu
-	prefixes map[string]*prefixEntry
-}
-
-// maxVersionChain bounds how many ancestor generations stay reachable for
-// incremental prefix advance.
-const maxVersionChain = 8
-
-func newDataVersion(version int64, db1, db2 *relation.Database) *dataVersion {
-	return &dataVersion{
-		version: version, db1: db1, db2: db2,
-		//lint:ignore guarded constructor: the fresh version is not shared until published
-		sides: make(map[string]*sideEntry), indexes: make(map[string]*indexEntry), prefixes: make(map[string]*prefixEntry),
-	}
-}
-
-func (v *dataVersion) side(key string, build func() (*core.BuiltSide, error)) (*core.BuiltSide, error) {
-	v.mu.Lock()
-	e, ok := v.sides[key]
-	if !ok {
-		e = &sideEntry{}
-		v.sides[key] = e
-	}
-	v.mu.Unlock()
-	e.once.Do(func() { e.side, e.err = build() })
-	e.done.Store(true)
-	return e.side, e.err
-}
-
-// completedSide returns the version's finished, successful side build for
-// key, or nil — without blocking on an in-progress build.
-func (v *dataVersion) completedSide(key string) *core.BuiltSide {
-	v.mu.Lock()
-	e := v.sides[key]
-	v.mu.Unlock()
-	if e != nil && e.done.Load() && e.err == nil {
-		return e.side
-	}
-	return nil
-}
-
-// ancestorSide returns the nearest ancestor generation's built side for key
-// when every relation the query reads is pointer-identical between the two
-// generations. After a delta that touched only other tables — or only the
-// opposite database — the copy-on-write chain shares the untouched
-// relations, so the ancestor's canonicalized side is reusable verbatim.
-func (v *dataVersion) ancestorSide(key string, q *sqlparse.Select, db func(*dataVersion) *relation.Database) *core.BuiltSide {
-	for anc := v.parent.Load(); anc != nil; anc = anc.parent.Load() {
-		if !sameReadSet(q, db(v), db(anc)) {
-			return nil
-		}
-		if bs := anc.completedSide(key); bs != nil {
-			return bs
-		}
-	}
-	return nil
-}
-
-// sameReadSet reports whether every relation q reads is the same object in
-// both databases.
-func sameReadSet(q *sqlparse.Select, a, b *relation.Database) bool {
-	for _, t := range q.Tables() {
-		ra, errA := a.Relation(t)
-		rb, errB := b.Relation(t)
-		if errA != nil || errB != nil || ra != rb {
-			return false
-		}
-	}
-	return true
-}
-
-func (v *dataVersion) index(key string, build func() (*core.PairIndex, error)) (*core.PairIndex, error) {
-	v.mu.Lock()
-	e, ok := v.indexes[key]
-	if !ok {
-		e = &indexEntry{}
-		v.indexes[key] = e
-	}
-	v.mu.Unlock()
-	e.once.Do(func() { e.ix, e.err = build() })
-	return e.ix, e.err
-}
-
-// completedPrefix returns the version's finished, successful prefix for
-// key, or nil — without blocking on an in-progress build.
-func (v *dataVersion) completedPrefix(key string) *core.PairPrefix {
-	v.mu.Lock()
-	e := v.prefixes[key]
-	v.mu.Unlock()
-	if e == nil {
-		return nil
-	}
-	select {
-	case <-e.done:
-		if e.err == nil {
-			return e.pp
-		}
-	default:
-	}
-	return nil
 }
 
 // Dataset is one registered dataset pair. Its data lives in an atomically
-// swapped chain of immutable generations; the solution cache is shared
-// across generations so unchanged MILP partitions replay for free.
+// swapped immutable generation; the Stage-1 memo and the solution cache are
+// shared across generations, so untouched query sides are reused and
+// unchanged MILP partitions replay for free.
 type Dataset struct {
 	Name string
 
@@ -297,6 +166,7 @@ type Dataset struct {
 	// deltaMu serializes delta application so versions advance one at a
 	// time; readers never take it.
 	deltaMu sync.Mutex
+	memo    stage1Memo
 	solve   *core.SolveCache
 }
 
@@ -369,7 +239,7 @@ func (s *Server) Register(name string, db1, db2 *relation.Database) error {
 	db1.FreezeDicts()
 	db2.FreezeDicts()
 	ds := &Dataset{Name: name, solve: core.NewSolveCache(0)}
-	ds.cur.Store(newDataVersion(0, db1, db2))
+	ds.cur.Store(&dataVersion{db1: db1, db2: db2})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.datasets[name]; dup {
@@ -392,10 +262,12 @@ func (s *Server) Metrics() Metrics {
 	s.mu.RLock()
 	n := len(s.datasets)
 	var sol core.SolveCacheStats
+	var stage1 int64
 	for _, ds := range s.datasets {
 		st := ds.solve.Stats()
 		sol.Hits += st.Hits
 		sol.Misses += st.Misses
+		stage1 += int64(ds.memo.len())
 	}
 	s.mu.RUnlock()
 	return Metrics{
@@ -410,6 +282,7 @@ func (s *Server) Metrics() Metrics {
 		Cancelled:       s.cancelled.Load(),
 		Errors:          s.errCount.Load(),
 		CachedBodies:    int64(s.cache.len()),
+		Stage1Entries:   stage1,
 		Datasets:        int64(n),
 		DeltasApplied:   s.deltasApplied.Load(),
 		DeltaRows:       s.deltaRows.Load(),
@@ -579,6 +452,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // body enters the cache before the flight completes, so a request issued
 // after any response to this flight is a cache hit, never a second solve.
 func (s *Server) runFlight(ctx context.Context, key string, f *flight, ds *Dataset, rq *Request, q1, q2 *sqlparse.Select, mattr schemamap.Matching) {
+	// A panicking solve fails its own flight with a 500, never cached,
+	// instead of taking the process down.
+	defer func() {
+		if p := recover(); p != nil {
+			s.flights.finish(key, f, nil, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p), 0)
+		}
+	}()
 	// A prior flight may have finished between this request's cache miss
 	// and its flight registration; re-check before paying for a solve.
 	if body, ver, ok := s.cache.get(key); ok {
@@ -623,7 +503,10 @@ func (s *Server) solve(ctx context.Context, ds *Dataset, dv *dataVersion, rq *Re
 		SolverTimeout: time.Duration(rq.TimeoutMS) * time.Millisecond,
 		NoSummary:     rq.NoSummary, Workers: rq.Workers,
 	})
-	pp, advanced, err := s.prefixFor(dv, q1, q2, mattr, popt, params.Workers)
+	pp, advanced, err := s.prefixFor(ds, dv, q1, q2, mattr, popt, params.Workers)
+	if errors.Is(err, errBuildPanicked) {
+		return nil, http.StatusInternalServerError, err.Error(), nil
+	}
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err.Error(), nil
 	}
@@ -642,81 +525,59 @@ func (s *Server) solve(ctx context.Context, ds *Dataset, dv *dataVersion, rq *Re
 	return b, http.StatusOK, "", queryTags(q1, q2)
 }
 
-// prefixFor returns the generation's pair prefix for the canonical
-// (q1, q2, matches, options) tuple, building it at most once: fresh on a
-// first-ever ask, or advanced incrementally from the nearest ancestor
-// generation that already holds it. advanced reports which path built it.
-func (s *Server) prefixFor(dv *dataVersion, q1, q2 *sqlparse.Select, mattr schemamap.Matching, popt linkage.PairOptions, workers int) (pp *core.PairPrefix, advanced bool, err error) {
+// prefixFor returns generation dv's pair prefix for the canonical (q1, q2,
+// matches, options) tuple through the dataset's Stage-1 memo. A side is
+// rebuilt only when a relation it reads changed; a prefix whose sides
+// changed advances from the memo's previous prefix (survivors keep their
+// similarities, the raw match list stays byte-identical to a fresh build),
+// and advanced reports that path.
+func (s *Server) prefixFor(ds *Dataset, dv *dataVersion, q1, q2 *sqlparse.Select, mattr schemamap.Matching, popt linkage.PairOptions, workers int) (*core.PairPrefix, bool, error) {
 	q1c, q2c, mc := q1.String(), q2.String(), matchingText(mattr)
 	poptSig := fmt.Sprintf("%g|%t|%d|%d", popt.MinSim, popt.Block, popt.MinSharedTokens, popt.Shards)
-	key := q1c + "\x1f" + q2c + "\x1f" + mc + "\x1f" + poptSig
-
-	dv.mu.Lock()
-	e, ok := dv.prefixes[key]
-	if !ok {
-		e = &prefixEntry{done: make(chan struct{})}
-		dv.prefixes[key] = e
-	}
-	dv.mu.Unlock()
-	if ok {
-		<-e.done
-		return e.pp, e.advanced, e.err
-	}
-	defer close(e.done)
-	e.pp, e.advanced, e.err = s.buildPrefix(dv, key, q1c, q2c, mc, poptSig, q1, q2, mattr, popt, workers)
-	return e.pp, e.advanced, e.err
-}
-
-func (s *Server) buildPrefix(dv *dataVersion, key, q1c, q2c, mc, poptSig string, q1, q2 *sqlparse.Select, mattr schemamap.Matching, popt linkage.PairOptions, workers int) (*core.PairPrefix, bool, error) {
-	db1of := func(v *dataVersion) *relation.Database { return v.db1 }
-	db2of := func(v *dataVersion) *relation.Database { return v.db2 }
-	side1, err := dv.side("L\x1f"+q1c+"\x1f"+mc, func() (*core.BuiltSide, error) {
-		if bs := dv.ancestorSide("L\x1f"+q1c+"\x1f"+mc, q1, db1of); bs != nil {
-			return bs, nil
+	side := func(tag, qc string, q *sqlparse.Select, db *relation.Database, attrs []string, name string) (*core.BuiltSide, error) {
+		var in []any
+		for _, t := range q.Tables() {
+			r, _ := db.Relation(t) // a missing relation fails BuildSide, and failures are not kept
+			in = append(in, r)
 		}
-		s.sideBuilds.Add(1)
-		return core.BuildSide(q1, dv.db1, mattr.LeftAttrs(), "Q1")
-	})
+		v, _, err := ds.memo.get(tag+"\x1f"+qc+"\x1f"+mc, dv.version, in, func(any) (any, bool, error) {
+			s.sideBuilds.Add(1)
+			bs, err := core.BuildSide(q, db, attrs, name)
+			return bs, false, err
+		})
+		bs, _ := v.(*core.BuiltSide)
+		return bs, err
+	}
+	side1, err := side("L", q1c, q1, dv.db1, mattr.LeftAttrs(), "Q1")
 	if err != nil {
 		return nil, false, err
 	}
-	side2, err := dv.side("R\x1f"+q2c+"\x1f"+mc, func() (*core.BuiltSide, error) {
-		if bs := dv.ancestorSide("R\x1f"+q2c+"\x1f"+mc, q2, db2of); bs != nil {
-			return bs, nil
-		}
-		s.sideBuilds.Add(1)
-		return core.BuildSide(q2, dv.db2, mattr.RightAttrs(), "Q2")
-	})
+	side2, err := side("R", q2c, q2, dv.db2, mattr.RightAttrs(), "Q2")
 	if err != nil {
 		return nil, false, err
 	}
-	// Nearest ancestor generation holding this prefix: advance it instead
-	// of rebuilding — survivors keep their similarities, the candidate
-	// index shares untouched posting lists, and the raw match list stays
-	// byte-identical to a fresh build.
-	for v := dv.parent.Load(); v != nil; v = v.parent.Load() {
-		anc := v.completedPrefix(key)
-		if anc == nil {
-			continue
+	v, advanced, err := ds.memo.get(q1c+"\x1f"+q2c+"\x1f"+mc+"\x1f"+poptSig, dv.version, []any{side1, side2}, func(prev any) (any, bool, error) {
+		if prev != nil {
+			pp, _, err := prev.(*core.PairPrefix).Advance(side1, side2, workers)
+			if err == nil {
+				s.prefixAdvances.Add(1)
+			}
+			return pp, true, err
 		}
-		npp, _, err := anc.Advance(side1, side2, workers)
+		ix, _, err := ds.memo.get(q2c+"\x1f"+mc+"\x1f"+poptSig, dv.version, []any{side2}, func(any) (any, bool, error) {
+			s.indexBuilds.Add(1)
+			ix, err := core.BuildPairIndex(side2.Canon, mattr, popt)
+			return ix, false, err
+		})
 		if err != nil {
 			return nil, false, err
 		}
-		s.prefixAdvances.Add(1)
-		return npp, true, nil
-	}
-	ixKey := q2c + "\x1f" + mc + "\x1f" + poptSig
-	pi, err := dv.index(ixKey, func() (*core.PairIndex, error) {
-		s.indexBuilds.Add(1)
-		return core.BuildPairIndex(side2.Canon, mattr, popt)
+		s.prefixBuilds.Add(1)
+		pp, err := core.BuildPairPrefixFrom(side1, side2, mattr, ix.(*core.PairIndex), workers)
+		return pp, false, err
 	})
-	if err != nil {
-		return nil, false, err
-	}
-	s.prefixBuilds.Add(1)
-	pp, err := core.BuildPairPrefixFrom(side1, side2, mattr, pi, workers)
-	return pp, false, err
+	pp, _ := v.(*core.PairPrefix)
+	return pp, advanced, err
 }
 
 // queryTags renders the relations the two queries read as side-prefixed

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -325,6 +326,37 @@ func TestClientDisconnectCancelsSolve(t *testing.T) {
 	}
 	if !bytes.Equal(body, oneShot(t, rq)) {
 		t.Fatal("post-abort body differs from one-shot Explain")
+	}
+}
+
+// TestSolvePanicFailsOneRequest makes the first solve panic: that request
+// gets a 500 counted in Errors and nothing is cached, the process survives,
+// and a repeat solves normally to the one-shot body.
+func TestSolvePanicFailsOneRequest(t *testing.T) {
+	s, ts, pair := newTestServer(t, serve.Options{})
+	var calls atomic.Int32
+	s.SolveHook = func() {
+		if calls.Add(1) == 1 {
+			panic("injected solve failure")
+		}
+	}
+	rq := baseRequest(pair)
+	resp, body := post(t, ts.URL, rq)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking solve: status %d, want 500 (%s)", resp.StatusCode, body)
+	}
+	if m := s.Metrics(); m.Errors != 1 || m.CachedBodies != 0 {
+		t.Fatalf("Errors/CachedBodies = %d/%d, want 1/0", m.Errors, m.CachedBodies)
+	}
+	resp, body = post(t, ts.URL, rq)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("repeat: status %d: %s", resp.StatusCode, body)
+	}
+	if d := resp.Header.Get("X-Explaind-Cache"); d != "miss" {
+		t.Fatalf("repeat disposition %q, want miss (a failed solve is never cached)", d)
+	}
+	if !bytes.Equal(body, oneShot(t, rq)) {
+		t.Fatal("repeat body differs from one-shot Explain")
 	}
 }
 
