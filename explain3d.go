@@ -124,7 +124,8 @@ type Options struct {
 	// explanations found so far are returned and Result.TimedOut is set.
 	// Default 60s; negative disables the budget entirely.
 	SolverTimeout time.Duration
-	// Summarize controls Stage 3 (pattern summaries); default true.
+	// NoSummary skips Stage 3 (pattern summaries); default false, so
+	// results carry summaries unless it is set.
 	NoSummary bool
 	// Workers is the number of goroutines used for the parallel stages:
 	// candidate scoring in Stage 1 and per-partition MILP solving in

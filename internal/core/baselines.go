@@ -184,7 +184,7 @@ func ExactCover(inst *Instance, p Params) (*Explanations, error) {
 			m.AddConstr([]milp.Term{{Var: elemVar[i], Coef: 1}}, milp.LE, 0, "uncoverable")
 		}
 	}
-	opt := milp.Options{MaxNodes: p.SolverMaxNodes, TimeLimit: p.SolverTimeLimit}
+	opt := milp.Options{TimeLimit: p.SolverTimeLimit}
 	sol, err := milp.Solve(m, opt)
 	if err != nil {
 		return nil, err

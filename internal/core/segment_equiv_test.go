@@ -9,8 +9,8 @@ import (
 )
 
 // segmentEquivSpec is a scaled-down academic pair: large enough that tiny
-// segment sizes produce many segments (and, with a small GroupSpan, many
-// admission groups), small enough that the grid of full solves stays fast.
+// segment sizes produce many segments, small enough that the grid of full
+// solves stays fast.
 func segmentEquivSpec() datagen.AcademicSpec {
 	return datagen.AcademicSpec{
 		Name:     "UMass",
@@ -60,37 +60,6 @@ func TestSegmentSizeSolveEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(res.Expl, base) {
 				t.Fatalf("segRows=%d workers=%d: explanations diverged from the default layout",
 					segRows, workers)
-			}
-		}
-	}
-}
-
-// TestResidentGroupBudgetEquivalence pins the admission budget: bounding the
-// number of resident segment-locality groups reorders and throttles the
-// solve schedule but must never change the explanations, at any budget,
-// group span, or worker count.
-func TestResidentGroupBudgetEquivalence(t *testing.T) {
-	spec := segmentEquivSpec()
-	p := DefaultParams()
-	p.BatchSize = 16
-	base := explainAt(t, spec, p)
-	if base.Stats.Groups != 0 {
-		t.Fatalf("admission disabled but Stats.Groups = %d", base.Stats.Groups)
-	}
-	for _, k := range []int{1, 2, 8} {
-		for _, span := range []int{0, 4, 64} {
-			for _, workers := range []int{1, 4} {
-				pg := p
-				pg.MaxResidentGroups, pg.GroupSpan, pg.Workers = k, span, workers
-				res := explainAt(t, spec, pg)
-				if res.Stats.Groups < 1 {
-					t.Fatalf("K=%d span=%d workers=%d: Stats.Groups = %d, want >= 1",
-						k, span, workers, res.Stats.Groups)
-				}
-				if !reflect.DeepEqual(res.Expl, base.Expl) {
-					t.Fatalf("K=%d span=%d workers=%d: explanations diverged from unbounded admission",
-						k, span, workers)
-				}
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,7 +121,7 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 		enc := encode(inst, sub, p)
 		st.MILPVars = enc.model.NumVars()
 		st.MILPRows = enc.model.NumRows()
-		opt := milp.Options{MaxNodes: p.SolverMaxNodes, WarmStart: warmStart(inst, enc)}
+		opt := milp.Options{WarmStart: warmStart(inst, enc)}
 		sol, err := milp.SolveContext(ctx, enc.model, opt)
 		if err != nil {
 			fail(fmt.Errorf("core: solving sub-problem: %w", err))
@@ -171,11 +170,7 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 	if workers > len(subs) {
 		workers = len(subs)
 	}
-	if p.MaxResidentGroups > 0 {
-		groups := groupBySegment(inst, subs, p.GroupSpan)
-		stats.Groups = len(groups)
-		solveGrouped(groups, workers, p.MaxResidentGroups, solveSub, &failed)
-	} else if workers <= 1 {
+	if workers <= 1 {
 		for si := range subs {
 			solveSub(si)
 			if failed.Load() {
@@ -254,9 +249,7 @@ func splitInstance(inst *Instance, p Params) ([]*subProblem, error) {
 	for _, m := range inst.Matches {
 		bip.AddMatch(m.L, m.R, m.P)
 	}
-	smart := p.Smart
-	smart.BatchSize = p.BatchSize
-	parts, err := graph.SmartPartition(bip, smart)
+	parts, err := graph.SmartPartition(bip, graph.DefaultSmartOptions(p.BatchSize))
 	if err != nil {
 		return nil, err
 	}
@@ -301,114 +294,6 @@ func buildSubProblems(inst *Instance, parts [][]int) []*subProblem {
 		subs[pl].matches = append(subs[pl].matches, m)
 	}
 	return subs
-}
-
-// groupBySegment orders sub-problems into segment-locality groups: a sub-
-// problem's key is the storage segment its smallest canonical tuple id
-// falls in (left tuples first; right-only sub-problems key on the right id
-// offset past the left relation). Groups come out in ascending segment
-// order, so admission walks the canonical relations front to back and
-// co-resident sub-problems read neighboring segments. Grouping only
-// schedules — fragments are still merged by sub-problem index — so output
-// is identical at any span or budget.
-func groupBySegment(inst *Instance, subs []*subProblem, span int) [][]int {
-	if span <= 0 {
-		span = inst.T1.Rel.SegmentSpan()
-	}
-	nLeft := inst.T1.Len()
-	keyOf := func(sub *subProblem) int {
-		if len(sub.left) > 0 {
-			min := sub.left[0]
-			for _, id := range sub.left {
-				if id < min {
-					min = id
-				}
-			}
-			return min / span
-		}
-		if len(sub.right) > 0 {
-			min := sub.right[0]
-			for _, id := range sub.right {
-				if id < min {
-					min = id
-				}
-			}
-			return (nLeft + min) / span
-		}
-		return 0
-	}
-	byKey := make(map[int][]int)
-	keys := make([]int, 0)
-	for si, sub := range subs {
-		k := keyOf(sub)
-		if _, ok := byKey[k]; !ok {
-			keys = append(keys, k)
-		}
-		byKey[k] = append(byKey[k], si)
-	}
-	sort.Ints(keys)
-	out := make([][]int, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, byKey[k])
-	}
-	return out
-}
-
-// solveGrouped runs the worker pool under the admission budget: a group's
-// sub-problems enter the work queue only after acquiring one of maxResident
-// group slots, and the group's last retired sub-problem frees the slot — at
-// most maxResident segment groups are queued or in flight at once.
-func solveGrouped(groups [][]int, workers, maxResident int, solveSub func(int), failed *atomic.Bool) {
-	if workers <= 1 {
-		// One sub-problem in flight: the admission bound holds trivially;
-		// group order still walks the segments front to back.
-		for _, g := range groups {
-			for _, si := range g {
-				solveSub(si)
-				if failed.Load() {
-					return
-				}
-			}
-		}
-		return
-	}
-	type task struct{ si, gi int }
-	remaining := make([]atomic.Int32, len(groups))
-	for gi, g := range groups {
-		remaining[gi].Store(int32(len(g)))
-	}
-	sem := make(chan struct{}, maxResident)
-	work := make(chan task)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range work {
-				solveSub(t.si)
-				if remaining[t.gi].Add(-1) == 0 {
-					<-sem // group fully retired: free its admission slot
-				}
-			}
-		}()
-	}
-	// On failure feeding just stops: slots held by partially-fed groups are
-	// never reacquired, so the held semaphore entries cannot block anything.
-feed:
-	for gi, g := range groups {
-		if failed.Load() {
-			break
-		}
-		sem <- struct{}{}
-		for _, si := range g {
-			if failed.Load() {
-				break feed
-			}
-			work <- task{si: si, gi: gi}
-		}
-	}
-	close(work)
-	wg.Wait()
 }
 
 // FilterMatches drops matches below a probability floor; stage 1 applies

@@ -173,8 +173,8 @@ func (f localFrag) globalize(sub *subProblem) *Explanations {
 // subKey hashes everything the sub-problem's solve outcome depends on, in
 // local coordinates: per-tuple impact and objective constants on each side
 // (in sub order), the match list with local endpoints and probability bits,
-// cardinality flags, and the node budget. Iteration runs over slices only —
-// fully deterministic.
+// and the cardinality flags. Iteration runs over slices only — fully
+// deterministic.
 func subKey(inst *Instance, sub *subProblem, p Params) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -220,6 +220,5 @@ func subKey(inst *Instance, sub *subProblem, p Params) string {
 		flags |= 2
 	}
 	wInt(flags)
-	wInt(int64(p.SolverMaxNodes))
 	return string(h.Sum(nil))
 }

@@ -13,7 +13,6 @@ import (
 	"math"
 	"time"
 
-	"explain3d/internal/graph"
 	"explain3d/internal/linkage"
 	"explain3d/internal/schemamap"
 )
@@ -77,18 +76,6 @@ type Explanations struct {
 // Size returns |E| = |Δ| + |δ|.
 func (e *Explanations) Size() int { return len(e.Prov) + len(e.Val) }
 
-// ExplKeys returns the explanation identity set (Δ ∪ δ).
-func (e *Explanations) ExplKeys() []string {
-	out := make([]string, 0, e.Size())
-	for _, p := range e.Prov {
-		out = append(out, p.Key())
-	}
-	for _, v := range e.Val {
-		out = append(out, v.Key())
-	}
-	return out
-}
-
 // EvidenceKeys returns the evidence identity set.
 func (e *Explanations) EvidenceKeys() []string {
 	out := make([]string, 0, len(e.Evidence))
@@ -113,14 +100,10 @@ type Params struct {
 	// than BatchSize are split with Algorithm 3 into parts of at most
 	// BatchSize tuples. 0 disables partitioning (the paper's NOOPT).
 	BatchSize int
-	// Smart holds the partitioner's θl/θh/R (defaults per the paper).
-	Smart graph.SmartOptions
 	// SolverTimeLimit bounds the whole Stage-2 solve (0 = unlimited): all
 	// sub-problems share one deadline and in-flight solves cancel
 	// cooperatively when it expires.
 	SolverTimeLimit time.Duration
-	// SolverMaxNodes bounds branch-and-bound nodes per MILP block.
-	SolverMaxNodes int
 	// Workers is the number of sub-problems solved concurrently by
 	// SolveInstance. 0 defaults to runtime.GOMAXPROCS(0); 1 reproduces the
 	// sequential pipeline. Explanations are identical at any worker count
@@ -128,29 +111,13 @@ type Params struct {
 	// the exception is solves that exhaust SolverTimeLimit, whose
 	// incumbents are timing-dependent with or without parallelism.
 	Workers int
-	// MaxResidentGroups bounds Stage-2 peak memory by admission: sub-
-	// problems are grouped by segment locality — the storage segment of the
-	// canonical relations (see relation.SegmentSpan) that their smallest
-	// tuple id falls in — and at most MaxResidentGroups groups may have
-	// sub-problems queued or in flight at once. Encoded MILPs and solver
-	// state of at most that many segment groups are resident together; the
-	// worker pool is unchanged, and explanations are identical at any
-	// budget. 0 disables admission (every sub-problem is eligible at once).
-	MaxResidentGroups int
-	// GroupSpan overrides the locality group's row span (default: the
-	// canonical left relation's storage segment length). Only meaningful
-	// with MaxResidentGroups > 0.
-	GroupSpan int
 }
 
 // DefaultParams returns the parameters used throughout the evaluation:
-// α = β = 0.9, θl = 0.1, θh = 0.9, R = 100.
+// α = β = 0.9 (the partitioner always uses the paper's θl = 0.1, θh = 0.9,
+// R = 100; see graph.DefaultSmartOptions).
 func DefaultParams() Params {
-	return Params{
-		Alpha: 0.9,
-		Beta:  0.9,
-		Smart: graph.SmartOptions{ThetaLow: 0.1, ThetaHigh: 0.9, R: 100},
-	}
+	return Params{Alpha: 0.9, Beta: 0.9}
 }
 
 func (p Params) withDefaults() Params {
@@ -159,9 +126,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.Beta == 0 {
 		p.Beta = 0.9
-	}
-	if p.Smart.ThetaHigh == 0 {
-		p.Smart = graph.SmartOptions{ThetaLow: 0.1, ThetaHigh: 0.9, R: 100}
 	}
 	return p
 }
@@ -178,12 +142,6 @@ func (p Params) validate() error {
 	}
 	if p.Workers < 0 {
 		return fmt.Errorf("core: Workers must be ≥ 0, got %d", p.Workers)
-	}
-	if p.MaxResidentGroups < 0 {
-		return fmt.Errorf("core: MaxResidentGroups must be ≥ 0, got %d", p.MaxResidentGroups)
-	}
-	if p.GroupSpan < 0 {
-		return fmt.Errorf("core: GroupSpan must be ≥ 0, got %d", p.GroupSpan)
 	}
 	return nil
 }
@@ -223,9 +181,6 @@ type Stats struct {
 	SolveTime time.Duration
 	// Partitions is the number of sub-problems solved.
 	Partitions int
-	// Groups is the number of segment-locality groups the sub-problems were
-	// admitted in (0 when Params.MaxResidentGroups left admission disabled).
-	Groups int
 	// MILPVars and MILPRows total over all sub-problems.
 	MILPVars, MILPRows int
 	// Nodes totals branch-and-bound nodes.

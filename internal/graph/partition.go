@@ -13,28 +13,10 @@ type PartitionOptions struct {
 	// K is the target number of parts; more parts are opened when capacity
 	// requires it, fewer when the graph is small.
 	K int
-	// CoarsenTo stops coarsening when the graph has at most this many
-	// nodes (default max(64, 4·K)).
-	CoarsenTo int
-	// RefinePasses bounds FM refinement passes per level (default 8).
-	RefinePasses int
 }
 
-func (o PartitionOptions) withDefaults() PartitionOptions {
-	if o.K < 1 {
-		o.K = 1
-	}
-	if o.CoarsenTo == 0 {
-		o.CoarsenTo = 64
-		if 4*o.K > o.CoarsenTo {
-			o.CoarsenTo = 4 * o.K
-		}
-	}
-	if o.RefinePasses == 0 {
-		o.RefinePasses = 8
-	}
-	return o
-}
+// refinePasses bounds FM refinement passes per level.
+const refinePasses = 8
 
 // Partition assigns every node to a part such that each part's node weight
 // is at most LMax, heuristically minimizing the cut weight (the Graph
@@ -42,7 +24,9 @@ func (o PartitionOptions) withDefaults() PartitionOptions {
 // Nodes whose individual weight exceeds LMax get a dedicated part (they
 // cannot be split at this level; the caller created them knowingly).
 func Partition(g *Graph, opt PartitionOptions) ([]int, error) {
-	opt = opt.withDefaults()
+	if opt.K < 1 {
+		opt.K = 1
+	}
 	if opt.LMax < 1 {
 		return nil, fmt.Errorf("graph: Partition requires LMax ≥ 1, got %d", opt.LMax)
 	}
@@ -53,7 +37,8 @@ func Partition(g *Graph, opt PartitionOptions) ([]int, error) {
 	levels := []*Graph{g}
 	var maps [][]int // maps[i][node in levels[i]] = node in levels[i+1]
 	cur := g
-	for cur.Len() > opt.CoarsenTo {
+	coarsenTo := max(64, 4*opt.K) // stop coarsening at this many nodes
+	for cur.Len() > coarsenTo {
 		coarse, toCoarse := coarsen(cur, opt.LMax)
 		if coarse.Len() >= cur.Len() {
 			break // no progress (e.g. matching blocked by weights)
@@ -248,7 +233,7 @@ func refine(g *Graph, part []int, opt PartitionOptions) {
 	for u := 0; u < n; u++ {
 		load[part[u]] += g.NodeWeight[u]
 	}
-	for pass := 0; pass < opt.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		improved := false
 		for u := 0; u < n; u++ {
 			from := part[u]

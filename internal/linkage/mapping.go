@@ -200,10 +200,9 @@ func matchColumns(r *relation.Relation, idx []int) []matchCol {
 // each bucket's probability to its fraction of true matches in a labeled
 // sample.
 type Calibrator struct {
-	k      int
-	probs  []float64
-	fit    bool
-	smooth bool
+	k     int
+	probs []float64
+	fit   bool
 }
 
 // NewCalibrator creates a calibrator with k buckets (the paper uses 50).
@@ -212,16 +211,6 @@ func NewCalibrator(k int) *Calibrator {
 		k = 1
 	}
 	return &Calibrator{k: k}
-}
-
-// NewSmoothedCalibrator creates a calibrator with Laplace smoothing:
-// bucket probabilities are (true+1)/(count+2), so sparsely observed
-// buckets stay uncertain instead of collapsing to 0 or 1 — the realistic
-// behavior when only a sample of matches is labeled.
-func NewSmoothedCalibrator(k int) *Calibrator {
-	c := NewCalibrator(k)
-	c.smooth = true
-	return c
 }
 
 func (c *Calibrator) bucket(sim float64) int {
@@ -253,12 +242,9 @@ func (c *Calibrator) Fit(sims []float64, truth []bool) error {
 	}
 	c.probs = make([]float64, c.k)
 	for b := range c.probs {
-		switch {
-		case counts[b] > 0 && c.smooth:
-			c.probs[b] = float64(trues[b]+1) / float64(counts[b]+2)
-		case counts[b] > 0:
+		if counts[b] > 0 {
 			c.probs[b] = float64(trues[b]) / float64(counts[b])
-		default:
+		} else {
 			c.probs[b] = -1 // fill below
 		}
 	}

@@ -123,16 +123,3 @@ func ValueSim(a, b relation.Value) float64 {
 	}
 	return StringSim(a.String(), b.String())
 }
-
-// TupleSim combines per-attribute similarities by their mean, following
-// the paper. aIdx[i] in ta is compared with bIdx[i] in tb.
-func TupleSim(ta, tb relation.Tuple, aIdx, bIdx []int) float64 {
-	if len(aIdx) == 0 {
-		return 0
-	}
-	total := 0.0
-	for i := range aIdx {
-		total += ValueSim(ta[aIdx[i]], tb[bIdx[i]])
-	}
-	return total / float64(len(aIdx))
-}

@@ -85,7 +85,7 @@ func TestAdaptiveEngineRouting(t *testing.T) {
 	}
 
 	path, want := pathCoverModel(120, 400)
-	psol, err := Solve(path, Options{DisableBlocks: true})
+	psol, err := Solve(path, Options{disableBlocks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestPresolveTightenUnit(t *testing.T) {
 // (toggled via disableDevex), at the same optimal objective.
 func TestDevexReducesIterations(t *testing.T) {
 	m, want := pathCoverModel(800, 800)
-	opt := Options{engine: engineSparse, DisableBlocks: true}
+	opt := Options{engine: engineSparse, disableBlocks: true}
 
 	devex, err := Solve(m, opt)
 	if err != nil {

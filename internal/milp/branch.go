@@ -30,7 +30,6 @@ func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error)
 	if err := m.validate(); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
 	var deadline time.Time
 	if opt.TimeLimit > 0 {
 		deadline = time.Now().Add(opt.TimeLimit)
@@ -59,7 +58,7 @@ func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error)
 		}
 	}
 
-	blocks := m.blocks(opt.DisableBlocks)
+	blocks := m.blocks(opt.disableBlocks)
 	sol := &Solution{X: make([]float64, len(m.vars)), Blocks: len(blocks), Status: StatusOptimal}
 	sol.Objective = m.objConst
 
@@ -377,7 +376,7 @@ func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, 
 			nodes: nodes, iters: eng.iters(), refactors: rf, luFill: lf, certInfeas: ci}
 	}
 	for len(stack) > 0 {
-		if nodes >= opt.MaxNodes || expired() {
+		if nodes >= maxNodes || expired() {
 			hitLimit = true
 			break
 		}
@@ -420,12 +419,12 @@ func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, 
 		}
 		// Find the highest-priority, most fractional integer variable.
 		branchVar := -1
-		worst := opt.IntTol
+		worst := intTol
 		bestPri := math.MinInt32
 		for _, iv := range intVars {
 			f := x[iv] - math.Floor(x[iv])
 			frac := math.Min(f, 1-f)
-			if frac <= opt.IntTol {
+			if frac <= intTol {
 				continue
 			}
 			pri := m.vars[iv].pri
@@ -463,11 +462,6 @@ func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, 
 					best = robj
 					bestX = rounded
 				}
-			}
-		}
-		if opt.RelGap > 0 && bestX != nil {
-			if (best-obj)/math.Max(1e-9, math.Abs(best)) <= opt.RelGap {
-				continue
 			}
 		}
 		// Branch: explore the side nearest the LP value first (pushed

@@ -112,17 +112,6 @@ func (m *Model) NumVars() int { return len(m.vars) }
 // NumRows returns the number of constraints.
 func (m *Model) NumRows() int { return len(m.rows) }
 
-// NumNonzeros returns the number of structural constraint coefficients —
-// with NumVars and NumRows it gives benchmarks the block shape (density)
-// the adaptive engine heuristic sees.
-func (m *Model) NumNonzeros() int {
-	nnz := 0
-	for _, r := range m.rows {
-		nnz += len(r.terms)
-	}
-	return nnz
-}
-
 // SetObjCoef adds c to the objective coefficient of v.
 func (m *Model) SetObjCoef(v Var, c float64) { m.vars[v].obj += c }
 
@@ -221,17 +210,9 @@ type Options struct {
 	// callers may instead (or additionally) put a deadline on the context;
 	// the earlier bound wins.
 	TimeLimit time.Duration
-	// MaxNodes bounds branch-and-bound nodes per block (0 = default 200000).
-	MaxNodes int
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
-	// RelGap stops a block when (bound-incumbent)/|incumbent| falls below it.
-	RelGap float64
 	// WarmStart optionally provides a feasible assignment used as the
 	// initial incumbent (length must equal NumVars).
 	WarmStart []float64
-	// DisableBlocks turns off block decomposition (solve as one problem).
-	DisableBlocks bool
 
 	// The fields below are differential and measurement hooks, set only by
 	// this package's tests and benchmarks (like disableDevex). Every setting
@@ -247,18 +228,17 @@ type Options struct {
 	// noPresolve disables the per-node presolve (bound tightening at cold
 	// solves, reduced-cost fixing of nonbasic integer variables).
 	noPresolve bool
+	// disableBlocks turns off block decomposition (solve as one problem).
+	disableBlocks bool
 }
 
-//lint:floatexact option sentinel: the float zero value means unset
-func (o Options) withDefaults() Options {
-	if o.MaxNodes == 0 {
-		o.MaxNodes = 200000
-	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-6
-	}
-	return o
-}
+const (
+	// maxNodes bounds branch-and-bound nodes per block; a block that hits it
+	// returns its incumbent with StatusLimit.
+	maxNodes = 200000
+	// intTol is the integrality tolerance.
+	intTol = 1e-6
+)
 
 // Solution is the result of Solve.
 type Solution struct {

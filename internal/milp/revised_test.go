@@ -236,7 +236,7 @@ func TestLargeBlockBeyondDenseCap(t *testing.T) {
 	if cells := rows * (vars + 2*rows); cells <= maxTableauCells {
 		t.Fatalf("fixture no longer exceeds the dense cap: %d <= %d", cells, maxTableauCells)
 	}
-	opt := Options{DisableBlocks: true, engine: engineSparse} // padding must not split into its own blocks
+	opt := Options{disableBlocks: true, engine: engineSparse} // padding must not split into its own blocks
 	dense := opt
 	dense.engine = engineDense
 	dsol, err := Solve(m, dense)

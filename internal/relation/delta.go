@@ -292,7 +292,9 @@ type DBDelta map[string]Delta
 // ApplyDelta applies per-relation batches and returns a new database
 // generation. Untouched relations are shared by pointer; touched ones are
 // replaced by their new generation. Results are keyed by lowercased
-// relation name.
+// relation name. Two batches whose names differ only in case are rejected:
+// both would apply to the same pre-delta relation and the later would
+// silently overwrite the earlier.
 func (db *Database) ApplyDelta(dd DBDelta) (*Database, map[string]*DeltaResult, error) {
 	out := &Database{
 		Name:      db.Name,
@@ -308,7 +310,13 @@ func (db *Database) ApplyDelta(dd DBDelta) (*Database, map[string]*DeltaResult, 
 	}
 	sort.Strings(names)
 	results := make(map[string]*DeltaResult, len(dd))
+	spelled := make(map[string]string, len(dd))
 	for _, name := range names {
+		key := strings.ToLower(name)
+		if prev, dup := spelled[key]; dup {
+			return nil, nil, fmt.Errorf("relation %s: delta names it twice, as %q and %q", key, prev, name)
+		}
+		spelled[key] = name
 		r, err := db.Relation(name)
 		if err != nil {
 			return nil, nil, err
@@ -317,7 +325,6 @@ func (db *Database) ApplyDelta(dd DBDelta) (*Database, map[string]*DeltaResult, 
 		if err != nil {
 			return nil, nil, err
 		}
-		key := strings.ToLower(name)
 		out.relations[key] = nr
 		results[key] = res
 	}

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -266,5 +267,14 @@ func TestDatabaseApplyDelta(t *testing.T) {
 	}
 	if _, _, err := db.ApplyDelta(DBDelta{"missing": {}}); err == nil {
 		t.Fatal("expected error for unknown relation")
+	}
+	// Two spellings of one relation would each apply to the pre-delta
+	// relation, the later overwriting the earlier: reject, naming both.
+	_, _, err = db.ApplyDelta(DBDelta{
+		"A": {Appends: []Tuple{{Int(3)}}},
+		"a": {Appends: []Tuple{{Int(4)}}},
+	})
+	if err == nil || !strings.Contains(err.Error(), `"A"`) || !strings.Contains(err.Error(), `"a"`) {
+		t.Fatalf("case-folded duplicate names: err = %v, want an error naming both spellings", err)
 	}
 }

@@ -75,22 +75,6 @@ func (r *Relation) SegmentLen(j int) int {
 	return c.segLen
 }
 
-// SegmentSpan returns the relation's storage segment length: the rows-per-
-// segment stride shared by its typed columns. Callers use it to group work
-// by segment locality.
-func (r *Relation) SegmentSpan() int {
-	for j := range r.cols {
-		c := r.cols[j]
-		if c.mixed == nil && c.segLen > 0 {
-			return c.segLen
-		}
-	}
-	if r.nrows > 0 {
-		return r.nrows
-	}
-	return segmentRows
-}
-
 // IntSegments exposes column j's typed storage when it is a homogeneous INT
 // column: per-segment value arrays plus per-segment null bitmaps (bit set =
 // NULL, indexed by in-segment offset). Segment k holds rows

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	explain3d "explain3d"
@@ -317,6 +318,16 @@ func TestDeltaValidation(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown relation: status %d, want 400", resp.StatusCode)
+	}
+
+	resp, _, raw = postDelta(t, ts.URL, "scen", serve.DeltaRequest{
+		DB1: map[string]serve.RelationDelta{
+			rel1:                  {Deletes: []int{0}},
+			strings.ToUpper(rel1): {Deletes: []int{1}},
+		},
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("one relation in two spellings: status %d, want 400 (%s)", resp.StatusCode, raw)
 	}
 
 	getResp, err := http.Get(ts.URL + "/datasets/scen/delta")
