@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"explain3d/internal/linkage"
@@ -358,11 +359,8 @@ func (pp *PairPrefix) Advance(s1, s2 *BuiltSide, workers int) (*PairPrefix, Pair
 	// The fresh scan emits strictly (L, R)-ascending pairs; the three
 	// disjoint parts above cover exactly its output, so sorting restores
 	// the identical list.
-	sort.Slice(raw, func(a, b int) bool {
-		if raw[a].L != raw[b].L {
-			return raw[a].L < raw[b].L
-		}
-		return raw[a].R < raw[b].R
+	slices.SortFunc(raw, func(a, b linkage.Match) int {
+		return cmp.Or(cmp.Compare(a.L, b.L), cmp.Compare(a.R, b.R))
 	})
 	out.Raw = raw
 	return out, d, nil

@@ -2,7 +2,7 @@ package linkage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"explain3d/internal/relation"
 )
@@ -231,7 +231,7 @@ func (ix *Index) ApplyDelta(newRight *relation.Relation, rd RowDelta) (*Index, I
 		}
 		if !sorted {
 			// RowMap from canonical-row diffing may reorder groups.
-			sort.Slice(kept, func(a, b int) bool { return kept[a] < kept[b] })
+			slices.Sort(kept)
 		}
 		if len(kept) == 0 && len(add) == 0 {
 			continue

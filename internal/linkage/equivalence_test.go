@@ -49,6 +49,12 @@ func randomRelation(rng *rand.Rand, name string, rows, cols int, d *relation.Dic
 	return r
 }
 
+// minSimGrid holds the MinSim values the randomized equivalence tests draw
+// from: the permissive floors plus thresholds where the shared-token
+// similarity bound rejects most candidates, including exact Jaccard values
+// (3/5, 2/3, 3/4) and 1.
+var minSimGrid = []float64{0, 0.05, 0.3, 0.5, 0.6, 2.0 / 3, 0.75, 1}
+
 func matchesEqual(t *testing.T, label string, got, want []Match) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -68,7 +74,7 @@ func matchesEqual(t *testing.T, label string, got, want []Match) {
 // reference implementation.
 func TestSimilaritiesMatchesPairwiseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 80; trial++ {
 		cols := 1 + rng.Intn(3)
 		var d *relation.Dict
 		if rng.Intn(2) == 0 {
@@ -84,7 +90,7 @@ func TestSimilaritiesMatchesPairwiseReference(t *testing.T) {
 		// (global stop-word pruning, per-row prefix filtering with skip
 		// budgets up to 3, and exact candidate verification).
 		opt := PairOptions{
-			MinSim:          []float64{0, 0.05, 0.3}[rng.Intn(3)],
+			MinSim:          minSimGrid[rng.Intn(len(minSimGrid))],
 			Block:           rng.Intn(4) != 0,
 			MinSharedTokens: 1 + rng.Intn(4),
 		}

@@ -1,9 +1,10 @@
 package linkage
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,8 +43,9 @@ type Index struct {
 	tokShard []uint8 // token id → owning shard, from the token string's hash
 }
 
-// maxShards bounds PairOptions.Shards so shard ids fit the per-token uint8.
-const maxShards = 256
+// MaxShards bounds PairOptions.Shards so shard ids fit the per-token uint8;
+// larger values are clamped to it.
+const MaxShards = 256
 
 // Posting lists shorter than skipFloor are not worth a verify pass:
 // skipping them saves almost no merge work but still lowers the exact
@@ -79,8 +81,8 @@ func (ix *Index) finalize() {
 	ix.rBlock = unionRows(ix.rTok, ix.nRight)
 	ix.post = make([][]int32, ix.ts.size())
 	if s := ix.opt.Shards; s > 1 {
-		if s > maxShards {
-			s = maxShards
+		if s > MaxShards {
+			s = MaxShards
 		}
 		ix.shards = s
 		ix.tokShard = ix.ts.shardMap(s)
@@ -200,34 +202,107 @@ func (ix *Index) Similarities(left *relation.Relation, leftIdx []int, workers in
 	return ix.scan(ix.buildLeftView(left, leftIdx), workers), nil
 }
 
-// scorer binds one left view's and the index's typed match columns into the
-// pair-scoring closure shared by the unsharded and sharded scan paths.
-func (ix *Index) scorer(lv *leftView) func(i, j int, out []Match) []Match {
-	opt := ix.opt
-	return func(i, j int, out []Match) []Match {
-		total := 0.0
-		for k := range lv.cols {
-			lc, rc := &lv.cols[k], &ix.rCols[k]
-			if lc.null[i] || rc.null[j] {
-				continue // NULL has similarity 0 to everything
-			}
-			switch {
-			case lc.num[i] && rc.num[j]:
-				total += NumericSim(lc.f[i], rc.f[j])
-			case lv.tok[k] != nil && ix.rTok[k] != nil:
-				total += jaccardSorted(lv.tok[k][i], ix.rTok[k][j])
-			default:
-				// Asymmetric pair — a numeric-only column matched against
-				// a tokenized one: the generic kind-dispatched similarity.
-				total += ValueSim(lc.value(i), rc.value(j))
-			}
+// pairScorer binds one left view's and the index's typed match columns: the
+// pair similarity, its shared-token upper bound, and the per-row accept
+// rule shared by the unsharded and sharded scan paths.
+type pairScorer struct {
+	ix *Index
+	lv *leftView
+}
+
+// score appends (i, j) to out when its similarity — the mean over matched
+// columns of NumericSim, token Jaccard, or the generic ValueSim — reaches
+// MinSim and is positive.
+func (ps pairScorer) score(i, j int, out []Match) []Match {
+	lv, ix := ps.lv, ps.ix
+	total := 0.0
+	for k := range lv.cols {
+		lc, rc := &lv.cols[k], &ix.rCols[k]
+		if lc.null[i] || rc.null[j] {
+			continue // NULL has similarity 0 to everything
 		}
-		s := total / float64(len(lv.cols))
-		if s >= opt.MinSim && s > 0 {
-			out = append(out, Match{L: i, R: j, Sim: s})
+		switch {
+		case lc.num[i] && rc.num[j]:
+			total += NumericSim(lc.f[i], rc.f[j])
+		case lv.tok[k] != nil && ix.rTok[k] != nil:
+			total += jaccardSorted(lv.tok[k][i], ix.rTok[k][j])
+		default:
+			// Asymmetric pair — a numeric-only column matched against
+			// a tokenized one: the generic kind-dispatched similarity.
+			total += ValueSim(lc.value(i), rc.value(j))
 		}
-		return out
 	}
+	s := total / float64(len(lv.cols))
+	if s >= ps.ix.opt.MinSim && s > 0 {
+		out = append(out, Match{L: i, R: j, Sim: s})
+	}
+	return out
+}
+
+// bound returns an upper bound on score's similarity for (i, j) when the
+// two rows' blocking token lists share at most shared tokens. It follows
+// score's case split column by column; a token column's Jaccard m/(a+b−m)
+// is bounded with m = min(shared, a, b), since every column's intersection
+// is a subset of the union rows' intersection. The bound holds bit for bit
+// in floating point: each term's numerator is no smaller and its
+// denominator no larger than score's (correctly rounded division is
+// monotone), and the sum and the division by the column count run in
+// score's order, where rounding is monotone too.
+func (ps pairScorer) bound(i, j, shared int) float64 {
+	lv, ix := ps.lv, ps.ix
+	total := 0.0
+	for k := range lv.cols {
+		lc, rc := &lv.cols[k], &ix.rCols[k]
+		if lc.null[i] || rc.null[j] {
+			continue
+		}
+		switch {
+		case lc.num[i] && rc.num[j]:
+			total++
+		case lv.tok[k] != nil && ix.rTok[k] != nil:
+			a, b := len(lv.tok[k][i]), len(ix.rTok[k][j])
+			if a == 0 || b == 0 {
+				continue
+			}
+			m := min(shared, a, b)
+			total += float64(m) / float64(a+b-m)
+		default:
+			total++
+		}
+	}
+	return total / float64(len(lv.cols))
+}
+
+// accept decides left row i's blocking candidates and appends its matches
+// to out in ascending right-row order. cnt[j] is the row's shared-token
+// count with right row j over the posting lists it merged, and skippedHere
+// the number of its tokens whose lists it did not merge, so the true shared
+// count is at most cnt[j]+skippedHere. Each candidate passes three checks,
+// cheapest first: the similarity upper bound against MinSim, the blocking
+// threshold (counts in the uncertain band prove their real shared count
+// against the two full token lists), and the exact score. Only the accepted
+// matches are sorted. accept resets cnt[j] for every touched j.
+func (ps pairScorer) accept(i int, touched, cnt []int32, skippedHere int, out []Match) []Match {
+	ix := ps.ix
+	minSim := ix.opt.MinSim
+	minShared := int32(ix.opt.MinSharedTokens)
+	thresh := max(minShared-int32(skippedHere), 1)
+	start := len(out)
+	for _, j := range touched {
+		c := cnt[j]
+		cnt[j] = 0
+		if ub := ps.bound(i, int(j), int(c)+skippedHere); ub < minSim || ub <= 0 {
+			continue
+		}
+		if c < thresh || (c < minShared && !sharedAtLeast(ps.lv.block[i], ix.rBlock[j], int(minShared))) {
+			continue
+		}
+		out = ps.score(i, int(j), out)
+	}
+	// Ascending right-row order keeps output identical to the sequential
+	// pairwise scan; right rows are distinct within a row.
+	slices.SortFunc(out[start:], func(a, b Match) int { return cmp.Compare(a.R, b.R) })
+	return out
 }
 
 // blockedScan reports whether token blocking applies to this left view:
@@ -249,7 +324,7 @@ func (ix *Index) blockedScan(lv *leftView) bool {
 // index. It is the shared back half of Similarities and Index.Similarities.
 func (ix *Index) scan(lv *leftView, workers int) []Match {
 	opt := ix.opt
-	score := ix.scorer(lv)
+	ps := pairScorer{ix: ix, lv: lv}
 	blocked := ix.blockedScan(lv)
 	n, nRight := lv.n, ix.nRight
 	if blocked {
@@ -276,7 +351,7 @@ func (ix *Index) scan(lv *leftView, workers int) []Match {
 		for i := lo; i < hi; i++ {
 			if !blocked {
 				for j := 0; j < nRight; j++ {
-					out = score(i, j, out)
+					out = ps.score(i, j, out)
 				}
 				continue
 			}
@@ -330,24 +405,7 @@ func (ix *Index) scan(lv *leftView, workers int) []Match {
 					cnt[j]++
 				}
 			}
-			// With skipped posting lists the counter undercounts by at most
-			// the number of skipped tokens this row carries; candidates in
-			// the uncertain band prove their real shared count by merging
-			// the two full token lists.
-			thresh := minShared - int32(skippedHere)
-			if thresh < 1 {
-				thresh = 1
-			}
-			// Ascending right-row order keeps output identical to the
-			// sequential pairwise scan.
-			sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
-			for _, j := range touched {
-				if cnt[j] >= thresh &&
-					(cnt[j] >= minShared || sharedAtLeast(lv.block[i], ix.rBlock[j], int(minShared))) {
-					out = score(i, int(j), out)
-				}
-				cnt[j] = 0
-			}
+			out = ps.accept(i, touched, cnt, skippedHere, out)
 		}
 		return out, touched, rowSkip
 	}

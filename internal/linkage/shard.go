@@ -2,7 +2,6 @@ package linkage
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -12,12 +11,13 @@ import (
 // the posting lists of its tokens. The scan runs as a (left-row-chunk ×
 // shard) task grid: a shard task merges only its own tokens' posting lists
 // for the chunk's rows — a working set bounded by one shard's postings —
-// and emits per-row sorted (right row, partial count) runs. When a chunk's
-// last shard task finishes, the finishing worker merges the per-shard runs
-// (summing counts per right row, ascending row order), applies the same
-// threshold + exact-verification rule as the unsharded scan, and scores.
+// and emits per-row (right row, partial count) runs in discovery order.
+// When a chunk's last shard task finishes, the finishing worker sums the
+// per-shard runs into its dense counter and applies the unsharded scan's
+// accept rule (pairScorer.accept): similarity bound, threshold + exact
+// verification, score, and a sort of the accepted matches only.
 //
-// Output is byte-identical to the unsharded scan: the accepted candidate
+// Output is byte-identical to the unsharded scan: the verified candidate
 // set is exactly {pairs sharing >= MinSharedTokens true tokens} on every
 // path, because merged counts undercount the true shared-token count by at
 // most the row's pruned tokens, and every candidate in the uncertain band
@@ -34,8 +34,7 @@ type shardRun struct {
 
 func (ix *Index) scanSharded(lv *leftView, workers int) []Match {
 	n, nRight, S := lv.n, ix.nRight, ix.shards
-	score := ix.scorer(lv)
-	minShared := int32(ix.opt.MinSharedTokens)
+	ps := pairScorer{ix: ix, lv: lv}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -59,26 +58,28 @@ func (ix *Index) scanSharded(lv *leftView, workers int) []Match {
 		remaining[c].Store(int32(S))
 	}
 	blocks := make([][]Match, nChunks)
-	mergeChunk := func(c, lo, hi int, scratch []shardRun) []shardRun {
+	// mergeChunk sums each row's per-shard runs into the worker's dense
+	// counter and hands the row to the same accept rule as the unsharded
+	// scan. The counter undercounts by at most the row's globally pruned
+	// tokens — the per-row prefix filter does not apply here.
+	mergeChunk := func(c, lo, hi int, cnt, touched []int32) []int32 {
 		var out []Match
 		for local := 0; local < hi-lo; local++ {
 			i := lo + local
-			scratch = scratch[:0]
+			touched = touched[:0]
 			for s := 0; s < S; s++ {
 				if rows := parts[c][s]; rows != nil {
-					scratch = append(scratch, rows[local]...)
+					for _, r := range rows[local] {
+						if cnt[r.j] == 0 {
+							touched = append(touched, r.j)
+						}
+						cnt[r.j] += r.cnt
+					}
 				}
 			}
-			if len(scratch) == 0 {
+			if len(touched) == 0 {
 				continue
 			}
-			// Each shard's runs are ascending and disjoint in j; a global
-			// sort then groups one row's partial counts into adjacent runs.
-			sort.Slice(scratch, func(a, b int) bool { return scratch[a].j < scratch[b].j })
-			// The counter undercounts by at most the row's globally pruned
-			// tokens; candidates in the uncertain band prove their real
-			// shared count against the two full token lists — the same rule,
-			// and therefore the same accepted set, as the unsharded scan.
 			skippedHere := 0
 			if ix.anySkip {
 				for _, tok := range lv.block[i] {
@@ -87,26 +88,11 @@ func (ix *Index) scanSharded(lv *leftView, workers int) []Match {
 					}
 				}
 			}
-			thresh := minShared - int32(skippedHere)
-			if thresh < 1 {
-				thresh = 1
-			}
-			for k := 0; k < len(scratch); {
-				j := scratch[k].j
-				total := int32(0)
-				for k < len(scratch) && scratch[k].j == j {
-					total += scratch[k].cnt
-					k++
-				}
-				if total >= thresh &&
-					(total >= minShared || sharedAtLeast(lv.block[i], ix.rBlock[j], int(minShared))) {
-					out = score(i, int(j), out)
-				}
-			}
+			out = ps.accept(i, touched, cnt, skippedHere, out)
 		}
 		blocks[c] = out
 		parts[c] = nil // chunk merged: free its partials eagerly
-		return scratch
+		return touched
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -116,7 +102,6 @@ func (ix *Index) scanSharded(lv *leftView, workers int) []Match {
 			defer wg.Done()
 			cnt := make([]int32, nRight)
 			touched := make([]int32, 0, 64)
-			var scratch []shardRun
 			for {
 				t := int(next.Add(1)) - 1
 				if t >= nChunks*S {
@@ -147,7 +132,6 @@ func (ix *Index) scanSharded(lv *leftView, workers int) []Match {
 					if len(touched) == 0 {
 						continue
 					}
-					sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
 					runs := make([]shardRun, len(touched))
 					for k, j := range touched {
 						runs[k] = shardRun{j: j, cnt: cnt[j]}
@@ -157,7 +141,7 @@ func (ix *Index) scanSharded(lv *leftView, workers int) []Match {
 				}
 				parts[c][s] = rows
 				if remaining[c].Add(-1) == 0 {
-					scratch = mergeChunk(c, lo, hi, scratch)
+					touched = mergeChunk(c, lo, hi, cnt, touched)
 				}
 			}
 		}()

@@ -15,7 +15,7 @@ import (
 // worker count, including shard counts far above the distinct-token count.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 50; trial++ {
 		cols := 1 + rng.Intn(3)
 		var d *relation.Dict
 		if rng.Intn(2) == 0 {
@@ -28,7 +28,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			idx[j] = j
 		}
 		opt := PairOptions{
-			MinSim:          []float64{0, 0.05, 0.3}[rng.Intn(3)],
+			MinSim:          minSimGrid[rng.Intn(len(minSimGrid))],
 			Block:           true,
 			MinSharedTokens: 1 + rng.Intn(4),
 		}

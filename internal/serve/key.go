@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"explain3d/internal/linkage"
 	"explain3d/internal/schemamap"
 	"explain3d/internal/sqlparse"
 )
@@ -38,14 +39,36 @@ func matchingText(m schemamap.Matching) string {
 	return strings.Join(parts, "\n")
 }
 
+// pairOptions resolves a request's Stage-1 fields to the linkage options
+// the solve runs with, giving every spelling of one behaviour one value:
+// Shards 0 and 1 are both unsharded and counts above linkage.MaxShards are
+// clamped, MinSharedTokens below 1 means 1, and MinSim ≤ 0 means the
+// library default. The cache keys and the solve both read the result, so
+// equivalent requests share one result-cache entry and one Stage-1 index.
+func pairOptions(rq *Request) linkage.PairOptions {
+	popt := linkage.DefaultPairOptions()
+	if rq.MinSharedTokens > 1 {
+		popt.MinSharedTokens = rq.MinSharedTokens
+	}
+	if rq.MinSim > 0 {
+		popt.MinSim = rq.MinSim
+	}
+	if rq.Shards > 1 {
+		popt.Shards = min(rq.Shards, linkage.MaxShards)
+	}
+	return popt
+}
+
 // cacheKey renders the canonicalized request tuple. Every field that can
 // change the response participates: the dataset pair, both canonical
-// queries, the canonical matches, and all solver/mapping parameters.
-// Workers is included because budget-limited solves return
-// timing-dependent incumbents that vary with parallelism.
+// queries, the canonical matches, and all solver/mapping parameters, the
+// Stage-1 ones as pairOptions resolves them. Workers is included because
+// budget-limited solves return timing-dependent incumbents that vary with
+// parallelism.
 func cacheKey(dataset, q1c, q2c, mc string, rq *Request) string {
+	popt := pairOptions(rq)
 	return fmt.Sprintf("ds=%s\x1fq1=%s\x1fq2=%s\x1fm=%s\x1fa=%g\x1fb=%g\x1fbatch=%d\x1fto=%d\x1fw=%d\x1fmst=%d\x1fms=%g\x1fsh=%d\x1fminp=%g\x1fsum=%t",
 		dataset, q1c, q2c, mc,
 		rq.Alpha, rq.Beta, rq.BatchSize, rq.TimeoutMS, rq.Workers,
-		rq.MinSharedTokens, rq.MinSim, rq.Shards, rq.MinProb, rq.NoSummary)
+		popt.MinSharedTokens, popt.MinSim, popt.Shards, rq.MinProb, rq.NoSummary)
 }

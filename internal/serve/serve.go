@@ -488,16 +488,7 @@ func (s *Server) runFlight(ctx context.Context, key string, f *flight, ds *Datas
 
 // solve runs the explanation on one generation's cached Stage-1 prefix.
 func (s *Server) solve(ctx context.Context, ds *Dataset, dv *dataVersion, rq *Request, q1, q2 *sqlparse.Select, mattr schemamap.Matching) (body []byte, status int, errMsg string, tags []string) {
-	popt := linkage.DefaultPairOptions()
-	if rq.MinSharedTokens > 0 {
-		popt.MinSharedTokens = rq.MinSharedTokens
-	}
-	if rq.MinSim > 0 {
-		popt.MinSim = rq.MinSim
-	}
-	if rq.Shards > 0 {
-		popt.Shards = rq.Shards
-	}
+	popt := pairOptions(rq)
 	params := explain3d.CoreParams(&explain3d.Options{
 		Alpha: rq.Alpha, Beta: rq.Beta, BatchSize: rq.BatchSize,
 		SolverTimeout: time.Duration(rq.TimeoutMS) * time.Millisecond,
@@ -530,7 +521,8 @@ func (s *Server) solve(ctx context.Context, ds *Dataset, dv *dataVersion, rq *Re
 // rebuilt only when a relation it reads changed; a prefix whose sides
 // changed advances from the memo's previous prefix (survivors keep their
 // similarities, the raw match list stays byte-identical to a fresh build),
-// and advanced reports that path.
+// and advanced reports that path. popt comes from pairOptions, so the memo
+// keys on resolved options.
 func (s *Server) prefixFor(ds *Dataset, dv *dataVersion, q1, q2 *sqlparse.Select, mattr schemamap.Matching, popt linkage.PairOptions, workers int) (*core.PairPrefix, bool, error) {
 	q1c, q2c, mc := q1.String(), q2.String(), matchingText(mattr)
 	poptSig := fmt.Sprintf("%g|%t|%d|%d", popt.MinSim, popt.Block, popt.MinSharedTokens, popt.Shards)

@@ -183,6 +183,33 @@ func TestServerCanonicalizationCacheHit(t *testing.T) {
 	}
 }
 
+// TestEquivalentPairOptionsCacheHit: shards 1 means the same unsharded
+// Stage 1 as shards 0, so after a shards:0 request a shards:1 variant must
+// be a result-cache hit served from the one index build.
+func TestEquivalentPairOptionsCacheHit(t *testing.T) {
+	s, ts, pair := newTestServer(t, serve.Options{})
+	rq := baseRequest(pair)
+	resp, first := post(t, ts.URL, rq)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, first)
+	}
+	variant := rq
+	variant.Shards = 1
+	resp, got := post(t, ts.URL, variant)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("variant status %d: %s", resp.StatusCode, got)
+	}
+	if d := resp.Header.Get("X-Explaind-Cache"); d != "hit" {
+		t.Fatalf("shards:1 after shards:0: disposition %q, want hit", d)
+	}
+	if !bytes.Equal(got, first) {
+		t.Fatal("shards:1 body differs from shards:0 body")
+	}
+	if m := s.Metrics(); m.Solves != 1 || m.IndexBuilds != 1 {
+		t.Fatalf("Solves/IndexBuilds = %d/%d, want 1/1", m.Solves, m.IndexBuilds)
+	}
+}
+
 // TestSingleFlight fires concurrent identical requests while the solve is
 // held open and asserts exactly one solve ran and every response is
 // byte-identical.
