@@ -22,9 +22,6 @@ type Input struct {
 	// Calibrator optionally converts similarities to probabilities
 	// (Section 5.1.2); nil treats similarity as probability.
 	Calibrator *linkage.Calibrator
-	// Mapping optionally supplies the initial tuple mapping directly,
-	// bypassing similarity generation. Indexes refer to canonical tuples.
-	Mapping []linkage.Match
 	// MinProb drops initial matches below this probability (default 0.02).
 	MinProb float64
 	// PairOpts overrides the candidate-generation options for stage 1
@@ -110,11 +107,16 @@ func BuildInstance(in Input) (*Instance, *Result, error) {
 // attribute match; multi-attribute sides are concatenated) and returns them
 // uncalibrated (Sim set, P unset) — the cacheable half of the initial
 // mapping: calibration and probability filtering are cheap and
-// parameter-dependent, so they run per request.
-func RawSimilarities(t1, t2 *Canonical, mattr schemamap.Matching, popt linkage.PairOptions) ([]linkage.Match, error) {
+// parameter-dependent, so they run per request. workers splits the
+// candidate scan (0 defaults to GOMAXPROCS; output is identical at any
+// count).
+func RawSimilarities(t1, t2 *Canonical, mattr schemamap.Matching, popt linkage.PairOptions, workers int) ([]linkage.Match, error) {
 	// One dictionary spans both comparison relations, so the two sides'
 	// token ids live in the same code space and the linkage stage's joint
-	// translation is a cached array lookup.
+	// translation is a cached array lookup. It is a fresh per-call
+	// dictionary, not the databases' long-lived ones (VirtualColumns):
+	// those would keep every concatenated comparison string and its token
+	// list alive after the call returns.
 	shared := relation.NewDict()
 	v1, err := virtualColumns(t1, mattr, true, shared)
 	if err != nil {
@@ -128,7 +130,11 @@ func RawSimilarities(t1, t2 *Canonical, mattr schemamap.Matching, popt linkage.P
 	for i := range idx {
 		idx[i] = i
 	}
-	return linkage.Similarities(v1, v2, idx, idx, popt)
+	ix, err := linkage.BuildIndex(v2, idx, popt)
+	if err != nil {
+		return nil, err
+	}
+	return ix.Similarities(v1, idx, workers)
 }
 
 // VirtualColumns builds one comparison column per attribute match: the

@@ -101,107 +101,105 @@ func applyImpactDelta(t *testing.T, db *relation.Database, relName string, rng *
 // Stage-1 build, and the cached solve's explanations byte-identical to a
 // fresh one-shot ExplainContext on the post-delta data.
 func TestPairPrefixAdvanceDifferential(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			spec := datagen.ScenarioSpec{
-				Rows: 200, Vocab: 120, WordsPerKey: 3,
-				Disagree: 0.05, Noise: 0.1, Seed: int64(11 + shards),
-			}
-			sc := datagen.GenerateScenario(spec)
-			popt := linkage.DefaultPairOptions()
-			popt.Shards = shards
-			// A high similarity floor keeps the match graph in small stable
-			// components, so untouched partitions repeat their content hash
-			// across deltas (the serving pattern the cache targets).
-			popt.MinSim = 0.9
-			db1, db2 := sc.DB1, sc.DB2
-			s1, err := BuildSide(sc.Q1, db1, sc.Mattr.LeftAttrs(), "Q1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			s2, err := BuildSide(sc.Q2, db2, sc.Mattr.RightAttrs(), "Q2")
-			if err != nil {
-				t.Fatal(err)
-			}
-			pp, err := BuildPairPrefix(s1, s2, sc.Mattr, popt, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cache := NewSolveCache(0)
-			p := DefaultParams()
-			p.BatchSize = 12
-			rng := rand.New(rand.NewSource(int64(31 + shards)))
-			eid := int64(1_000_000)
-			ctx := context.Background()
-			for step := 0; step < 7; step++ {
-				ns1, ns2 := s1, s2
-				switch {
-				case step >= 5:
-					// Id-stable impact updates: partition membership is
-					// unchanged, so the solution cache serves every
-					// untouched partition.
-					db1 = applyImpactDelta(t, db1, sc.Spec.Name+"1", rng)
+	// shards0 is the unsharded Stage-1 index, the only one there is.
+	t.Run("shards0", func(t *testing.T) {
+		spec := datagen.ScenarioSpec{
+			Rows: 200, Vocab: 120, WordsPerKey: 3,
+			Disagree: 0.05, Noise: 0.1, Seed: 11,
+		}
+		sc := datagen.GenerateScenario(spec)
+		popt := linkage.DefaultPairOptions()
+		// A high similarity floor keeps the match graph in small stable
+		// components, so untouched partitions repeat their content hash
+		// across deltas (the serving pattern the cache targets).
+		popt.MinSim = 0.9
+		db1, db2 := sc.DB1, sc.DB2
+		s1, err := BuildSide(sc.Q1, db1, sc.Mattr.LeftAttrs(), "Q1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := BuildSide(sc.Q2, db2, sc.Mattr.RightAttrs(), "Q2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp, err := BuildPairPrefix(s1, s2, sc.Mattr, popt, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := NewSolveCache(0)
+		p := DefaultParams()
+		p.BatchSize = 12
+		rng := rand.New(rand.NewSource(31))
+		eid := int64(1_000_000)
+		ctx := context.Background()
+		for step := 0; step < 7; step++ {
+			ns1, ns2 := s1, s2
+			switch {
+			case step >= 5:
+				// Id-stable impact updates: partition membership is
+				// unchanged, so the solution cache serves every
+				// untouched partition.
+				db1 = applyImpactDelta(t, db1, sc.Spec.Name+"1", rng)
+				ns1, err = BuildSide(sc.Q1, db1, sc.Mattr.LeftAttrs(), "Q1")
+				if err != nil {
+					t.Fatal(err)
+				}
+			default:
+				if step%3 != 1 {
+					db2 = applyRandomDelta(t, db2, sc.Spec.Name+"2", rng, &eid)
+					ns2, err = BuildSide(sc.Q2, db2, sc.Mattr.RightAttrs(), "Q2")
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if step%3 != 0 {
+					db1 = applyRandomDelta(t, db1, sc.Spec.Name+"1", rng, &eid)
 					ns1, err = BuildSide(sc.Q1, db1, sc.Mattr.LeftAttrs(), "Q1")
 					if err != nil {
 						t.Fatal(err)
 					}
-				default:
-					if step%3 != 1 {
-						db2 = applyRandomDelta(t, db2, sc.Spec.Name+"2", rng, &eid)
-						ns2, err = BuildSide(sc.Q2, db2, sc.Mattr.RightAttrs(), "Q2")
-						if err != nil {
-							t.Fatal(err)
-						}
-					}
-					if step%3 != 0 {
-						db1 = applyRandomDelta(t, db1, sc.Spec.Name+"1", rng, &eid)
-						ns1, err = BuildSide(sc.Q1, db1, sc.Mattr.LeftAttrs(), "Q1")
-						if err != nil {
-							t.Fatal(err)
-						}
-					}
 				}
-				npp, diff, err := pp.Advance(ns1, ns2, 2)
-				if err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-				fresh, err := BuildPairPrefix(ns1, ns2, sc.Mattr, popt, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(npp.Raw, fresh.Raw) {
-					t.Fatalf("step %d (%+v): advanced raw matches diverge from fresh build: %d vs %d",
-						step, diff, len(npp.Raw), len(fresh.Raw))
-				}
-				got, err := ExplainPrefixContext(ctx, npp, nil, 0, p, cache)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := ExplainContext(ctx, Input{
-					DB1: db1, DB2: db2, Q1: sc.Q1, Q2: sc.Q2, Mattr: sc.Mattr,
-					PairOpts: &popt,
-				}, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got.Instance.Matches, want.Instance.Matches) {
-					t.Fatalf("step %d: calibrated matches diverge", step)
-				}
-				if !reflect.DeepEqual(got.Expl, want.Expl) {
-					t.Fatalf("step %d (%+v): explanations diverge from fresh one-shot", step, diff)
-				}
-				pp, s1, s2 = npp, ns1, ns2
 			}
-			// The two id-stable steps must each have served most partitions
-			// from the cache (misses on those steps are exactly the dirty
-			// partitions). Id-shifting steps legitimately repack partitions;
-			// see the SmartPartition headroom note in ROADMAP.md.
-			cs := cache.Stats()
-			if cs.Hits < 20 {
-				t.Fatalf("solution cache barely hit across delta chain: %+v", cs)
+			npp, diff, err := pp.Advance(ns1, ns2, 2)
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
 			}
-		})
-	}
+			fresh, err := BuildPairPrefix(ns1, ns2, sc.Mattr, popt, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(npp.Raw, fresh.Raw) {
+				t.Fatalf("step %d (%+v): advanced raw matches diverge from fresh build: %d vs %d",
+					step, diff, len(npp.Raw), len(fresh.Raw))
+			}
+			got, err := ExplainPrefixContext(ctx, npp, nil, 0, p, cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ExplainContext(ctx, Input{
+				DB1: db1, DB2: db2, Q1: sc.Q1, Q2: sc.Q2, Mattr: sc.Mattr,
+				PairOpts: &popt,
+			}, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Instance.Matches, want.Instance.Matches) {
+				t.Fatalf("step %d: calibrated matches diverge", step)
+			}
+			if !reflect.DeepEqual(got.Expl, want.Expl) {
+				t.Fatalf("step %d (%+v): explanations diverge from fresh one-shot", step, diff)
+			}
+			pp, s1, s2 = npp, ns1, ns2
+		}
+		// The two id-stable steps must each have served most partitions
+		// from the cache (misses on those steps are exactly the dirty
+		// partitions). Id-shifting steps legitimately repack partitions;
+		// see the SmartPartition headroom note in ROADMAP.md.
+		cs := cache.Stats()
+		if cs.Hits < 20 {
+			t.Fatalf("solution cache barely hit across delta chain: %+v", cs)
+		}
+	})
 }
 
 // TestPairPrefixAdvanceIdentity: unchanged side pointers return the same

@@ -98,11 +98,8 @@ type Stage1 struct {
 	T1, T2       *Canonical
 	Mattr        schemamap.Matching
 	// RawMatches are the candidate similarities before calibration (P
-	// unset). Nil when the input supplied an explicit Mapping.
+	// unset).
 	RawMatches []linkage.Match
-	// Mapping is the explicit initial mapping passed through from the
-	// input, when one was supplied.
-	Mapping []linkage.Match
 }
 
 // BuildStage1 runs the Stage-1 prefix: extract provenance, canonicalize,
@@ -140,19 +137,12 @@ func BuildStage1(in Input) (*Stage1, error) {
 		return nil, err2
 	}
 	st := &Stage1{Prov1: s1.Prov, Prov2: s2.Prov, T1: s1.Canon, T2: s2.Canon, Mattr: in.Mattr}
-	if in.Mapping != nil {
-		st.Mapping = in.Mapping
-		return st, nil
-	}
 	popt := linkage.DefaultPairOptions()
 	if in.PairOpts != nil {
 		popt = *in.PairOpts
 	}
-	if popt.Workers == 0 {
-		popt.Workers = in.Workers
-	}
 	var err error
-	st.RawMatches, err = RawSimilarities(st.T1, st.T2, in.Mattr, popt)
+	st.RawMatches, err = RawSimilarities(st.T1, st.T2, in.Mattr, popt, in.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -165,16 +155,12 @@ func BuildStage1(in Input) (*Stage1, error) {
 // The receiver is not modified, so one cached Stage1 serves concurrent
 // requests with different calibrators and thresholds.
 func (s *Stage1) Instance(cal *linkage.Calibrator, minProb float64) *Instance {
-	matches := s.Mapping
-	if matches == nil {
-		if cal == nil {
-			cal = linkage.NewCalibrator(50) // unfitted: identity mapping
-		}
-		matches = linkage.Calibrate(s.RawMatches, cal)
+	if cal == nil {
+		cal = linkage.NewCalibrator(50) // unfitted: identity mapping
 	}
 	if minProb == 0 {
 		minProb = 0.02
 	}
-	matches = FilterMatches(matches, minProb)
+	matches := FilterMatches(linkage.Calibrate(s.RawMatches, cal), minProb)
 	return &Instance{T1: s.T1, T2: s.T2, Matches: matches, Card: CardinalityOf(s.Mattr)}
 }

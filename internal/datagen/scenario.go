@@ -10,7 +10,7 @@ import (
 )
 
 // ScenarioSpec declaratively parameterizes a large-scale dataset pair for
-// storage and sharding experiments: Rows base tuples materialized into two
+// storage and Stage-1 scaling experiments: Rows base tuples materialized into two
 // disjoint relations (separate dictionaries, so Stage 1 must translate
 // codes), a controlled true-disagreement rate, and controlled linkage noise
 // that dirties keys without breaking the pair's token overlap. Keys are

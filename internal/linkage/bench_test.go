@@ -54,7 +54,6 @@ func benchSimilarities(b *testing.B, n, v int, pairwise bool, workers int) {
 	left, right := benchPair(n, v, 99)
 	idx := []int{0, 1}
 	opt := DefaultPairOptions()
-	opt.Workers = workers
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
@@ -63,7 +62,7 @@ func benchSimilarities(b *testing.B, n, v int, pairwise bool, workers int) {
 		if pairwise {
 			ms, err = SimilaritiesPairwise(left, right, idx, idx, opt)
 		} else {
-			ms, err = Similarities(left, right, idx, idx, opt)
+			ms, err = similarities(left, right, idx, idx, opt, workers)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -118,14 +117,13 @@ func benchPrefixFilter(b *testing.B, off bool) {
 	left, right := benchPair(2000, 200, 99)
 	idx := []int{0, 1}
 	opt := DefaultPairOptions()
-	opt.Workers = 1
 	opt.MinSharedTokens = 3
 	disableRowPrefixFilter = off
 	defer func() { disableRowPrefixFilter = false }()
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
-		ms, err := Similarities(left, right, idx, idx, opt)
+		ms, err := similarities(left, right, idx, idx, opt, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

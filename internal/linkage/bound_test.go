@@ -74,8 +74,8 @@ func boundRelation(rng *rand.Rand, name string, kinds []string, boundary []any, 
 // pair's similarity, so the pair must be kept: a similarity bound that
 // rounds below the score, or that ignores the shared tokens hidden by
 // pruned and prefix-filtered posting lists, drops it. Every blocking
-// threshold, shard count and worker count must match the pairwise
-// reference byte for byte.
+// threshold and worker count must match the pairwise reference byte for
+// byte.
 func TestSimilarityBoundExactThresholds(t *testing.T) {
 	cases := []boundCase{
 		{
@@ -114,7 +114,7 @@ func TestSimilarityBoundExactThresholds(t *testing.T) {
 		for k := range idx {
 			idx[k] = k
 		}
-		all, err := SimilaritiesPairwise(left, right, idx, idx, PairOptions{Block: true, MinSharedTokens: 1})
+		all, err := SimilaritiesPairwise(left, right, idx, idx, PairOptions{MinSharedTokens: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestSimilarityBoundExactThresholds(t *testing.T) {
 			t.Fatalf("%s: boundary pair not scored %v: %+v", tc.name, tc.want, all[:min(1, len(all))])
 		}
 		for mst := 1; mst <= 3; mst++ {
-			opt := PairOptions{MinSim: tc.want, Block: true, MinSharedTokens: mst}
+			opt := PairOptions{MinSim: tc.want, MinSharedTokens: mst}
 			want, err := SimilaritiesPairwise(left, right, idx, idx, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -130,15 +130,12 @@ func TestSimilarityBoundExactThresholds(t *testing.T) {
 			if len(want) == 0 || want[0].L != 0 || want[0].R != 0 {
 				t.Fatalf("%s mst=%d: reference drops the boundary pair", tc.name, mst)
 			}
-			for _, shards := range []int{0, 4} {
-				for _, workers := range []int{1, 3} {
-					opt.Shards, opt.Workers = shards, workers
-					got, err := Similarities(left, right, idx, idx, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					matchesEqual(t, fmt.Sprintf("%s mst=%d shards=%d workers=%d", tc.name, mst, shards, workers), got, want)
+			for _, workers := range []int{1, 3} {
+				got, err := similarities(left, right, idx, idx, opt, workers)
+				if err != nil {
+					t.Fatal(err)
 				}
+				matchesEqual(t, fmt.Sprintf("%s mst=%d workers=%d", tc.name, mst, workers), got, want)
 			}
 		}
 	}
@@ -181,7 +178,7 @@ func TestSimilarityBoundAboveScore(t *testing.T) {
 		for k := range idx {
 			idx[k] = k
 		}
-		ix, err := BuildIndex(right, idx, PairOptions{Block: true, MinSharedTokens: 1})
+		ix, err := BuildIndex(right, idx, PairOptions{MinSharedTokens: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,8 +15,8 @@ import (
 // rows are tokenized, and posting lists are rewritten per token — shared
 // wholesale when the delta is append-only, remapped and merged otherwise.
 // The joint token space is shared with the source index (it is append-only
-// and mutex-guarded), so shard assignment keeps using the same FNV-1a token
-// hashes and scans against old and new generations can run concurrently.
+// and mutex-guarded), so scans against old and new generations can run
+// concurrently.
 //
 // The scan's candidate output is a pure per-pair function of row content —
 // invariant to token-id relabeling and to which stop-word lists are pruned
@@ -43,30 +43,6 @@ type IndexDeltaStats struct {
 	// ListsShared counts posting lists aliased from the source index;
 	// ListsRewritten counts lists remapped or merged.
 	ListsShared, ListsRewritten int
-}
-
-// RowDeltaFromResult converts a relation-level delta result into the
-// index's RowDelta contract: updated rows changed content, so they become
-// uncovered in the row map and stay listed in Dirty alongside appends.
-func RowDeltaFromResult(res *relation.DeltaResult) RowDelta {
-	rm := append([]int(nil), res.RowMap...)
-	cut := res.NewRows - res.Appended
-	changed := make(map[int]bool)
-	for _, p := range res.Dirty {
-		if p < cut {
-			changed[p] = true
-		}
-	}
-	for oi, ni := range rm {
-		if ni >= 0 && changed[ni] {
-			rm[oi] = -1
-		}
-	}
-	return RowDelta{
-		RowMap:  rm,
-		Dirty:   append([]int(nil), res.Dirty...),
-		NewRows: res.NewRows,
-	}
 }
 
 // validate checks the RowDelta invariants against the index's old row count.
@@ -154,9 +130,6 @@ func (ix *Index) ApplyDelta(newRight *relation.Relation, rd RowDelta) (*Index, I
 		out.rTok[k] = rows
 	}
 	out.rCols = matchColumns(newRight, ix.rightIdx)
-	if !ix.opt.Block {
-		return out, st, nil
-	}
 
 	// Blocking unions: remap survivors, union only dirty rows.
 	out.rBlock = make([][]uint32, rd.NewRows)
@@ -240,11 +213,6 @@ func (ix *Index) ApplyDelta(newRight *relation.Relation, rd RowDelta) (*Index, I
 		st.ListsRewritten++
 	}
 	out.prune()
-
-	if s := ix.shards; s > 1 {
-		out.shards = s
-		out.tokShard = out.ts.shardMap(s)
-	}
 	return out, st, nil
 }
 

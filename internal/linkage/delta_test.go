@@ -88,60 +88,57 @@ func scrambleDelta(rng *rand.Rand, tuples []relation.Tuple) ([]relation.Tuple, R
 
 // TestIndexApplyDeltaDifferential: a scan against the incrementally advanced
 // index must be byte-identical to one against a fresh BuildIndex of the new
-// relation — across randomized permuting/changing/deleting/appending deltas,
-// shard counts, and stop-word-prune settings.
+// relation — across randomized permuting/changing/deleting/appending deltas
+// and stop-word-prune settings.
 func TestIndexApplyDeltaDifferential(t *testing.T) {
 	idx := []int{0, 1, 2}
-	for _, shards := range []int{0, 4} {
-		for _, mst := range []int{1, 3} {
-			t.Run(fmt.Sprintf("shards%d_mst%d", shards, mst), func(t *testing.T) {
-				opt := DefaultPairOptions()
-				opt.MinSharedTokens = mst
-				opt.Shards = shards
-				rng := rand.New(rand.NewSource(int64(7*shards + mst)))
-				for trial := 0; trial < 8; trial++ {
-					d := relation.NewDict()
-					tuples := make([]relation.Tuple, 10+rng.Intn(40))
-					for i := range tuples {
-						tuples[i] = deltaTuple(rng)
+	for _, mst := range []int{1, 3} {
+		t.Run(fmt.Sprintf("mst%d", mst), func(t *testing.T) {
+			opt := DefaultPairOptions()
+			opt.MinSharedTokens = mst
+			rng := rand.New(rand.NewSource(int64(mst)))
+			for trial := 0; trial < 8; trial++ {
+				d := relation.NewDict()
+				tuples := make([]relation.Tuple, 10+rng.Intn(40))
+				for i := range tuples {
+					tuples[i] = deltaTuple(rng)
+				}
+				right := buildRight(d, tuples)
+				ix, err := BuildIndex(right, idx, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for step := 0; step < 4; step++ {
+					var rd RowDelta
+					tuples, rd = scrambleDelta(rng, tuples)
+					newRight := buildRight(d, tuples)
+					nix, _, err := ix.ApplyDelta(newRight, rd)
+					if err != nil {
+						t.Fatalf("trial %d step %d: %v", trial, step, err)
 					}
-					right := buildRight(d, tuples)
-					ix, err := BuildIndex(right, idx, opt)
+					fresh, err := BuildIndex(newRight, idx, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for step := 0; step < 4; step++ {
-						var rd RowDelta
-						tuples, rd = scrambleDelta(rng, tuples)
-						newRight := buildRight(d, tuples)
-						nix, _, err := ix.ApplyDelta(newRight, rd)
-						if err != nil {
-							t.Fatalf("trial %d step %d: %v", trial, step, err)
-						}
-						fresh, err := BuildIndex(newRight, idx, opt)
+					left := buildRight(d, makeLeftTuples(rng))
+					for _, workers := range []int{1, 3} {
+						got, err := nix.Similarities(left, idx, workers)
 						if err != nil {
 							t.Fatal(err)
 						}
-						left := buildRight(d, makeLeftTuples(rng))
-						for _, workers := range []int{1, 3} {
-							got, err := nix.Similarities(left, idx, workers)
-							if err != nil {
-								t.Fatal(err)
-							}
-							want, err := fresh.Similarities(left, idx, workers)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("trial %d step %d workers %d: %d vs %d matches, diverged",
-									trial, step, workers, len(got), len(want))
-							}
+						want, err := fresh.Similarities(left, idx, workers)
+						if err != nil {
+							t.Fatal(err)
 						}
-						ix = nix
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("trial %d step %d workers %d: %d vs %d matches, diverged",
+								trial, step, workers, len(got), len(want))
+						}
 					}
+					ix = nix
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -250,33 +247,5 @@ func TestRowDeltaValidation(t *testing.T) {
 		if _, _, err := ix.ApplyDelta(right, rd); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
-	}
-}
-
-// TestRowDeltaFromResult checks the relation→linkage contract conversion.
-func TestRowDeltaFromResult(t *testing.T) {
-	r := relation.New("t", "a")
-	for i := 0; i < 6; i++ {
-		r.Append(fmt.Sprintf("v%d", i))
-	}
-	nr, res, err := r.ApplyDelta(relation.Delta{
-		Deletes: []int{1},
-		Updates: []relation.RowUpdate{{Row: 3, Values: relation.Tuple{relation.String("changed")}}},
-		Appends: []relation.Tuple{{relation.String("new")}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd := RowDeltaFromResult(res)
-	if rd.NewRows != nr.Len() {
-		t.Fatalf("NewRows %d != %d", rd.NewRows, nr.Len())
-	}
-	// Old row 3 changed content: unmapped. Old row 1 deleted: unmapped.
-	want := []int{0, -1, 1, -1, 3, 4}
-	if !reflect.DeepEqual(rd.RowMap, want) {
-		t.Fatalf("RowMap %v want %v", rd.RowMap, want)
-	}
-	if err := rd.validate(6); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -55,6 +55,16 @@ func randomRelation(rng *rand.Rand, name string, rows, cols int, d *relation.Dic
 // (3/5, 2/3, 3/4) and 1.
 var minSimGrid = []float64{0, 0.05, 0.3, 0.5, 0.6, 2.0 / 3, 0.75, 1}
 
+// similarities is the one-shot Stage-1 call: index the right side, then
+// scan the left once.
+func similarities(left, right *relation.Relation, leftIdx, rightIdx []int, opt PairOptions, workers int) ([]Match, error) {
+	ix, err := BuildIndex(right, rightIdx, opt)
+	if err != nil {
+		return nil, err
+	}
+	return ix.Similarities(left, leftIdx, workers)
+}
+
 func matchesEqual(t *testing.T, label string, got, want []Match) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -69,9 +79,9 @@ func matchesEqual(t *testing.T, label string, got, want []Match) {
 
 // TestSimilaritiesMatchesPairwiseReference is the acceptance property of
 // the inverted-index rewrite: over random relations — shared or separate
-// dictionaries, every blocking configuration, any worker count — the
-// columnar Similarities must return byte-identical output to the pairwise
-// reference implementation.
+// dictionaries, every blocking threshold, any worker count — the columnar
+// index scan must return byte-identical output to the pairwise reference
+// implementation.
 func TestSimilaritiesMatchesPairwiseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 80; trial++ {
@@ -91,7 +101,6 @@ func TestSimilaritiesMatchesPairwiseReference(t *testing.T) {
 		// budgets up to 3, and exact candidate verification).
 		opt := PairOptions{
 			MinSim:          minSimGrid[rng.Intn(len(minSimGrid))],
-			Block:           rng.Intn(4) != 0,
 			MinSharedTokens: 1 + rng.Intn(4),
 		}
 		want, err := SimilaritiesPairwise(left, right, idx, idx, opt)
@@ -99,12 +108,11 @@ func TestSimilaritiesMatchesPairwiseReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3, 7} {
-			opt.Workers = workers
-			got, err := Similarities(left, right, idx, idx, opt)
+			got, err := similarities(left, right, idx, idx, opt, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			matchesEqual(t, fmt.Sprintf("trial %d workers %d (block=%v shared=%v)", trial, workers, opt.Block, d != nil), got, want)
+			matchesEqual(t, fmt.Sprintf("trial %d workers %d (shared=%v)", trial, workers, d != nil), got, want)
 		}
 	}
 }
@@ -130,7 +138,7 @@ func TestSimilaritiesStopWordPruning(t *testing.T) {
 	}
 	left, right := build("L", 40), build("R", 40)
 	for _, minShared := range []int{2, 3} {
-		opt := PairOptions{MinSim: 0, Block: true, MinSharedTokens: minShared}
+		opt := PairOptions{MinSim: 0, MinSharedTokens: minShared}
 		want, err := SimilaritiesPairwise(left, right, []int{0}, []int{0}, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -139,8 +147,7 @@ func TestSimilaritiesStopWordPruning(t *testing.T) {
 			t.Fatalf("minShared=%d: degenerate workload, no reference matches", minShared)
 		}
 		for _, workers := range []int{1, 4} {
-			opt.Workers = workers
-			got, err := Similarities(left, right, []int{0}, []int{0}, opt)
+			got, err := similarities(left, right, []int{0}, []int{0}, opt, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +187,7 @@ func TestSimilaritiesPerRowPrefixFilter(t *testing.T) {
 	}
 	left, right := build("L", 60), build("R", 60)
 	for _, minShared := range []int{2, 3, 4} {
-		opt := PairOptions{MinSim: 0, Block: true, MinSharedTokens: minShared}
+		opt := PairOptions{MinSim: 0, MinSharedTokens: minShared}
 		want, err := SimilaritiesPairwise(left, right, []int{0}, []int{0}, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -189,15 +196,14 @@ func TestSimilaritiesPerRowPrefixFilter(t *testing.T) {
 			t.Fatalf("minShared=%d: degenerate workload, no reference matches", minShared)
 		}
 		for _, workers := range []int{1, 4} {
-			opt.Workers = workers
-			got, err := Similarities(left, right, []int{0}, []int{0}, opt)
+			got, err := similarities(left, right, []int{0}, []int{0}, opt, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			matchesEqual(t, fmt.Sprintf("prefix-filter minShared=%d workers=%d", minShared, workers), got, want)
 			// The global-prune-only path (pre-filter behavior) must agree too.
 			disableRowPrefixFilter = true
-			off, err := Similarities(left, right, []int{0}, []int{0}, opt)
+			off, err := similarities(left, right, []int{0}, []int{0}, opt, workers)
 			disableRowPrefixFilter = false
 			if err != nil {
 				t.Fatal(err)
@@ -213,12 +219,12 @@ func TestSimilaritiesPerRowPrefixFilter(t *testing.T) {
 func TestSimilaritiesNumericOnlyColumns(t *testing.T) {
 	left := relation.New("L", "a").Append(int64(1)).Append(2.5).Append(nil)
 	right := relation.New("R", "a").Append(int64(1)).Append(2.0)
-	opt := PairOptions{MinSim: 0.05, Block: true, MinSharedTokens: 1}
+	opt := PairOptions{MinSim: 0.05, MinSharedTokens: 1}
 	want, err := SimilaritiesPairwise(left, right, []int{0}, []int{0}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Similarities(left, right, []int{0}, []int{0}, opt)
+	got, err := similarities(left, right, []int{0}, []int{0}, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

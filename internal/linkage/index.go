@@ -11,19 +11,19 @@ import (
 	"explain3d/internal/relation"
 )
 
-// Index is a prebuilt candidate-generation index over one fixed right-side
+// Index is the candidate-generation index over one fixed right-side
 // relation: the joint token space, the right rows' token lists and typed
 // match columns, and the inverted posting lists (token id → right row ids)
-// with the global stop-word prune already applied. Building it is the
-// right-side half of Similarities; once built it can score any number of
-// left relations against the same right side — the serving pattern, where
-// one query of an explanation pair stays fixed while the user iterates on
-// the other.
+// with the global stop-word prune already applied. It is Stage 1's one
+// index: a one-shot linkage run builds it and scans once, and the serving
+// pattern — one query of an explanation pair stays fixed while the user
+// iterates on the other — scans one Index with any number of left
+// relations.
 //
 // An Index is immutable after BuildIndex returns except for the joint token
 // intern map, which is mutex-guarded; concurrent Similarities calls against
-// one Index are safe and produce output identical to the one-shot
-// package-level Similarities for the same inputs.
+// one Index are safe, and their output does not depend on which left
+// relations were scanned before.
 type Index struct {
 	ts       *tokenSpace
 	opt      PairOptions // blocking options baked in at build time
@@ -36,16 +36,10 @@ type Index struct {
 	// pruned retains the full posting lists of globally skipped stop-word
 	// tokens (post[t] is nil there), so incremental maintenance can re-derive
 	// and re-prune complete lists after a delta.
-	pruned   map[uint32][]int32
-	skipped  []bool
-	anySkip  bool
-	shards   int     // > 1: sharded posting lists and scan (see scanSharded)
-	tokShard []uint8 // token id → owning shard, from the token string's hash
+	pruned  map[uint32][]int32
+	skipped []bool
+	anySkip bool
 }
-
-// MaxShards bounds PairOptions.Shards so shard ids fit the per-token uint8;
-// larger values are clamped to it.
-const MaxShards = 256
 
 // Posting lists shorter than skipFloor are not worth a verify pass:
 // skipping them saves almost no merge work but still lowers the exact
@@ -53,9 +47,9 @@ const MaxShards = 256
 const skipFloor = 4
 
 // BuildIndex indexes the right side of a linkage run: per-row token lists
-// for the matched columns rightIdx, typed match-column views, and — when
-// blocking is enabled — the inverted posting lists with up to
-// MinSharedTokens-1 stop-word lists pruned.
+// for the matched columns rightIdx, typed match-column views, and the
+// inverted posting lists with up to MinSharedTokens-1 stop-word lists
+// pruned.
 func BuildIndex(right *relation.Relation, rightIdx []int, opt PairOptions) (*Index, error) {
 	if len(rightIdx) == 0 {
 		return nil, fmt.Errorf("linkage: BuildIndex needs a non-empty attribute index list")
@@ -66,52 +60,15 @@ func BuildIndex(right *relation.Relation, rightIdx []int, opt PairOptions) (*Ind
 	ix := &Index{ts: newTokenSpace(), opt: opt, rightIdx: rightIdx, nRight: right.Len()}
 	ix.rTok = ix.ts.tokenColumns(right, rightIdx)
 	ix.rCols = matchColumns(right, rightIdx)
-	ix.finalize()
-	return ix, nil
-}
-
-// finalize assembles the posting lists and applies the global stop-word
-// prune. It must run after both the right side and — for the one-shot
-// Similarities path, which shares the token space — the left side have
-// interned their tokens, so every already-known token has a posting slot.
-func (ix *Index) finalize() {
-	if !ix.opt.Block {
-		return
-	}
 	ix.rBlock = unionRows(ix.rTok, ix.nRight)
 	ix.post = make([][]int32, ix.ts.size())
-	if s := ix.opt.Shards; s > 1 {
-		if s > MaxShards {
-			s = MaxShards
-		}
-		ix.shards = s
-		ix.tokShard = ix.ts.shardMap(s)
-		// Shard-parallel posting build: each shard goroutine appends only to
-		// the lists of its own tokens, so writes to ix.post are disjoint.
-		// Right-row order within each list matches the sequential build.
-		var wg sync.WaitGroup
-		for sh := 0; sh < s; sh++ {
-			wg.Add(1)
-			go func(sh uint8) {
-				defer wg.Done()
-				for j, toks := range ix.rBlock {
-					for _, t := range toks {
-						if ix.tokShard[t] == sh {
-							ix.post[t] = append(ix.post[t], int32(j))
-						}
-					}
-				}
-			}(uint8(sh))
-		}
-		wg.Wait()
-	} else {
-		for j, toks := range ix.rBlock {
-			for _, t := range toks {
-				ix.post[t] = append(ix.post[t], int32(j))
-			}
+	for j, toks := range ix.rBlock {
+		for _, t := range toks {
+			ix.post[t] = append(ix.post[t], int32(j))
 		}
 	}
 	ix.prune()
+	return ix, nil
 }
 
 // prune applies the global stop-word prune: a single token cannot satisfy
@@ -190,11 +147,23 @@ func (ix *Index) buildLeftView(left *relation.Relation, leftIdx []int) *leftView
 	}
 }
 
-// Similarities scores a left relation against the prebuilt right side,
-// exactly as the package-level Similarities would for the same inputs and
-// the PairOptions the index was built with. workers splits the scan into
-// contiguous left-row ranges (0 defaults to GOMAXPROCS); output is
-// identical at any worker count. Safe for concurrent use.
+// Similarities scores candidate tuple pairs between a left relation and
+// the indexed right side over the aligned matching attribute indexes
+// (leftIdx[k] ↔ the index's rightIdx[k]), under the PairOptions the index
+// was built with.
+//
+// The left side's dictionary-encoded string columns are translated into
+// the index's joint token-id space (tokenization once per distinct string,
+// cached in each Dict), and each left row merges the posting lists of its
+// tokens with a shared-token counter. A pair is scored when it shares at
+// least MinSharedTokens distinct tokens — the exact match set of the
+// pairwise reference implementation (SimilaritiesPairwise), at O(Σ
+// posting-list products) instead of O(|L|·|R|) blocking probes. Jaccard
+// runs on sorted token-id slices instead of string-keyed maps.
+//
+// workers splits the scan into contiguous left-row ranges (0 defaults to
+// GOMAXPROCS); output is identical at any worker count. Safe for
+// concurrent use.
 func (ix *Index) Similarities(left *relation.Relation, leftIdx []int, workers int) ([]Match, error) {
 	if len(leftIdx) != len(ix.rightIdx) || len(leftIdx) == 0 {
 		return nil, fmt.Errorf("linkage: need equal, non-empty attribute index lists (got %d and %d)", len(leftIdx), len(ix.rightIdx))
@@ -204,7 +173,7 @@ func (ix *Index) Similarities(left *relation.Relation, leftIdx []int, workers in
 
 // pairScorer binds one left view's and the index's typed match columns: the
 // pair similarity, its shared-token upper bound, and the per-row accept
-// rule shared by the unsharded and sharded scan paths.
+// rule.
 type pairScorer struct {
 	ix *Index
 	lv *leftView
@@ -309,9 +278,6 @@ func (ps pairScorer) accept(i int, touched, cnt []int32, skippedHere int, out []
 // some matched column has token lists on either side — the same
 // whole-column sniff tokenColumns performed.
 func (ix *Index) blockedScan(lv *leftView) bool {
-	if !ix.opt.Block {
-		return false
-	}
 	for k := range lv.tok {
 		if lv.tok[k] != nil || ix.rTok[k] != nil {
 			return true
@@ -321,7 +287,7 @@ func (ix *Index) blockedScan(lv *leftView) bool {
 }
 
 // scan runs candidate generation and scoring of one left view against the
-// index. It is the shared back half of Similarities and Index.Similarities.
+// index: the back half of Similarities.
 func (ix *Index) scan(lv *leftView, workers int) []Match {
 	opt := ix.opt
 	ps := pairScorer{ix: ix, lv: lv}
@@ -329,9 +295,6 @@ func (ix *Index) scan(lv *leftView, workers int) []Match {
 	n, nRight := lv.n, ix.nRight
 	if blocked {
 		lv.block = unionRows(lv.tok, n)
-		if ix.shards > 1 {
-			return ix.scanSharded(lv, workers)
-		}
 	}
 	minShared := int32(opt.MinSharedTokens)
 	// scoreRange scans rows [lo, hi) with worker-local candidate state: a

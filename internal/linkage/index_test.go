@@ -41,16 +41,17 @@ func indexTestRelations(seed int64, nLeft, nRight int) (*relation.Relation, *rel
 	return build("L", nLeft), build("R", nRight)
 }
 
-// TestIndexMatchesOneShot pins that a prebuilt Index produces output
-// identical to the one-shot package-level Similarities for the same inputs,
-// across blocking thresholds and worker counts.
+// TestIndexMatchesOneShot pins that an Index reused across scans — whose
+// token space already holds earlier left sides' tokens — produces output
+// identical to a one-shot build and scan of the same inputs, across
+// blocking thresholds and worker counts.
 func TestIndexMatchesOneShot(t *testing.T) {
 	left, right := indexTestRelations(42, 120, 90)
 	idx := []int{0, 1}
 	for _, minShared := range []int{1, 2, 3, 4} {
 		opt := DefaultPairOptions()
 		opt.MinSharedTokens = minShared
-		want, err := Similarities(left, right, idx, idx, opt)
+		want, err := similarities(left, right, idx, idx, opt, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,19 +69,38 @@ func TestIndexMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestIndexNoBlocking covers the unblocked cross-product path.
+// TestIndexNoBlocking covers the unblocked cross-product path: with only
+// numeric matched columns there is nothing to block on, so every pair is
+// scored.
 func TestIndexNoBlocking(t *testing.T) {
-	left, right := indexTestRelations(7, 40, 30)
+	rng := rand.New(rand.NewSource(7))
+	build := func(name string, n int) *relation.Relation {
+		r := relation.New(name, "year", "score")
+		for i := 0; i < n; i++ {
+			var score any = float64(rng.Intn(8)) * 0.5
+			if rng.Intn(10) == 0 {
+				score = nil
+			}
+			r.Append(int64(2000+rng.Intn(6)), score)
+		}
+		return r
+	}
+	left, right := build("L", 40), build("R", 30)
 	idx := []int{0, 1}
 	opt := DefaultPairOptions()
-	opt.Block = false
-	want, err := Similarities(left, right, idx, idx, opt)
+	want, err := SimilaritiesPairwise(left, right, idx, idx, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("degenerate workload: no reference matches")
 	}
 	ix, err := BuildIndex(right, idx, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ix.blockedScan(ix.buildLeftView(left, idx)) {
+		t.Fatal("numeric-only matched columns must take the cross-product path")
 	}
 	got, err := ix.Similarities(left, idx, 3)
 	if err != nil {
@@ -91,7 +111,7 @@ func TestIndexNoBlocking(t *testing.T) {
 
 // TestIndexConcurrentReuse fires many concurrent scans — different left
 // relations against one shared Index — and checks each against its own
-// one-shot run. Run under -race: this is the serving pattern, where one
+// one-shot build and scan. Run under -race: this is the serving pattern, where one
 // prebuilt index serves all requests.
 func TestIndexConcurrentReuse(t *testing.T) {
 	_, right := indexTestRelations(1, 10, 150)
@@ -114,7 +134,7 @@ func TestIndexConcurrentReuse(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			want, err := Similarities(left, right, idx, idx, opt)
+			want, err := similarities(left, right, idx, idx, opt, 1)
 			if err != nil {
 				t.Error(err)
 				return

@@ -92,7 +92,7 @@ func twoRelations() (*relation.Relation, *relation.Relation) {
 
 func TestSimilaritiesBlocked(t *testing.T) {
 	l, r := twoRelations()
-	ms, err := Similarities(l, r, []int{0}, []int{0}, DefaultPairOptions())
+	ms, err := similarities(l, r, []int{0}, []int{0}, DefaultPairOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,19 +113,22 @@ func TestSimilaritiesBlocked(t *testing.T) {
 
 func TestSimilaritiesUnblockedEqualsBlockedOnStrings(t *testing.T) {
 	l, r := twoRelations()
-	blocked, err := Similarities(l, r, []int{0}, []int{0}, PairOptions{MinSim: 0.05, Block: true})
+	blocked, err := similarities(l, r, []int{0}, []int{0}, PairOptions{MinSim: 0.05}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Similarities(l, r, []int{0}, []int{0}, PairOptions{MinSim: 0.05, Block: false})
-	if err != nil {
-		t.Fatal(err)
+	// The full cross product, scored pair by pair.
+	var full []Match
+	for i := 0; i < l.Len(); i++ {
+		for j := 0; j < r.Len(); j++ {
+			if s := ValueSim(l.At(i, 0), r.At(j, 0)); s >= 0.05 {
+				full = append(full, Match{L: i, R: j, Sim: s})
+			}
+		}
 	}
 	// Blocking only skips zero-overlap pairs, which score 0 on Jaccard and
 	// fall below MinSim anyway.
-	if len(blocked) != len(full) {
-		t.Fatalf("blocked %d vs full %d", len(blocked), len(full))
-	}
+	matchesEqual(t, "blocked vs full", blocked, full)
 }
 
 func TestSimilaritiesNumericFallback(t *testing.T) {
@@ -134,7 +137,7 @@ func TestSimilaritiesNumericFallback(t *testing.T) {
 	l.Append(int64(20))
 	r := relation.New("R", "v")
 	r.Append(int64(10))
-	ms, err := Similarities(l, r, []int{0}, []int{0}, DefaultPairOptions())
+	ms, err := similarities(l, r, []int{0}, []int{0}, DefaultPairOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +148,10 @@ func TestSimilaritiesNumericFallback(t *testing.T) {
 
 func TestSimilaritiesErrors(t *testing.T) {
 	l, r := twoRelations()
-	if _, err := Similarities(l, r, nil, nil, DefaultPairOptions()); err == nil {
+	if _, err := similarities(l, r, nil, nil, DefaultPairOptions(), 0); err == nil {
 		t.Fatal("empty attribute lists should fail")
 	}
-	if _, err := Similarities(l, r, []int{0}, []int{0, 1}, DefaultPairOptions()); err == nil {
+	if _, err := similarities(l, r, []int{0, 1}, []int{0}, DefaultPairOptions(), 0); err == nil {
 		t.Fatal("misaligned attribute lists should fail")
 	}
 }
@@ -294,8 +297,8 @@ func TestMixedColumnSniffsWholeColumn(t *testing.T) {
 
 	// End to end: blocking stays on and the string rows still pair up
 	// through their shared token.
-	ms, err := Similarities(left, right, []int{0}, []int{0},
-		PairOptions{MinSim: 0.05, Block: true, MinSharedTokens: 1})
+	ms, err := similarities(left, right, []int{0}, []int{0},
+		PairOptions{MinSim: 0.05, MinSharedTokens: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,8 +329,8 @@ func TestMixedColumnKeepsNumericPairsUnderBlocking(t *testing.T) {
 	right := relation.New("R", "v").
 		Append(int64(123)).
 		Append("acme inc")
-	ms, err := Similarities(left, right, []int{0}, []int{0},
-		PairOptions{MinSim: 0.05, Block: true, MinSharedTokens: 1})
+	ms, err := similarities(left, right, []int{0}, []int{0},
+		PairOptions{MinSim: 0.05, MinSharedTokens: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package linkage
 
 import (
 	"fmt"
-	"sync"
 
 	"explain3d/internal/relation"
 )
@@ -16,87 +15,31 @@ type Match struct {
 	P    float64
 }
 
-// PairOptions controls candidate generation.
+// PairOptions controls candidate generation. Token blocking always
+// applies when some matched column is tokenized; with numeric-only matched
+// columns every pair is scored (the cross product).
 type PairOptions struct {
 	// MinSim drops candidate pairs below this combined similarity
 	// (default 0.05 — pairs with essentially no evidence).
 	MinSim float64
-	// Block enables token blocking: only pairs sharing at least
-	// MinSharedTokens tokens on the matched string attributes are scored.
-	// Without blocking every pair is scored (quadratic).
-	Block bool
-	// MinSharedTokens is the blocking threshold (default 1). Raising it to
-	// 2 prunes pairs that only share a frequent token (articles, common
-	// vocabulary words) and keeps large workloads tractable.
+	// MinSharedTokens is the blocking threshold (default 1): only pairs
+	// sharing at least this many tokens on the matched string attributes
+	// are scored. Raising it to 2 prunes pairs that only share a frequent
+	// token (articles, common vocabulary words) and keeps large workloads
+	// tractable.
 	MinSharedTokens int
-	// Workers splits candidate scoring into contiguous left-row ranges
-	// scored concurrently (0 defaults to runtime.GOMAXPROCS(0)). The
-	// returned matches are identical at any worker count.
-	Workers int
-	// Shards splits the inverted token index into token-hash shards
-	// (0 or 1 = one unsharded index). Each shard builds its posting lists
-	// and scans its candidate pairs independently — posting construction and
-	// the candidate scan parallelize across shards — and per-left-row
-	// shared-token counts merge deterministically, so matches are identical
-	// at any shard count. Values above 256 are clamped.
-	Shards int
 }
 
-// DefaultPairOptions enables blocking with the default similarity floor.
+// DefaultPairOptions returns the default similarity floor and blocking
+// threshold.
 func DefaultPairOptions() PairOptions {
-	return PairOptions{MinSim: 0.05, Block: true, MinSharedTokens: 1}
+	return PairOptions{MinSim: 0.05, MinSharedTokens: 1}
 }
 
 // disableRowPrefixFilter turns off the per-left-row prefix filter inside
-// Similarities, leaving only the global stop-word prune — the pre-filter
+// the scan, leaving only the global stop-word prune — the pre-filter
 // behavior, kept reachable for differential tests and benchmarks.
 var disableRowPrefixFilter = false
-
-// Similarities scores candidate tuple pairs between left and right over
-// the aligned matching attribute indexes (leftIdx[i] ↔ rightIdx[i]).
-//
-// Candidate generation runs on an inverted token index: the two relations'
-// dictionary-encoded string columns are translated into one joint token-id
-// space (tokenization once per distinct string, cached in each Dict), the
-// right side's per-row token lists become posting lists (token id → row
-// ids), and each left row merges the posting lists of its tokens with a
-// shared-token counter. A pair is scored when it shares at least
-// MinSharedTokens distinct tokens — the exact match set of the pairwise
-// reference implementation (SimilaritiesPairwise), at O(Σ posting-list
-// products) instead of O(|L|·|R|) blocking probes. Jaccard runs on sorted
-// token-id slices instead of string-keyed maps.
-func Similarities(left, right *relation.Relation, leftIdx, rightIdx []int, opt PairOptions) ([]Match, error) {
-	if len(leftIdx) != len(rightIdx) || len(leftIdx) == 0 {
-		return nil, fmt.Errorf("linkage: need equal, non-empty attribute index lists (got %d and %d)", len(leftIdx), len(rightIdx))
-	}
-	if opt.MinSharedTokens < 1 {
-		opt.MinSharedTokens = 1
-	}
-	// Per-row sorted token-id lists per matched column (nil column =
-	// numeric-only, numeric similarity applies), so scoring a pair never
-	// re-tokenizes and never hashes a string. The two sides build
-	// concurrently: each owns its dictionary-translation cache, and only
-	// the joint token-id intern is shared (mutex-guarded; match output is
-	// invariant under id relabeling). The right side assembles into an
-	// Index (posting lists + stop-word prune) once both sides' tokens are
-	// interned; the scan itself is shared with prebuilt-Index queries.
-	ix := &Index{ts: newTokenSpace(), opt: opt, rightIdx: rightIdx, nRight: right.Len()}
-	var lv *leftView
-	var sides sync.WaitGroup
-	sides.Add(1)
-	go func() {
-		defer sides.Done()
-		ix.rTok = ix.ts.tokenColumns(right, rightIdx)
-		ix.rCols = matchColumns(right, rightIdx)
-	}()
-	// Matched-column cells surfaced once as typed row views (null flags +
-	// numeric values straight off the columnar storage) — the numeric
-	// similarity path in the scoring inner loop never boxes a Value.
-	lv = ix.buildLeftView(left, leftIdx)
-	sides.Wait()
-	ix.finalize()
-	return ix.scan(lv, opt.Workers), nil
-}
 
 // matchCol is one matched column's typed row view for the scoring loop:
 // null flags and numeric values are read straight off the columnar typed

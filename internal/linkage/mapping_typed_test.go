@@ -67,8 +67,7 @@ func TestSimilaritiesAllocsRegression(t *testing.T) {
 	}
 	idx := []int{0, 1, 2}
 	opt := DefaultPairOptions()
-	opt.Workers = 1
-	warm, err := Similarities(left, right, idx, idx, opt)
+	warm, err := similarities(left, right, idx, idx, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestSimilaritiesAllocsRegression(t *testing.T) {
 		t.Fatal("workload produced no matches; regression would be vacuous")
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := Similarities(left, right, idx, idx, opt); err != nil {
+		if _, err := similarities(left, right, idx, idx, opt, 1); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -8,11 +8,12 @@ import (
 )
 
 // SimilaritiesPairwise is the pre-columnar reference implementation of
-// Similarities: per-row string-keyed token sets, a string-keyed inverted
+// Index.Similarities: per-row string-keyed token sets, a string-keyed inverted
 // index, and a per-left-row candidate map probed pairwise. It is retained
 // (sequentially, single-threaded) as the ground truth for the equivalence
 // property tests and as the baseline side of the Stage-1 benchmarks —
-// Similarities must return the exact same match list.
+// BuildIndex followed by Index.Similarities must return the exact same
+// match list.
 func SimilaritiesPairwise(left, right *relation.Relation, leftIdx, rightIdx []int, opt PairOptions) ([]Match, error) {
 	if len(leftIdx) != len(rightIdx) || len(leftIdx) == 0 {
 		return nil, fmt.Errorf("linkage: need equal, non-empty attribute index lists (got %d and %d)", len(leftIdx), len(rightIdx))
@@ -40,12 +41,10 @@ func SimilaritiesPairwise(left, right *relation.Relation, leftIdx, rightIdx []in
 		return out
 	}
 	blocked := false
-	if opt.Block {
-		for k := range lTok {
-			if lTok[k] != nil || rTok[k] != nil {
-				blocked = true
-				break
-			}
+	for k := range lTok {
+		if lTok[k] != nil || rTok[k] != nil {
+			blocked = true
+			break
 		}
 	}
 	var index map[string][]int

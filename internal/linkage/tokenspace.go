@@ -14,48 +14,20 @@ import (
 // virtual-column relations against one Dict), translation degenerates to a
 // cached array lookup per distinct string.
 //
-// Joint-id interning is mutex-guarded so the two sides' token columns can
-// build concurrently; the numeric ids then depend on goroutine interleaving,
-// but every consumer (posting lists, shared-token counts, sorted-merge
-// Jaccard) is invariant under relabeling, so match output is unchanged.
+// Joint-id interning is mutex-guarded so concurrent scans against one Index
+// can intern their left sides' tokens; the numeric ids then depend on
+// goroutine interleaving, but every consumer (posting lists, shared-token
+// counts, sorted-merge Jaccard) is invariant under relabeling, so match
+// output is unchanged.
 type tokenSpace struct {
 	mu  sync.Mutex
 	ids map[string]uint32 // guarded by mu
 	n   uint32            // guarded by mu
-	// hashes[id] is the tokenHash of the token string behind id.
-	hashes []uint32 // guarded by mu
 }
 
-// tokenHash is FNV-1a over the token string. Shard assignment keys on this
-// hash — not on the joint id, which depends on goroutine interleaving — so
-// a token lands in the same shard no matter how interning was interleaved,
-// keeping sharded output deterministic.
-func tokenHash(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// shardMap snapshots every interned token's shard assignment:
-// shardMap(S)[id] = tokenHash(token) mod S. Tokens interned after the
-// snapshot (left-side tokens of a later query against a prebuilt Index)
-// have no posting lists, so their missing entries never matter.
-func (ts *tokenSpace) shardMap(shards int) []uint8 {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	out := make([]uint8, len(ts.hashes))
-	for i, h := range ts.hashes {
-		out[i] = uint8(h % uint32(shards))
-	}
-	return out
-}
-
-// dictCache holds per-dictionary translation state. Each side of a linkage
-// run owns its own cache — even when both sides share a Dict — so the two
-// token-column builds never contend on anything but the joint intern map.
+// dictCache holds per-dictionary translation state. Each token-column build
+// owns its own cache — even when several share a Dict — so concurrent scans
+// never contend on anything but the joint intern map.
 type dictCache struct {
 	d       *relation.Dict
 	tokMap  []uint32   // dict token code → joint id + 1 (0 = unset)
@@ -82,7 +54,6 @@ func (ts *tokenSpace) intern(s string) uint32 {
 	id := ts.n
 	ts.ids[s] = id
 	ts.n++
-	ts.hashes = append(ts.hashes, tokenHash(s))
 	return id
 }
 

@@ -4,17 +4,6 @@ package milp
 // MILP encoding (Section 3.2). On binary inputs the McCormick envelope is
 // exact, so these reformulations preserve optimality.
 
-// ProductBinary adds w = x·y for binary x, y via the McCormick envelope:
-//
-//	w ≤ x,  w ≤ y,  w ≥ x + y − 1,  w ∈ [0,1].
-func (m *Model) ProductBinary(x, y Var, name string) Var {
-	w := m.AddVar(0, 1, Continuous, name)
-	m.AddConstr([]Term{{w, 1}, {x, -1}}, LE, 0, name+"_le_x")
-	m.AddConstr([]Term{{w, 1}, {y, -1}}, LE, 0, name+"_le_y")
-	m.AddConstr([]Term{{w, 1}, {x, -1}, {y, -1}}, GE, -1, name+"_ge_sum")
-	return w
-}
-
 // ProductBinaryCont adds p = z·v for binary z and continuous v ∈ [lo, hi]
 // (the paper's Equation 11):
 //

@@ -193,28 +193,6 @@ func TestObjectiveConstant(t *testing.T) {
 	}
 }
 
-func TestProductBinaryExact(t *testing.T) {
-	for _, xv := range []float64{0, 1} {
-		for _, yv := range []float64{0, 1} {
-			m := NewModel("prod", Maximize)
-			x := m.AddVar(0, 1, Binary, "x")
-			y := m.AddVar(0, 1, Binary, "y")
-			w := m.ProductBinary(x, y, "w")
-			// Pin x and y, maximize w: w must equal x*y.
-			m.AddConstr([]Term{{x, 1}}, EQ, xv, "pinx")
-			m.AddConstr([]Term{{y, 1}}, EQ, yv, "piny")
-			m.SetObjCoef(w, 1)
-			sol, err := Solve(m, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !almost(sol.Value(w), xv*yv) {
-				t.Fatalf("w(%v,%v) = %v", xv, yv, sol.Value(w))
-			}
-		}
-	}
-}
-
 func TestProductBinaryContExact(t *testing.T) {
 	for _, zv := range []float64{0, 1} {
 		for _, vv := range []float64{-2, 0, 3.5, 7} {

@@ -39,15 +39,8 @@ func TestSchemaAmbiguity(t *testing.T) {
 	}
 }
 
-func TestSchemaProjectAndConcat(t *testing.T) {
+func TestSchemaConcat(t *testing.T) {
 	s := NewSchema("t.a", "t.b", "t.c")
-	p, idx, err := s.Project([]string{"c", "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Names()[0] != "t.c" || p.Names()[1] != "t.a" || idx[0] != 2 || idx[1] != 0 {
-		t.Fatalf("Project = %v idx %v", p.Names(), idx)
-	}
 	u := NewSchema("u.z")
 	cat := s.Concat(u)
 	if cat.Len() != 4 || cat.Names()[3] != "u.z" {

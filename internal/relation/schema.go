@@ -105,22 +105,6 @@ func (s *Schema) Concat(o *Schema) *Schema {
 	return out
 }
 
-// Project returns a schema containing the referenced columns and the
-// corresponding source indexes.
-func (s *Schema) Project(refs []string) (*Schema, []int, error) {
-	out := &Schema{Columns: make([]Column, 0, len(refs))}
-	idx := make([]int, 0, len(refs))
-	for _, r := range refs {
-		i, err := s.Index(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		out.Columns = append(out.Columns, s.Columns[i])
-		idx = append(idx, i)
-	}
-	return out, idx, nil
-}
-
 // String renders the schema as "(a, b, c)".
 func (s *Schema) String() string {
 	return "(" + strings.Join(s.Names(), ", ") + ")"

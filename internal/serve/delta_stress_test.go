@@ -19,18 +19,16 @@ import (
 )
 
 // TestDeltaStressMixed interleaves concurrent explain requests with delta
-// applies under -race, across the segment-size × shard-count matrix. Every
+// applies under -race, across segment sizes. Every
 // successful response carries the data version it was computed on
 // (X-Explaind-Version), and its body must be byte-identical to a fresh
 // one-shot Explain over that exact generation — including responses served
 // mid-delta from a superseded generation.
 func TestDeltaStressMixed(t *testing.T) {
 	for _, segSize := range []int{1, 7, 4096} {
-		for _, shards := range []int{0, 4} {
-			t.Run(fmt.Sprintf("seg%d_shards%d", segSize, shards), func(t *testing.T) {
-				runDeltaStress(t, segSize, shards)
-			})
-		}
+		t.Run(fmt.Sprintf("seg%d", segSize), func(t *testing.T) {
+			runDeltaStress(t, segSize)
+		})
 	}
 }
 
@@ -78,14 +76,14 @@ func stressDelta(t *testing.T, db *relation.Database, relName string, rng *rand.
 	return ld, wd
 }
 
-func runDeltaStress(t *testing.T, segSize, shards int) {
+func runDeltaStress(t *testing.T, segSize int) {
 	orig := relation.SegmentSize()
 	relation.SetSegmentSize(segSize)
 	defer relation.SetSegmentSize(orig)
 
 	sc := datagen.GenerateScenario(datagen.ScenarioSpec{
 		Rows: 90, Vocab: 50, WordsPerKey: 3, Disagree: 0.05, Noise: 0.05,
-		Seed: int64(100*segSize + shards),
+		Seed: int64(100 * segSize),
 	})
 	s := serve.New(serve.Options{})
 	if err := s.Register("scen", sc.DB1, sc.DB2); err != nil {
@@ -95,7 +93,6 @@ func runDeltaStress(t *testing.T, segSize, shards int) {
 	t.Cleanup(func() { ts.Close(); s.Close() })
 
 	rq := scenarioRequest(sc)
-	rq.Shards = shards
 	payload, err := json.Marshal(rq)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +101,7 @@ func runDeltaStress(t *testing.T, segSize, shards int) {
 	// Script the delta sequence up front and precompute the reference body
 	// for every generation by mirroring the deltas locally.
 	const nDeltas = 3
-	rng := rand.New(rand.NewSource(int64(7*segSize + shards)))
+	rng := rand.New(rand.NewSource(int64(7 * segSize)))
 	rel1 := sc.Spec.Name + "1"
 	db1 := sc.DB1
 	want := make([][]byte, nDeltas+1)

@@ -83,9 +83,6 @@ func scenarioOneShot(t *testing.T, db1, db2 *relation.Database, sc *datagen.Scen
 	if rq.MinSim > 0 {
 		popt.MinSim = rq.MinSim
 	}
-	if rq.Shards > 0 {
-		popt.Shards = rq.Shards
-	}
 	params := explain3d.CoreParams(&explain3d.Options{
 		Alpha: rq.Alpha, Beta: rq.Beta, BatchSize: rq.BatchSize, Workers: rq.Workers,
 	})

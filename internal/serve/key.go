@@ -41,9 +41,8 @@ func matchingText(m schemamap.Matching) string {
 
 // pairOptions resolves a request's Stage-1 fields to the linkage options
 // the solve runs with, giving every spelling of one behaviour one value:
-// Shards 0 and 1 are both unsharded and counts above linkage.MaxShards are
-// clamped, MinSharedTokens below 1 means 1, and MinSim ≤ 0 means the
-// library default. The cache keys and the solve both read the result, so
+// MinSharedTokens below 1 means 1, and MinSim ≤ 0 means the library
+// default. The cache keys and the solve both read the result, so
 // equivalent requests share one result-cache entry and one Stage-1 index.
 func pairOptions(rq *Request) linkage.PairOptions {
 	popt := linkage.DefaultPairOptions()
@@ -52,9 +51,6 @@ func pairOptions(rq *Request) linkage.PairOptions {
 	}
 	if rq.MinSim > 0 {
 		popt.MinSim = rq.MinSim
-	}
-	if rq.Shards > 1 {
-		popt.Shards = min(rq.Shards, linkage.MaxShards)
 	}
 	return popt
 }
@@ -67,8 +63,8 @@ func pairOptions(rq *Request) linkage.PairOptions {
 // parallelism.
 func cacheKey(dataset, q1c, q2c, mc string, rq *Request) string {
 	popt := pairOptions(rq)
-	return fmt.Sprintf("ds=%s\x1fq1=%s\x1fq2=%s\x1fm=%s\x1fa=%g\x1fb=%g\x1fbatch=%d\x1fto=%d\x1fw=%d\x1fmst=%d\x1fms=%g\x1fsh=%d\x1fminp=%g\x1fsum=%t",
+	return fmt.Sprintf("ds=%s\x1fq1=%s\x1fq2=%s\x1fm=%s\x1fa=%g\x1fb=%g\x1fbatch=%d\x1fto=%d\x1fw=%d\x1fmst=%d\x1fms=%g\x1fminp=%g\x1fsum=%t",
 		dataset, q1c, q2c, mc,
 		rq.Alpha, rq.Beta, rq.BatchSize, rq.TimeoutMS, rq.Workers,
-		popt.MinSharedTokens, popt.MinSim, popt.Shards, rq.MinProb, rq.NoSummary)
+		popt.MinSharedTokens, popt.MinSim, rq.MinProb, rq.NoSummary)
 }

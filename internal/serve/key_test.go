@@ -131,7 +131,6 @@ func TestCacheKeyDistinguishesParams(t *testing.T) {
 		"workers": {Workers: 2},
 		"mst":     {MinSharedTokens: 2},
 		"minsim":  {MinSim: 0.5},
-		"shards":  {Shards: 4},
 		"minprob": {MinProb: 0.5},
 		"summary": {NoSummary: true},
 	} {
@@ -145,21 +144,18 @@ func TestCacheKeyDistinguishesParams(t *testing.T) {
 }
 
 // TestCacheKeyEquatesEquivalentParams: request spellings that Stage 1
-// treats identically — Shards 0 and 1 (unsharded), Shards above the clamp,
-// MinSharedTokens below 1, MinSim at or below 0 versus the 0.05 default —
+// treats identically — MinSharedTokens below 1, MinSim at or below 0
+// versus the 0.05 default —
 // must share one cache key, or each spelling pays its own solve and
 // Stage-1 index build.
 func TestCacheKeyEquatesEquivalentParams(t *testing.T) {
 	k := func(rq Request) string { return cacheKey("d", "q1", "q2", "m", &rq) }
 	for name, pair := range map[string][2]Request{
-		"shards 0/1":       {{Shards: 0}, {Shards: 1}},
-		"shards -3/0":      {{Shards: -3}, {Shards: 0}},
-		"shards 256/1000":  {{Shards: 256}, {Shards: 1000}},
 		"mst 0/1":          {{MinSharedTokens: 0}, {MinSharedTokens: 1}},
 		"mst -2/1":         {{MinSharedTokens: -2}, {MinSharedTokens: 1}},
 		"minsim 0/0.05":    {{MinSim: 0}, {MinSim: 0.05}},
 		"minsim -1/0.05":   {{MinSim: -1}, {MinSim: 0.05}},
-		"all defaults/set": {{}, {Shards: 1, MinSharedTokens: 1, MinSim: 0.05}},
+		"all defaults/set": {{}, {MinSharedTokens: 1, MinSim: 0.05}},
 	} {
 		if a, b := k(pair[0]), k(pair[1]); a != b {
 			t.Errorf("%s: equivalent requests get distinct keys:\n%q\n%q", name, a, b)

@@ -13,7 +13,8 @@
 //     prefix (core.PairPrefix) live in a per-dataset Stage-1 memo, built
 //     once per canonical (query, matches, options) key and shared;
 //   - finished responses are cached in an LRU keyed on the canonicalized
-//     (dataset-pair, query-pair, matches, params) tuple;
+//     (dataset-pair, query-pair, matches, params) tuple; a budget-limited
+//     answer (TimedOut) goes to its waiting clients but is never cached;
 //   - concurrent identical requests share one solve (single-flight), and a
 //     solve whose every client disconnected is cancelled through the
 //     request-context machinery (core.ExplainContext → milp.SolveContext).
@@ -75,9 +76,6 @@ type Request struct {
 	// MinSim drops candidate pairs below this similarity (0 = library
 	// default).
 	MinSim float64 `json:"min_sim,omitempty"`
-	// Shards splits the candidate index into that many token-hash shards
-	// (0 = library default, 1 = unsharded).
-	Shards int `json:"shards,omitempty"`
 	// MinProb drops initial matches below this probability (0 = 0.02).
 	MinProb float64 `json:"min_prob,omitempty"`
 	// NoSummary disables Stage-3 pattern summaries.
@@ -473,21 +471,23 @@ func (s *Server) runFlight(ctx context.Context, key string, f *flight, ds *Datas
 	// The whole solve runs against one generation snapshot; a delta landing
 	// mid-solve does not disturb it.
 	dv := ds.current()
-	body, status, errMsg, tags := s.solve(ctx, ds, dv, rq, q1, q2, mattr)
-	// An abandoned flight ran under a cancelled context: its output may be
-	// a partial incumbent, which must not be served to future requests. A
-	// completed solve whose last waiter left after it finished is whole
-	// and safe to cache. A solve whose generation was superseded mid-flight
-	// is stale: a delta's invalidation sweep already ran, so caching it
-	// could resurrect an answer the delta changed.
-	if errMsg == "" && !s.flights.wasAbandoned(f) && ds.current() == dv {
+	body, status, errMsg, tags, timedOut := s.solve(ctx, ds, dv, rq, q1, q2, mattr)
+	// A budget-limited solve — the solver budget ran out, or its context
+	// was cancelled by the last waiter leaving or by Close — returns an
+	// incumbent, which answers its own waiters but must not be served to
+	// future requests. A completed solve whose last waiter left after it
+	// finished is whole and safe to cache. A solve whose generation was
+	// superseded mid-flight is stale: a delta's invalidation sweep already
+	// ran, so caching it could resurrect an answer the delta changed.
+	if errMsg == "" && !timedOut && !s.flights.wasAbandoned(f) && ds.current() == dv {
 		s.cache.put(key, body, ds.Name, tags, dv.version)
 	}
 	s.flights.finish(key, f, body, status, errMsg, dv.version)
 }
 
 // solve runs the explanation on one generation's cached Stage-1 prefix.
-func (s *Server) solve(ctx context.Context, ds *Dataset, dv *dataVersion, rq *Request, q1, q2 *sqlparse.Select, mattr schemamap.Matching) (body []byte, status int, errMsg string, tags []string) {
+// timedOut reports a budget-limited (incumbent) answer.
+func (s *Server) solve(ctx context.Context, ds *Dataset, dv *dataVersion, rq *Request, q1, q2 *sqlparse.Select, mattr schemamap.Matching) (body []byte, status int, errMsg string, tags []string, timedOut bool) {
 	popt := pairOptions(rq)
 	params := explain3d.CoreParams(&explain3d.Options{
 		Alpha: rq.Alpha, Beta: rq.Beta, BatchSize: rq.BatchSize,
@@ -496,14 +496,14 @@ func (s *Server) solve(ctx context.Context, ds *Dataset, dv *dataVersion, rq *Re
 	})
 	pp, advanced, err := s.prefixFor(ds, dv, q1, q2, mattr, popt, params.Workers)
 	if errors.Is(err, errBuildPanicked) {
-		return nil, http.StatusInternalServerError, err.Error(), nil
+		return nil, http.StatusInternalServerError, err.Error(), nil, false
 	}
 	if err != nil {
-		return nil, http.StatusUnprocessableEntity, err.Error(), nil
+		return nil, http.StatusUnprocessableEntity, err.Error(), nil, false
 	}
 	res, err := core.ExplainPrefixContext(ctx, pp, nil, rq.MinProb, params, ds.solve)
 	if err != nil {
-		return nil, http.StatusUnprocessableEntity, err.Error(), nil
+		return nil, http.StatusUnprocessableEntity, err.Error(), nil, false
 	}
 	if advanced {
 		s.dirtyPartitions.Add(int64(res.Stats.SolveCacheMisses))
@@ -511,9 +511,9 @@ func (s *Server) solve(ctx context.Context, ds *Dataset, dv *dataVersion, rq *Re
 	out := explain3d.ConvertResult(res, !rq.NoSummary)
 	b, err := json.Marshal(out)
 	if err != nil {
-		return nil, http.StatusInternalServerError, err.Error(), nil
+		return nil, http.StatusInternalServerError, err.Error(), nil, false
 	}
-	return b, http.StatusOK, "", queryTags(q1, q2)
+	return b, http.StatusOK, "", queryTags(q1, q2), res.Stats.TimedOut
 }
 
 // prefixFor returns generation dv's pair prefix for the canonical (q1, q2,
@@ -525,7 +525,7 @@ func (s *Server) solve(ctx context.Context, ds *Dataset, dv *dataVersion, rq *Re
 // keys on resolved options.
 func (s *Server) prefixFor(ds *Dataset, dv *dataVersion, q1, q2 *sqlparse.Select, mattr schemamap.Matching, popt linkage.PairOptions, workers int) (*core.PairPrefix, bool, error) {
 	q1c, q2c, mc := q1.String(), q2.String(), matchingText(mattr)
-	poptSig := fmt.Sprintf("%g|%t|%d|%d", popt.MinSim, popt.Block, popt.MinSharedTokens, popt.Shards)
+	poptSig := fmt.Sprintf("%g|%d", popt.MinSim, popt.MinSharedTokens)
 	side := func(tag, qc string, q *sqlparse.Select, db *relation.Database, attrs []string, name string) (*core.BuiltSide, error) {
 		var in []any
 		for _, t := range q.Tables() {

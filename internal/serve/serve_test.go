@@ -183,9 +183,10 @@ func TestServerCanonicalizationCacheHit(t *testing.T) {
 	}
 }
 
-// TestEquivalentPairOptionsCacheHit: shards 1 means the same unsharded
-// Stage 1 as shards 0, so after a shards:0 request a shards:1 variant must
-// be a result-cache hit served from the one index build.
+// TestEquivalentPairOptionsCacheHit: min_shared_tokens 1 means the same
+// blocking threshold as min_shared_tokens 0 (the default), so after a
+// min_shared_tokens:0 request a min_shared_tokens:1 variant must be a
+// result-cache hit served from the one index build.
 func TestEquivalentPairOptionsCacheHit(t *testing.T) {
 	s, ts, pair := newTestServer(t, serve.Options{})
 	rq := baseRequest(pair)
@@ -194,19 +195,105 @@ func TestEquivalentPairOptionsCacheHit(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, first)
 	}
 	variant := rq
-	variant.Shards = 1
+	variant.MinSharedTokens = 1
 	resp, got := post(t, ts.URL, variant)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("variant status %d: %s", resp.StatusCode, got)
 	}
 	if d := resp.Header.Get("X-Explaind-Cache"); d != "hit" {
-		t.Fatalf("shards:1 after shards:0: disposition %q, want hit", d)
+		t.Fatalf("min_shared_tokens:1 after min_shared_tokens:0: disposition %q, want hit", d)
 	}
 	if !bytes.Equal(got, first) {
-		t.Fatal("shards:1 body differs from shards:0 body")
+		t.Fatal("min_shared_tokens:1 body differs from min_shared_tokens:0 body")
 	}
 	if m := s.Metrics(); m.Solves != 1 || m.IndexBuilds != 1 {
 		t.Fatalf("Solves/IndexBuilds = %d/%d, want 1/1", m.Solves, m.IndexBuilds)
+	}
+}
+
+// TestRetiredShardFieldIgnored: a client that still sends the retired
+// "shards" request field gets the answer of the same body without it —
+// unknown JSON fields are ignored — served from the result cache.
+func TestRetiredShardFieldIgnored(t *testing.T) {
+	s, ts, pair := newTestServer(t, serve.Options{})
+	payload, err := json.Marshal(baseRequest(pair))
+	if err != nil {
+		t.Fatal(err)
+	}
+	postRaw := func(body []byte) (*http.Response, []byte) {
+		resp, err := http.Post(ts.URL+"/explain", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, b
+	}
+	resp, first := postRaw(payload)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, first)
+	}
+	withShardCount := append([]byte(`{"shards":8,`), payload[1:]...)
+	resp, got := postRaw(withShardCount)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("shards request: status %d: %s", resp.StatusCode, got)
+	}
+	if d := resp.Header.Get("X-Explaind-Cache"); d != "hit" {
+		t.Fatalf("shards request: disposition %q, want hit", d)
+	}
+	if !bytes.Equal(got, first) {
+		t.Fatal("shards request body differs from the body without it")
+	}
+	if m := s.Metrics(); m.Solves != 1 {
+		t.Fatalf("Solves = %d, want 1", m.Solves)
+	}
+}
+
+// TestTimedOutAnswerNotCached cancels a held solve through Close: the
+// waiting client still gets the incumbent answer, marked TimedOut, but a
+// budget-limited answer must never enter the result cache.
+func TestTimedOutAnswerNotCached(t *testing.T) {
+	s, ts, pair := newTestServer(t, serve.Options{})
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.SolveHook = func() {
+		close(entered)
+		<-release
+	}
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	replies := make(chan reply, 1)
+	go func() {
+		payload, _ := json.Marshal(baseRequest(pair))
+		resp, err := http.Post(ts.URL+"/explain", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			replies <- reply{err: err}
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		replies <- reply{resp.StatusCode, body, err}
+	}()
+	<-entered
+	s.Close() // cancels the held flight's solve context
+	close(release)
+	r := <-replies
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.status != http.StatusOK {
+		t.Fatalf("status %d: %s", r.status, r.body)
+	}
+	if !bytes.Contains(r.body, []byte(`"TimedOut":true`)) {
+		t.Fatalf("cancelled solve should answer with TimedOut set: %s", r.body)
+	}
+	if m := s.Metrics(); m.CachedBodies != 0 {
+		t.Fatalf("CachedBodies = %d, want 0 (incumbent answers are not cached)", m.CachedBodies)
 	}
 }
 
