@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"explain3d/internal/query"
@@ -114,6 +115,11 @@ func Canonicalize(p *query.Provenance, attrs []string) (*Canonical, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: non-numeric impact %v in provenance row %d", iv, rowID)
 		}
+		// A NaN or infinite impact (a "NaN"/"Inf" cell, or a string that
+		// parses to one) would reach the solver as a non-finite coefficient.
+		if math.IsNaN(impact) || math.IsInf(impact, 0) {
+			return nil, fmt.Errorf("core: non-finite impact %v in provenance row %d", impact, rowID)
+		}
 		gi := -1
 		var h uint64
 		if !strict {
@@ -148,6 +154,9 @@ func Canonicalize(p *query.Provenance, attrs []string) (*Canonical, error) {
 			continue
 		}
 		out.Impacts[gi] += impact
+		if math.IsInf(out.Impacts[gi], 0) {
+			return nil, fmt.Errorf("core: canonical impact sum overflows to %v at provenance row %d", out.Impacts[gi], rowID)
+		}
 		out.Rel.Set(gi, len(idx), relation.Float(out.Impacts[gi]))
 		out.SourceRows[gi] = append(out.SourceRows[gi], rowID)
 	}

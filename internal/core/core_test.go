@@ -112,6 +112,48 @@ func TestCanonicalizeErrors(t *testing.T) {
 	}
 }
 
+// TestCanonicalizeRejectsNonFinite pins that a NaN or infinite row impact,
+// and a canonical sum that overflows, fail canonicalization with the
+// provenance row named instead of reaching the solver as a non-finite
+// coefficient.
+func TestCanonicalizeRejectsNonFinite(t *testing.T) {
+	cases := []struct {
+		name string
+		v    []any
+		want string
+	}{
+		{"nan", []any{1.0, math.NaN()}, "core: non-finite impact NaN in provenance row 1"},
+		{"posinf", []any{math.Inf(1), 2.0}, "core: non-finite impact +Inf in provenance row 0"},
+		{"neginf", []any{3.0, 4.0, math.Inf(-1)}, "core: non-finite impact -Inf in provenance row 2"},
+		{"nanstring", []any{"NaN", 2.0}, "core: non-finite impact NaN in provenance row 0"},
+		{"overflow", []any{math.MaxFloat64, math.MaxFloat64}, "core: canonical impact sum overflows to +Inf at provenance row 1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db := relation.NewDatabase("t")
+			r := relation.New("T", "name", "v")
+			for _, v := range tc.v {
+				r.Append("a", v)
+			}
+			db.Add(r)
+			_, err := Canonicalize(extract(t, db, "SELECT SUM(v) FROM T"), []string{"name"})
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+	// The largest finite sum still canonicalizes.
+	db := relation.NewDatabase("t")
+	r := relation.New("T", "name", "v")
+	r.Append("a", math.MaxFloat64)
+	r.Append("a", -math.MaxFloat64)
+	db.Add(r)
+	c, err := Canonicalize(extract(t, db, "SELECT SUM(v) FROM T"), []string{"name"})
+	if err != nil || c.Len() != 1 || c.Impacts[0] != 0 {
+		t.Fatalf("finite sum: %v %v", c, err)
+	}
+}
+
 // fig1Instance builds the Q1-vs-Q2 instance with a hand-specified initial
 // mapping mirroring Example 2.
 func fig1Instance(t *testing.T) *Instance {

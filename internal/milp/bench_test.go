@@ -172,3 +172,86 @@ func benchmarkPresolve(b *testing.B, opt Options) {
 func BenchmarkPresolveOn(b *testing.B) { benchmarkPresolve(b, Options{}) }
 
 func BenchmarkPresolveOff(b *testing.B) { benchmarkPresolve(b, Options{noPresolve: true}) }
+
+// manyBlocksModel lays out nBlocks independent sub-problems the way the
+// explanation encoder lays out one Fig 7c partition: every tuple's x, y, I*
+// columns and IndicatorEq rows first, then each match's z with its z_x rows,
+// then cover rows, then the ProductBinaryCont terms and impact-equality row
+// of each right tuple. A block is 1-3 left tuples matched to one right tuple
+// whose impact differs from their sum in one block out of three, so the
+// rows of a block are spread across the whole model.
+func manyBlocksModel(nBlocks int, seed int64) *Model {
+	rng := rand.New(rand.NewSource(seed))
+	const lo, hi = -50.0, 50.0
+	m := NewModel("manyblocks", Maximize)
+	type tuple struct{ x, y, iv Var }
+	addTuple := func(impact float64) tuple {
+		t := tuple{m.AddVar(0, 1, Binary, "x"), m.AddVar(0, 1, Binary, "y"), m.AddVar(lo, hi, Continuous, "I")}
+		m.SetBranchPriority(t.x, 1)
+		m.IndicatorEq(t.y, t.iv, impact, lo, hi, "imp")
+		m.AddConstr([]Term{{t.y, 1}, {t.x, 1}}, LE, 1, "y_le_notx")
+		m.SetObjCoef(t.x, -2)
+		m.SetObjCoef(t.y, 1)
+		return t
+	}
+	lefts := make([][]tuple, nBlocks)
+	rights := make([]tuple, nBlocks)
+	for b := range lefts {
+		sum := 0.0
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			impact := float64(1 + rng.Intn(9))
+			sum += impact
+			lefts[b] = append(lefts[b], addTuple(impact))
+		}
+		if b%3 == 0 {
+			sum++
+		}
+		rights[b] = addTuple(sum)
+	}
+	zs := make([][]Var, nBlocks)
+	for b, ls := range lefts {
+		for _, l := range ls {
+			z := m.AddVar(0, 1, Binary, "z")
+			m.SetBranchPriority(z, 2)
+			m.SetObjCoef(z, 1.5)
+			m.AddConstr([]Term{{z, 1}, {l.x, 1}}, LE, 1, "z_xl")
+			m.AddConstr([]Term{{z, 1}, {rights[b].x, 1}}, LE, 1, "z_xr")
+			zs[b] = append(zs[b], z)
+		}
+	}
+	for b, ls := range lefts {
+		for k, l := range ls {
+			m.AddConstr([]Term{{zs[b][k], 1}, {l.x, 1}}, GE, 1, "covL")
+		}
+		cover := []Term{{rights[b].x, 1}}
+		for _, z := range zs[b] {
+			cover = append(cover, Term{z, 1})
+		}
+		m.AddConstr(cover, GE, 1, "covR")
+	}
+	for b, ls := range lefts {
+		eq := []Term{{rights[b].iv, -1}}
+		for k, l := range ls {
+			eq = append(eq, Term{m.ProductBinaryCont(zs[b][k], l.iv, lo, hi, "zi"), 1})
+		}
+		m.AddConstr(eq, EQ, 0, "impeq")
+	}
+	return m
+}
+
+// BenchmarkSolveManyBlocks assembles and solves a model of 500
+// independent blocks, the shape of one large encoded partition: row merging
+// and block extraction, not simplex work, decide its cost when they are not
+// linear in the model's size.
+func BenchmarkSolveManyBlocks(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sol, err := Solve(manyBlocksModel(500, 1), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sol.Status != StatusOptimal || sol.Blocks != 500 {
+			b.Fatalf("status %v, %d blocks", sol.Status, sol.Blocks)
+		}
+	}
+}

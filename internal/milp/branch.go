@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -62,12 +61,13 @@ func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error)
 	sol := &Solution{X: make([]float64, len(m.vars)), Blocks: len(blocks), Status: StatusOptimal}
 	sol.Objective = m.objConst
 
+	local := make([]int, len(m.vars))
 	for _, blk := range blocks {
-		sub, mapping := m.subModel(blk)
+		sub := m.subModel(blk, local)
 		var warm []float64
 		if opt.WarmStart != nil {
-			warm = make([]float64, len(mapping))
-			for i, gv := range mapping {
+			warm = make([]float64, len(blk.vars))
+			for i, gv := range blk.vars {
 				warm[i] = opt.WarmStart[gv]
 			}
 			if sub.CheckFeasible(warm, 1e-6) != nil {
@@ -93,7 +93,7 @@ func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error)
 		case StatusLimit:
 			sol.Status = StatusLimit
 		}
-		for i, gv := range mapping {
+		for i, gv := range blk.vars {
 			sol.X[gv] = res.x[i]
 		}
 		sol.Objective += res.objective
@@ -101,84 +101,101 @@ func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error)
 	return sol, nil
 }
 
-// blocks partitions variables into connected components of the
-// variable/constraint graph. Isolated variables are folded into a single
-// block so their bound-selection is still performed.
-func (m *Model) blocks(disable bool) [][]int {
+// block is one connected component of the variable/constraint graph: its
+// variables in increasing order and its non-empty rows in model order, both
+// as indexes into the model.
+type block struct {
+	vars []int
+	rows []int
+}
+
+// blocks partitions the model into connected components of the
+// variable/constraint graph in one union-find pass over the rows, then
+// buckets each non-empty row into the block of its first variable: O(vars +
+// nnz). A variable no row references is a block of its own (counted in
+// Solution.Blocks and the engine counts like any other), so its bound
+// selection is still performed. Blocks are ordered by smallest variable,
+// which fixes the order SolveContext sums their objectives in. With
+// disable, one block holds every variable and every non-empty row.
+func (m *Model) blocks(disable bool) []block {
 	n := len(m.vars)
 	if n == 0 {
 		return nil
 	}
 	if disable {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
+		all := block{vars: make([]int, n)}
+		for i := range all.vars {
+			all.vars[i] = i
 		}
-		return [][]int{all}
+		for ri, r := range m.rows {
+			if len(r.terms) > 0 {
+				all.rows = append(all.rows, ri)
+			}
+		}
+		return []block{all}
 	}
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
 	for _, r := range m.rows {
 		for i := 1; i < len(r.terms); i++ {
-			union(int(r.terms[0].Var), int(r.terms[i].Var))
+			ra, rb := find(int(r.terms[0].Var)), find(int(r.terms[i].Var))
+			if ra != rb {
+				parent[ra] = rb
+			}
 		}
 	}
-	groups := make(map[int][]int)
+	// id[root] is the root's block; ids follow each block's smallest variable.
+	id := make([]int, n)
+	for i := range id {
+		id[i] = -1
+	}
+	var out []block
 	for v := 0; v < n; v++ {
 		root := find(v)
-		groups[root] = append(groups[root], v)
+		if id[root] < 0 {
+			id[root] = len(out)
+			out = append(out, block{})
+		}
+		out[id[root]].vars = append(out[id[root]].vars, v)
 	}
-	out := make([][]int, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, g)
+	for ri, r := range m.rows {
+		if len(r.terms) > 0 {
+			b := id[find(int(r.terms[0].Var))]
+			out[b].rows = append(out[b].rows, ri)
+		}
 	}
-	// Deterministic order: by smallest member.
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }
 
-// subModel extracts the sub-problem over the given variables. mapping[i]
-// is the global index of local variable i.
-func (m *Model) subModel(vars []int) (*Model, []int) {
-	local := make(map[int]int, len(vars))
-	mapping := make([]int, len(vars))
+// subModel extracts the sub-problem of block b; its variable i is b.vars[i].
+// local is scratch of length NumVars, shared across calls: it receives each
+// block variable's local index, which only this block's rows read.
+func (m *Model) subModel(b block, local []int) *Model {
 	sub := NewModel(m.Name, m.sense)
-	for i, gv := range vars {
+	sub.vars = make([]varData, len(b.vars))
+	for i, gv := range b.vars {
 		local[gv] = i
-		mapping[i] = gv
-		vd := m.vars[gv]
-		sub.vars = append(sub.vars, vd)
+		sub.vars[i] = m.vars[gv]
 	}
-	for _, r := range m.rows {
-		if len(r.terms) == 0 {
-			continue
-		}
-		if _, ok := local[int(r.terms[0].Var)]; !ok {
-			continue
-		}
+	sub.rows = make([]rowData, len(b.rows))
+	for k, ri := range b.rows {
+		r := &m.rows[ri]
 		terms := make([]Term, len(r.terms))
 		for i, t := range r.terms {
-			terms[i] = Term{Var: Var(local[int(t.Var)]), Coef: t.Coef}
+			terms[i] = Term{Var: Var(local[t.Var]), Coef: t.Coef}
 		}
-		sub.rows = append(sub.rows, rowData{name: r.name, terms: terms, sense: r.sense, rhs: r.rhs})
+		sub.rows[k] = rowData{name: r.name, terms: terms, sense: r.sense, rhs: r.rhs}
 	}
-	return sub, mapping
+	return sub
 }
 
 type bbResult struct {

@@ -130,26 +130,51 @@ func (m *Model) AddConstr(terms []Term, sense ConstrSense, rhs float64, name str
 	m.rows = append(m.rows, rowData{name: name, terms: merged, sense: sense, rhs: rhs})
 }
 
+// mergeScanMax is the longest row mergeTerms merges by linear scan; most
+// encoder rows (IndicatorEq, ProductBinaryCont, z_x) have 2-4 terms. Longer
+// rows (cardinality, cover and impact-equality rows of high-degree tuples)
+// use a map so they stay linear.
+const mergeScanMax = 16
+
+// mergeTerms sums terms on the same variable left to right, keeps each
+// variable at its first appearance and drops sums that are exactly 0. A
+// single term is returned as is, even with a zero coefficient.
+//
 //lint:floatexact coefficients that cancel to exact 0.0 drop the term; keeping near-zero terms is deliberate
 func mergeTerms(terms []Term) []Term {
 	if len(terms) <= 1 {
 		return append([]Term(nil), terms...)
 	}
-	acc := make(map[Var]float64, len(terms))
-	order := make([]Var, 0, len(terms))
-	for _, t := range terms {
-		if _, seen := acc[t.Var]; !seen {
-			order = append(order, t.Var)
+	out := make([]Term, 0, len(terms))
+	if len(terms) <= mergeScanMax {
+	next:
+		for _, t := range terms {
+			for i := range out {
+				if out[i].Var == t.Var {
+					out[i].Coef += t.Coef
+					continue next
+				}
+			}
+			out = append(out, t)
 		}
-		acc[t.Var] += t.Coef
-	}
-	out := make([]Term, 0, len(order))
-	for _, v := range order {
-		if acc[v] != 0 {
-			out = append(out, Term{Var: v, Coef: acc[v]})
+	} else {
+		at := make(map[Var]int, len(terms))
+		for _, t := range terms {
+			if i, seen := at[t.Var]; seen {
+				out[i].Coef += t.Coef
+				continue
+			}
+			at[t.Var] = len(out)
+			out = append(out, t)
 		}
 	}
-	return out
+	kept := out[:0]
+	for _, t := range out {
+		if t.Coef != 0 {
+			kept = append(kept, t)
+		}
+	}
+	return kept
 }
 
 // Status reports the outcome of a solve.

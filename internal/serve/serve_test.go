@@ -16,6 +16,7 @@ import (
 	"explain3d/internal/core"
 	"explain3d/internal/datagen"
 	"explain3d/internal/linkage"
+	"explain3d/internal/relation"
 	"explain3d/internal/schemamap"
 	"explain3d/internal/serve"
 	"explain3d/internal/sqlparse"
@@ -503,6 +504,42 @@ func TestRequestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /explain: status %d", resp.StatusCode)
+	}
+}
+
+// TestNonFiniteImpactRejected: a NaN cell in the aggregated column fails
+// the request with 422 naming the provenance row at canonicalization,
+// before any Stage-1 index is built, instead of a solver-internal error.
+func TestNonFiniteImpactRejected(t *testing.T) {
+	read := func(name, csv string) *relation.Database {
+		r, err := relation.ReadCSV(name, strings.NewReader(csv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := relation.NewDatabase(name)
+		db.Add(r)
+		return db
+	}
+	db1 := read("M", "Title,Gross\nAlien,10\nHeat,NaN\nUp,7\n")
+	db2 := read("N", "Title,Gross\nAlien,10\nHeat,3\n")
+	s := serve.New(serve.Options{})
+	if err := s.Register("movies", db1, db2); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	resp, body := post(t, ts.URL, serve.Request{
+		Dataset: "movies",
+		Q1:      "SELECT SUM(Gross) FROM M",
+		Q2:      "SELECT SUM(Gross) FROM N",
+		Matches: "M.Title == N.Title",
+	})
+	const want = "core: non-finite impact NaN in provenance row 1"
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), want) {
+		t.Fatalf("status %d body %s, want 422 with %q", resp.StatusCode, body, want)
+	}
+	if m := s.Metrics(); m.IndexBuilds != 0 {
+		t.Fatalf("IndexBuilds = %d, want 0", m.IndexBuilds)
 	}
 }
 
