@@ -16,23 +16,23 @@ import (
 //
 // A PairPrefix bundles everything Stage 1 produces for one (side 1, side 2,
 // attribute matching, pair options) combination: both built sides, the
-// prebuilt right-side candidate index, and the raw similarity list. Advance
-// moves a prefix from one data generation to the next without redoing the
+// right-side candidate index, and the raw similarity list. Advance moves a
+// prefix from one data generation to the next without redoing the
 // unchanged work: canonical rows are diffed by their matching-attribute
-// cell keys, the candidate index is advanced via linkage.ApplyDelta, and
-// only matches touching dirty rows are rescored — survivors keep their
-// stored similarity, which is exact because a pair's similarity is a pure
-// function of its two rows' matched-column content (Sim dispatch is even
-// invariant to whole-column tokenized status: jaccardSorted and StringSim
-// are bit-identical on the same token sets).
+// cell keys, side 2's index is reused while that content is unchanged row
+// for row and rebuilt otherwise, and only matches touching dirty rows are
+// rescored — survivors keep their stored similarity, which is exact
+// because a pair's similarity is a pure function of its two rows'
+// matched-column content (Sim dispatch is even invariant to whole-column
+// tokenized status: jaccardSorted and StringSim are bit-identical on the
+// same token sets).
 //
 // Candidate DISCOVERY, unlike scoring, does depend on whole-column state:
 // blocking tokens come only from columns sniffed as tokenized. Advance
 // therefore falls back to one full rescan whenever a delta flips a virtual
-// column's status on either side (linkage reports right-side flips as
-// Rebuilt; left-side flips are detected here) — rare, and still correct.
-// The differential tests pin the invariant that an advanced prefix's raw
-// match list is byte-identical to a fresh BuildPairPrefix on the new data.
+// column's status on either side — rare, and still correct. The
+// differential tests pin the invariant that an advanced prefix's raw match
+// list is byte-identical to a fresh BuildPairPrefix on the new data.
 
 // PairPrefix is the reusable Stage-1 prefix of an explanation pair at one
 // data generation. It is immutable after construction; Advance returns a
@@ -55,14 +55,12 @@ type PairDiff struct {
 	// new on each side; Deleted1/Deleted2 count old rows without a partner.
 	Dirty1, Deleted1 int
 	Dirty2, Deleted2 int
-	// Index reports the candidate-index delta (shared vs rewritten lists).
-	Index linkage.IndexDeltaStats
 	// MatchesKept counts surviving matches remapped without rescoring;
 	// MatchesRescored counts matches produced by the dirty-row scans.
 	MatchesKept, MatchesRescored int
 	// FullRescan: a virtual column's tokenized status flipped (or a dirty
 	// subset would sniff differently), so the match list was rebuilt by one
-	// full scan against the advanced index instead of dirty-row scans.
+	// full scan against side 2's current index instead of dirty-row scans.
 	FullRescan bool
 }
 
@@ -182,6 +180,16 @@ func sniffEqual(a, b *relation.Relation, n int) bool {
 	return true
 }
 
+// isIdentity reports whether rowMap keeps every old row in place.
+func isIdentity(rowMap []int) bool {
+	for oi, ni := range rowMap {
+		if ni != oi {
+			return false
+		}
+	}
+	return true
+}
+
 func countDeleted(rowMap []int) int {
 	n := 0
 	for _, ni := range rowMap {
@@ -229,28 +237,29 @@ func (pp *PairPrefix) Advance(s1, s2 *BuiltSide, workers int) (*PairPrefix, Pair
 		d.Dirty2, d.Deleted2 = len(dirty2), countDeleted(rowMap2)
 	}
 
-	// Advance the candidate index across side 2's row delta.
+	// Side 2's index is reused while its matched-column content is
+	// unchanged row for row, and rebuilt over the new rows otherwise.
+	// Discovery depends on whole-column tokenized status, so a flip on
+	// either side, sniffed against the previous generation's virtual
+	// columns, forces one full rescan.
 	npi := pp.Index
+	fullRescan := false
 	var v2new *relation.Relation
-	if d.Changed2 {
-		var err error
-		v2new, err = VirtualColumns(s2.Canon, pp.Mattr, false)
+	if d.Changed2 && (len(dirty2) > 0 || !isIdentity(rowMap2)) {
+		v2old, err := VirtualColumns(pp.Side2.Canon, pp.Mattr, false)
 		if err != nil {
 			return nil, d, err
 		}
-		rd := linkage.RowDelta{RowMap: rowMap2, Dirty: dirty2, NewRows: s2.Canon.Len()}
-		nix, st, err := pp.Index.ix.ApplyDelta(v2new, rd)
+		if v2new, err = VirtualColumns(s2.Canon, pp.Mattr, false); err != nil {
+			return nil, d, err
+		}
+		nix, err := linkage.BuildIndex(v2new, idx, popt)
 		if err != nil {
 			return nil, d, err
 		}
-		d.Index = st
 		npi = &PairIndex{ix: nix, popt: popt, nm: len(pp.Mattr)}
+		fullRescan = !sniffEqual(v2old, v2new, len(pp.Mattr))
 	}
-
-	// Discovery depends on whole-column tokenized status; any flip forces
-	// one full rescan. Right-side flips arrive as Index.Rebuilt; left-side
-	// flips are sniffed against the previous generation's virtual columns.
-	fullRescan := d.Index.Rebuilt
 	var v1new *relation.Relation
 	if d.Changed1 || len(dirty2) > 0 || fullRescan {
 		var err error
@@ -316,7 +325,7 @@ func (pp *PairPrefix) Advance(s1, s2 *BuiltSide, workers int) (*PairPrefix, Pair
 	}
 	d.MatchesKept = len(raw)
 
-	// Dirty left rows scan against the full advanced index: every pair with
+	// Dirty left rows scan against side 2's full index: every pair with
 	// a dirty left endpoint, exactly as the full scan would emit it.
 	if len(dirty1) > 0 {
 		ms, err := npi.ix.Similarities(v1sub, idx, workers)

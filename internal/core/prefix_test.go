@@ -10,6 +10,8 @@ import (
 	"explain3d/internal/datagen"
 	"explain3d/internal/linkage"
 	"explain3d/internal/relation"
+	"explain3d/internal/schemamap"
+	"explain3d/internal/sqlparse"
 )
 
 // applyRandomDelta mutates one scenario relation with a randomized batch of
@@ -132,9 +134,60 @@ func TestPairPrefixAdvanceDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))
 		eid := int64(1_000_000)
 		ctx := context.Background()
-		for step := 0; step < 7; step++ {
+		for step := 0; step < 10; step++ {
 			ns1, ns2 := s1, s2
 			switch {
+			case step == 9:
+				// Deletes only on side 2, next to side-1 appends that copy
+				// keys of side-2 rows past the deleted ones: side 2's
+				// index is rebuilt without dirty rows, and side 1's dirty
+				// rows must find their partners at the shifted ids.
+				rel2 := sc.Spec.Name + "2"
+				r2, err := db2.Relation(rel2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n2 := r2.Len()
+				var app relation.Delta
+				var row relation.Tuple
+				for _, ri := range []int{n2 - 1, n2 - 2, n2 - 3} {
+					row = r2.RowInto(row, ri)
+					eid++
+					app.Appends = append(app.Appends, relation.Tuple{
+						relation.Int(eid), row[1], relation.Int(int64(1 + rng.Intn(100))), relation.Int(eid),
+					})
+				}
+				del := relation.Delta{Deletes: []int{rng.Intn(n2 / 2), n2/2 + rng.Intn(n2/4)}}
+				if db2, _, err = db2.ApplyDelta(relation.DBDelta{rel2: del}); err != nil {
+					t.Fatal(err)
+				}
+				ns2, err = BuildSide(sc.Q2, db2, sc.Mattr.RightAttrs(), "Q2")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if db1, _, err = db1.ApplyDelta(relation.DBDelta{sc.Spec.Name + "1": app}); err != nil {
+					t.Fatal(err)
+				}
+				ns1, err = BuildSide(sc.Q1, db1, sc.Mattr.LeftAttrs(), "Q1")
+				if err != nil {
+					t.Fatal(err)
+				}
+			case step >= 7:
+				// Impact-only updates on side 2 (and on both sides at
+				// step 8): side 2's matched-column content is unchanged
+				// row for row, so its index is reused as is.
+				db2 = applyImpactDelta(t, db2, sc.Spec.Name+"2", rng)
+				ns2, err = BuildSide(sc.Q2, db2, sc.Mattr.RightAttrs(), "Q2")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if step == 8 {
+					db1 = applyImpactDelta(t, db1, sc.Spec.Name+"1", rng)
+					ns1, err = BuildSide(sc.Q1, db1, sc.Mattr.LeftAttrs(), "Q1")
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
 			case step >= 5:
 				// Id-stable impact updates: partition membership is
 				// unchanged, so the solution cache serves every
@@ -172,6 +225,20 @@ func TestPairPrefixAdvanceDifferential(t *testing.T) {
 				t.Fatalf("step %d (%+v): advanced raw matches diverge from fresh build: %d vs %d",
 					step, diff, len(npp.Raw), len(fresh.Raw))
 			}
+			// Side 2's index is reused when side 2 is unchanged or took
+			// impact-only updates, and rebuilt after the random deltas,
+			// which delete rows and rewrite keys.
+			reused := npp.Index == pp.Index
+			switch {
+			case !diff.Changed2 || step == 7 || step == 8:
+				if !reused {
+					t.Fatalf("step %d (%+v): side 2's index was rebuilt, want it reused", step, diff)
+				}
+			case step < 7:
+				if reused {
+					t.Fatalf("step %d (%+v): side 2's index was reused, want it rebuilt", step, diff)
+				}
+			}
 			got, err := ExplainPrefixContext(ctx, npp, nil, 0, p, cache)
 			if err != nil {
 				t.Fatal(err)
@@ -191,7 +258,7 @@ func TestPairPrefixAdvanceDifferential(t *testing.T) {
 			}
 			pp, s1, s2 = npp, ns1, ns2
 		}
-		// The two id-stable steps must each have served most partitions
+		// The id-stable steps must each have served most partitions
 		// from the cache (misses on those steps are exactly the dirty
 		// partitions). Id-shifting steps legitimately repack partitions;
 		// see the SmartPartition headroom note in ROADMAP.md.
@@ -200,6 +267,79 @@ func TestPairPrefixAdvanceDifferential(t *testing.T) {
 			t.Fatalf("solution cache barely hit across delta chain: %+v", cs)
 		}
 	})
+}
+
+// TestPairPrefixAdvanceSide2SniffFlip: a side-2 delta that flips the
+// matched column between numeric-only and tokenized changes which rows
+// block at all, so Advance must rescan in full. The left column is
+// tokenized throughout; while the right one is numeric-only no pair shares
+// a blocking token, and once a string cell tokenizes it every untouched
+// right row becomes a candidate. Both directions must reproduce the fresh
+// build's raw list.
+func TestPairPrefixAdvanceSide2SniffFlip(t *testing.T) {
+	left := relation.New("L", "k", "v")
+	for i := 1; i <= 12; i++ {
+		left.Append(int64(i), int64(i))
+	}
+	left.Append("w1 w2", int64(5))
+	right := relation.New("R", "k", "v")
+	for i := 1; i <= 10; i++ {
+		right.Append(int64(i+2), int64(2*i))
+	}
+	db1, db2 := relation.NewDatabase("d1"), relation.NewDatabase("d2")
+	db1.Add(left)
+	db2.Add(right)
+	q1 := sqlparse.MustParse("SELECT SUM(v) FROM L")
+	q2 := sqlparse.MustParse("SELECT SUM(v) FROM R")
+	mattr, err := schemamap.ParseAll("L.k == R.k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	popt := linkage.DefaultPairOptions()
+	s1, err := BuildSide(q1, db1, mattr.LeftAttrs(), "Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	side2 := func(db *relation.Database) *BuiltSide {
+		s, err := BuildSide(q2, db, mattr.RightAttrs(), "Q2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	pp, err := BuildPairPrefix(s1, side2(db2), mattr, popt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []relation.Delta{
+		{Appends: []relation.Tuple{{relation.String("w2 w3"), relation.Int(7)}}}, // numeric → tokenized
+		{Deletes: []int{10}}, // tokenized → numeric
+	}
+	for step, dl := range steps {
+		ndb2, _, err := db2.ApplyDelta(relation.DBDelta{"R": dl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns2 := side2(ndb2)
+		npp, diff, err := pp.Advance(s1, ns2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := BuildPairPrefix(s1, ns2, mattr, popt, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(npp.Raw, fresh.Raw) {
+			t.Fatalf("step %d: advanced raw list %v, fresh build %v", step, npp.Raw, fresh.Raw)
+		}
+		if !diff.FullRescan {
+			t.Fatalf("step %d: tokenized-status flip must force a full rescan: %+v", step, diff)
+		}
+		if step == 0 && len(fresh.Raw) <= len(pp.Raw) {
+			t.Fatalf("flip to tokenized should add candidates: %d -> %d", len(pp.Raw), len(fresh.Raw))
+		}
+		pp, db2 = npp, ndb2
+	}
 }
 
 // TestPairPrefixAdvanceIdentity: unchanged side pointers return the same

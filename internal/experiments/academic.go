@@ -119,29 +119,20 @@ func SummarizeSide(res *core.Result, expl *core.Explanations, side core.Side) []
 	return summarize.Summarize(display, targets, summarize.Options{})
 }
 
-// displayRelation strips the impact and hidden entity-id columns so
-// summaries only mention real attributes.
+// displayRelation is a zero-copy view of the provenance relation without
+// the impact and hidden entity-id columns, so summaries only mention real
+// attributes.
 func displayRelation(p *query.Provenance) *relation.Relation {
 	var keep []int
-	var names []string
+	sch := &relation.Schema{}
 	for i, col := range p.Rel.Schema.Columns {
 		if col.Name == query.ImpactColumn || col.Name == datagen.EIDColumn {
 			continue
 		}
 		keep = append(keep, i)
-		names = append(names, col.QualifiedName())
+		sch.Columns = append(sch.Columns, col)
 	}
-	out := relation.NewWithDict(p.Rel.Dict(), "", names...)
-	var row relation.Tuple
-	rec := make(relation.Tuple, len(keep))
-	for r := 0; r < p.Rel.Len(); r++ {
-		row = p.Rel.RowInto(row, r)
-		for k, i := range keep {
-			rec[k] = row[i]
-		}
-		out.AppendRow(rec)
-	}
-	return out
+	return p.Rel.ProjectColumns("", sch, keep)
 }
 
 // WriteStats renders a Figure 4 row.

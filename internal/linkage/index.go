@@ -33,12 +33,8 @@ type Index struct {
 	rCols    []matchCol
 	rBlock   [][]uint32
 	post     [][]int32
-	// pruned retains the full posting lists of globally skipped stop-word
-	// tokens (post[t] is nil there), so incremental maintenance can re-derive
-	// and re-prune complete lists after a delta.
-	pruned  map[uint32][]int32
-	skipped []bool
-	anySkip bool
+	skipped  []bool
+	anySkip  bool
 }
 
 // Posting lists shorter than skipFloor are not worth a verify pass:
@@ -77,8 +73,7 @@ func BuildIndex(right *relation.Relation, rightIdx []int, opt PairOptions) (*Ind
 // merge cost — can be dropped entirely. Every qualifying pair still shares
 // at least one surviving token, so candidate discovery stays complete;
 // borderline candidates verify their exact shared-token count against the
-// full per-row token lists during the scan. Pruned lists are retained in
-// ix.pruned so ApplyDelta can maintain them. It expects ix.post to hold
+// full per-row token lists during the scan. It expects ix.post to hold
 // full (unpruned) lists and must run exactly once per Index.
 func (ix *Index) prune() {
 	if ix.opt.MinSharedTokens <= 1 {
@@ -96,10 +91,6 @@ func (ix *Index) prune() {
 			break
 		}
 		ix.skipped[best] = true
-		if ix.pruned == nil {
-			ix.pruned = make(map[uint32][]int32)
-		}
-		ix.pruned[uint32(best)] = ix.post[best]
 		ix.post[best] = nil
 		ix.anySkip = true
 	}
@@ -118,15 +109,6 @@ func (ix *Index) postings(tok uint32) []int32 {
 // globallySkipped reports whether the token's posting list was pruned.
 func (ix *Index) globallySkipped(tok uint32) bool {
 	return ix.skipped != nil && int(tok) < len(ix.skipped) && ix.skipped[tok]
-}
-
-// fullPostings returns the complete posting list of a token, including
-// stop-word-pruned ones — the incremental-maintenance view of the index.
-func (ix *Index) fullPostings(tok uint32) []int32 {
-	if ix.globallySkipped(tok) {
-		return ix.pruned[tok]
-	}
-	return ix.postings(tok)
 }
 
 // leftView is one left relation prepared for scanning against an Index:

@@ -119,44 +119,34 @@ func unionRows(cols [][][]uint32, n int) [][]uint32 {
 	out := make([][]uint32, n)
 	var scratch []uint32
 	for i := 0; i < n; i++ {
-		out[i], scratch = unionRow(cols, i, scratch)
-	}
-	return out
-}
-
-// unionRow merges one row's per-column token lists into a sorted distinct
-// blocking token list, reusing (and returning) the scratch buffer. A row
-// covered by a single tokenized column shares its slice without copying —
-// exactly the slice the full-build unionRows would have produced.
-func unionRow(cols [][][]uint32, i int, scratch []uint32) ([]uint32, []uint32) {
-	var single []uint32
-	count, lists := 0, 0
-	for k := range cols {
-		if cols[k] == nil || len(cols[k][i]) == 0 {
+		var single []uint32
+		count, lists := 0, 0
+		for k := range cols {
+			if cols[k] == nil || len(cols[k][i]) == 0 {
+				continue
+			}
+			lists++
+			count += len(cols[k][i])
+			single = cols[k][i]
+		}
+		if lists <= 1 {
+			out[i] = single
 			continue
 		}
-		lists++
-		count += len(cols[k][i])
-		single = cols[k][i]
-	}
-	if lists == 0 {
-		return nil, scratch
-	}
-	if lists == 1 {
-		return single, scratch
-	}
-	scratch = scratch[:0]
-	for k := range cols {
-		if cols[k] != nil {
-			scratch = append(scratch, cols[k][i]...)
+		scratch = scratch[:0]
+		for k := range cols {
+			if cols[k] != nil {
+				scratch = append(scratch, cols[k][i]...)
+			}
 		}
-	}
-	sort.Slice(scratch, func(a, b int) bool { return scratch[a] < scratch[b] })
-	merged := make([]uint32, 0, count)
-	for _, t := range scratch {
-		if len(merged) == 0 || merged[len(merged)-1] != t {
-			merged = append(merged, t)
+		sort.Slice(scratch, func(a, b int) bool { return scratch[a] < scratch[b] })
+		merged := make([]uint32, 0, count)
+		for _, t := range scratch {
+			if len(merged) == 0 || merged[len(merged)-1] != t {
+				merged = append(merged, t)
+			}
 		}
+		out[i] = merged
 	}
-	return merged, scratch
+	return out
 }

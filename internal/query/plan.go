@@ -35,6 +35,11 @@ func RunScalar(sel *sqlparse.Select, db *relation.Database) (relation.Value, err
 	if err != nil {
 		return relation.Null(), err
 	}
+	return scalarResult(res)
+}
+
+// scalarResult returns an aggregate query's answer from its one-row result.
+func scalarResult(res *relation.Relation) (relation.Value, error) {
 	if res.Len() != 1 || res.Schema.Len() < 1 {
 		return relation.Null(), fmt.Errorf("query: aggregate query returned %d rows", res.Len())
 	}

@@ -42,23 +42,17 @@ func provenanceAggregate(sel *sqlparse.Select) (sqlparse.AggFunc, *sqlparse.Sele
 	return agg, aggItem, nil
 }
 
-// finishProvenance fills in the query's own answer: the scalar result for
-// aggregate queries, the result row count otherwise.
-func finishProvenance(prov *Provenance, aggItem *sqlparse.SelectItem, db *relation.Database) error {
-	if aggItem != nil {
-		res, err := RunScalar(prov.Query, db)
-		if err != nil {
-			return err
-		}
-		prov.Result = res
+// finishProvenance fills in the query's own answer from res, the query's
+// projection of the σ_c(X) its provenance was taken from: the scalar result
+// for aggregate queries, the result row count otherwise.
+func finishProvenance(prov *Provenance, aggItem *sqlparse.SelectItem, res *relation.Relation) error {
+	if aggItem == nil {
+		prov.Result = relation.Int(int64(res.Len()))
 		return nil
 	}
-	res, err := Run(prov.Query, db)
-	if err != nil {
-		return err
-	}
-	prov.Result = relation.Int(int64(res.Len()))
-	return nil
+	var err error
+	prov.Result, err = scalarResult(res)
+	return err
 }
 
 // Extract computes the provenance relation of Definition 2.3. Grouped
@@ -71,7 +65,8 @@ func finishProvenance(prov *Provenance, aggItem *sqlparse.SelectItem, db *relati
 // The compiled engine builds P columnar-ly: the impact expression compiles
 // once, contributing rows collect into a selection vector, and P is the
 // source's typed columns gathered through it plus the impact column — σ_c(X)
-// is never re-boxed into Tuples.
+// is never re-boxed into Tuples. The query's own answer projects the same
+// σ_c(X), so the scans, joins and subqueries run once.
 func Extract(sel *sqlparse.Select, db *relation.Database) (*Provenance, error) {
 	if len(sel.GroupBy) > 0 {
 		return nil, fmt.Errorf("query: provenance extraction does not support GROUP BY queries: %s", sel.String())
@@ -128,8 +123,12 @@ func Extract(sel *sqlparse.Select, db *relation.Database) (*Provenance, error) {
 	}
 	p := base.AppendValueColumn("P", sch, impacts)
 
+	res, err := project(ev, sel, src)
+	if err != nil {
+		return nil, err
+	}
 	prov := &Provenance{Query: sel, Agg: agg, Rel: p}
-	if err := finishProvenance(prov, aggItem, db); err != nil {
+	if err := finishProvenance(prov, aggItem, res); err != nil {
 		return nil, err
 	}
 	return prov, nil

@@ -26,8 +26,8 @@ func RunReference(sel *sqlparse.Select, db *relation.Database) (*relation.Relati
 	return refProject(ev, sel, src)
 }
 
-// ExtractReference computes the provenance relation of Definition 2.3 with
-// the reference engine; see Extract.
+// ExtractReference computes the provenance relation of Definition 2.3, and
+// the query's answer, with the reference engine; see Extract.
 func ExtractReference(sel *sqlparse.Select, db *relation.Database) (*Provenance, error) {
 	if len(sel.GroupBy) > 0 {
 		return nil, fmt.Errorf("query: provenance extraction does not support GROUP BY queries: %s", sel.String())
@@ -74,8 +74,12 @@ func ExtractReference(sel *sqlparse.Select, db *relation.Database) (*Provenance,
 		p.AppendRow(rec)
 	}
 
+	res, err := refProject(ev, sel, src)
+	if err != nil {
+		return nil, err
+	}
 	prov := &Provenance{Query: sel, Agg: agg, Rel: p}
-	if err := finishProvenance(prov, aggItem, db); err != nil {
+	if err := finishProvenance(prov, aggItem, res); err != nil {
 		return nil, err
 	}
 	return prov, nil

@@ -276,6 +276,90 @@ func TestDeltaEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDeltaSide2 posts deltas to side 2 (the relation Q2 reads): first
+// impact-only updates, which keep side 2's matched-column content and so
+// its candidate index, then a batch that rewrites a key, deletes a row and
+// appends a new key, which rebuilds the index inside the prefix advance.
+// A last side-1 delta copies the rewritten side-2 key, which sits past the
+// deleted row, so its dirty left row must find the partner in the rebuilt
+// index at the shifted id. After each delta, the next /explain must equal a fresh
+// one-shot Explain on the post-delta data.
+func TestDeltaSide2(t *testing.T) {
+	s, ts, sc := scenarioServer(t, serve.Options{})
+	rq := scenarioRequest(sc)
+	if resp, body := post(t, ts.URL, rq); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold status %d: %s", resp.StatusCode, body)
+	}
+	rel1, rel2 := sc.Spec.Name+"1", sc.Spec.Name+"2"
+	r1, err := sc.DB1.Relation(rel1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := sc.DB2.Relation(rel2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := func(row relation.Tuple) []any {
+		return []any{row[0].IntVal(), row[1].Str(), row[2].IntVal(), row[3].IntVal()}
+	}
+	type step struct {
+		db1   bool
+		rel   string
+		wire  serve.RelationDelta
+		local relation.Delta
+	}
+	update := func(st *step, ri int, row relation.Tuple) {
+		st.wire.Updates = append(st.wire.Updates, serve.RowUpdate{Row: ri, Values: cells(row)})
+		st.local.Updates = append(st.local.Updates, relation.RowUpdate{Row: ri, Values: row})
+	}
+	impact := step{rel: rel2}
+	for _, ri := range []int{5, 60, 100} {
+		row := r2.RowInto(nil, ri)
+		row[2] = relation.Int(row[2].IntVal() + 31)
+		update(&impact, ri, row)
+	}
+	structural := step{rel: rel2}
+	rewritten := r2.RowInto(nil, 17)
+	rewritten[1] = relation.String(rewritten[1].Str() + " zz01")
+	update(&structural, 17, rewritten)
+	structural.wire.Deletes, structural.local.Deletes = []int{3}, []int{3}
+	appended := relation.Tuple{relation.Int(900001), relation.String(r1.RowInto(nil, 42)[1].Str() + " zz02"),
+		relation.Int(12), relation.Int(900001)}
+	structural.wire.Appends = [][]any{cells(appended)}
+	structural.local.Appends = []relation.Tuple{appended}
+	left := step{db1: true, rel: rel1}
+	copied := r1.RowInto(nil, 7)
+	copied[1] = rewritten[1]
+	update(&left, 7, copied)
+
+	db1, db2 := sc.DB1, sc.DB2
+	for i, st := range []step{impact, structural, left} {
+		dr := serve.DeltaRequest{DB2: map[string]serve.RelationDelta{st.rel: st.wire}}
+		db := &db2
+		if st.db1 {
+			dr = serve.DeltaRequest{DB1: map[string]serve.RelationDelta{st.rel: st.wire}}
+			db = &db1
+		}
+		resp, _, raw := postDelta(t, ts.URL, "scen", dr)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("step %d: delta status %d: %s", i, resp.StatusCode, raw)
+		}
+		if *db, _, err = (*db).ApplyDelta(relation.DBDelta{st.rel: st.local}); err != nil {
+			t.Fatal(err)
+		}
+		resp, got := post(t, ts.URL, rq)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Explaind-Cache") != "miss" {
+			t.Fatalf("step %d: status %d, disposition %q: %s", i, resp.StatusCode, resp.Header.Get("X-Explaind-Cache"), got)
+		}
+		if !bytes.Equal(got, scenarioOneShot(t, db1, db2, sc, rq)) {
+			t.Fatalf("step %d: body differs from a fresh one-shot Explain on the post-delta data", i)
+		}
+	}
+	if m := s.Metrics(); m.PrefixBuilds != 1 || m.PrefixAdvances != 3 {
+		t.Fatalf("PrefixBuilds/Advances = %d/%d, want 1/3", m.PrefixBuilds, m.PrefixAdvances)
+	}
+}
+
 // TestDeltaValidation covers the endpoint's error paths; failed deltas must
 // not advance the version.
 func TestDeltaValidation(t *testing.T) {
