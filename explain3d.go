@@ -55,7 +55,6 @@ import (
 	"explain3d/internal/relation"
 	"explain3d/internal/schemamap"
 	"explain3d/internal/sqlparse"
-	"explain3d/internal/summarize"
 )
 
 // Database is a named collection of in-memory tables.
@@ -94,7 +93,7 @@ func (d *Database) LoadCSV(path string) error {
 
 // Raw exposes the underlying relational database for in-module tooling —
 // cmd/explaind registers it with the serve package, which needs the
-// relation-level form to freeze dictionaries and share Stage-1 prefixes.
+// relation-level form to apply deltas and share Stage-1 prefixes.
 func (d *Database) Raw() *relation.Database { return d.db }
 
 // AddRow appends a row; values may be string, int, int64, float64, bool,
@@ -337,9 +336,6 @@ func RunQuery(db *Database, sql string) (string, error) {
 	}
 	return fmt.Sprintf("%d rows", rel.Len()), nil
 }
-
-// SummaryOptions re-exports the Stage-3 cost knobs for advanced users.
-type SummaryOptions = summarize.Options
 
 // WriteCSV saves a table for interchange with the CLI tools.
 func (t *Table) WriteCSV(path string) error {

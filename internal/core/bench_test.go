@@ -11,10 +11,10 @@ import (
 )
 
 // BenchmarkPairPrefixAdvance times PairPrefix.Advance at serve-delta's
-// shape: a 40000-row scenario, MinSim 0.5, frozen dictionaries, and one 1%
-// batch on one side. "impact" batches rewrite val on a clustered row range,
-// so the side's matched-column content is unchanged; "append" batches add
-// rows with fresh keys. Every iteration advances the same base prefix to
+// shape: a 40000-row scenario, MinSim 0.5, and one 1% batch on one side.
+// "impact" batches rewrite val on a clustered row range, so the side's
+// matched-column content is unchanged; "append" batches add rows with
+// fresh keys. Every iteration advances the same base prefix to
 // the same post-delta sides; the advanced raw list is checked once against
 // a fresh build before timing.
 func BenchmarkPairPrefixAdvance(b *testing.B) {
@@ -23,8 +23,6 @@ func BenchmarkPairPrefixAdvance(b *testing.B) {
 		Rows: rows, Vocab: rows / 10, WordsPerKey: 3,
 		Disagree: 0.01, Noise: 0.05, NoiseKind: "typo", Skew: 1.5, Seed: 1,
 	})
-	sc.DB1.FreezeDicts()
-	sc.DB2.FreezeDicts()
 	popt := linkage.DefaultPairOptions()
 	popt.MinSim = 0.5
 	side1 := func(db *relation.Database) *BuiltSide {
@@ -68,7 +66,6 @@ func BenchmarkPairPrefixAdvance(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ndb.FreezeDicts()
 			ns1, ns2 := s1, s2
 			if side == 1 {
 				ns1 = side1(ndb)

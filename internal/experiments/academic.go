@@ -116,7 +116,7 @@ func SummarizeSide(res *core.Result, expl *core.Explanations, side core.Side) []
 		return nil
 	}
 	display := displayRelation(prov)
-	return summarize.Summarize(display, targets, summarize.Options{})
+	return summarize.Summarize(display, targets)
 }
 
 // displayRelation is a zero-copy view of the provenance relation without

@@ -545,171 +545,35 @@ func plainProject(ev *evaluator, sel *sqlparse.Select, src *relation.Relation) (
 	return out.Gather(distinctSel(out, allCols)), nil
 }
 
-// aggState accumulates one aggregate.
-type aggState struct {
-	fn    sqlparse.AggFunc
-	count int64
-	sum   float64
-	best  relation.Value
-	isInt bool
-	init  bool
-}
-
-func newAggState(fn sqlparse.AggFunc) *aggState { return &aggState{fn: fn, isInt: true} }
-
-func (a *aggState) add(v relation.Value) error {
-	if v.IsNull() {
-		return nil
-	}
-	a.count++
-	switch a.fn {
-	case sqlparse.AggCount:
-		return nil
-	case sqlparse.AggSum, sqlparse.AggAvg:
-		f, ok := v.AsFloat()
-		if !ok {
-			return fmt.Errorf("query: %s over non-numeric value %v", a.fn, v)
-		}
-		if v.Kind() != relation.KindInt {
-			a.isInt = false
-		}
-		a.sum += f
-		return nil
-	case sqlparse.AggMax, sqlparse.AggMin:
-		if !a.init {
-			a.best = v
-			a.init = true
-			return nil
-		}
-		c, ok := v.Compare(a.best)
-		if !ok {
-			return fmt.Errorf("query: %s over incomparable values %v and %v", a.fn, v, a.best)
-		}
-		if (a.fn == sqlparse.AggMax && c > 0) || (a.fn == sqlparse.AggMin && c < 0) {
-			a.best = v
-		}
-		return nil
-	}
-	return fmt.Errorf("query: unknown aggregate %v", a.fn)
-}
-
-func (a *aggState) result() relation.Value {
-	switch a.fn {
-	case sqlparse.AggCount:
-		return relation.Int(a.count)
-	case sqlparse.AggSum:
-		if a.count == 0 {
-			return relation.Null()
-		}
-		if a.isInt {
-			return relation.Int(int64(a.sum))
-		}
-		return relation.Float(a.sum)
-	case sqlparse.AggAvg:
-		if a.count == 0 {
-			return relation.Null()
-		}
-		return relation.Float(a.sum / float64(a.count))
-	case sqlparse.AggMax, sqlparse.AggMin:
-		if !a.init {
-			return relation.Null()
-		}
-		return a.best
-	}
-	return relation.Null()
-}
-
-// accumulateTyped folds a homogeneous numeric column into the aggregate
-// state without boxing a Value per row: additions happen in the same order
-// and the same float64 arithmetic the generic path uses, so results are
-// bit-identical. Returns false when the column does not qualify.
-func accumulateTyped(st *aggState, src *relation.Relation, j int) bool {
-	switch st.fn {
-	case sqlparse.AggCount, sqlparse.AggSum, sqlparse.AggAvg:
-	default:
-		return false // MIN/MAX keep the generic Value path (kind fidelity)
-	}
-	if segs, nullSegs, ok := src.IntSegments(j); ok {
-		for s, ints := range segs {
-			nulls := nullSegs[s]
-			for i := range ints {
-				if relation.NullAt(nulls, i) {
-					continue
-				}
-				st.count++
-				st.sum += float64(ints[i])
-			}
-		}
-		return true
-	}
-	if segs, nullSegs, ok := src.FloatSegments(j); ok {
-		for s, floats := range segs {
-			nulls := nullSegs[s]
-			for i := range floats {
-				if relation.NullAt(nulls, i) {
-					continue
-				}
-				st.count++
-				st.sum += floats[i]
-				st.isInt = false
-			}
-		}
-		return true
-	}
-	return false
-}
-
+// aggregateProject evaluates an aggregate-only SELECT as a single group:
+// the group exists before the first row, so an empty input still yields
+// one row (COUNT 0, SUM NULL).
 func aggregateProject(ev *evaluator, sel *sqlparse.Select, src *relation.Relation) (*relation.Relation, error) {
 	names := make([]string, len(sel.Items))
-	states := make([]*aggState, len(sel.Items))
-	fns := make([]scalarFn, len(sel.Items))
-	typed := make([]bool, len(sel.Items))
+	aggs := make([]*groupAgg, len(sel.Items))
 	for i, it := range sel.Items {
 		if it.Agg == sqlparse.AggNone {
 			return nil, fmt.Errorf("query: mixing aggregates and plain columns requires GROUP BY: %s", it)
 		}
 		names[i] = itemName(it, i)
-		states[i] = newAggState(it.Agg)
-		if it.Star {
-			continue
-		}
-		// COUNT/SUM/AVG over a plain numeric column fold straight off the
-		// typed array; everything else compiles to a scalar closure.
-		if ref, ok := it.Expr.(*sqlparse.ColumnRef); ok {
-			if j, err := src.Schema.Index(ref.String()); err == nil && accumulateTyped(states[i], src, j) {
-				typed[i] = true
-				continue
-			}
-		}
-		fn, err := ev.compileScalar(it.Expr, src)
+		a, err := newGroupAgg(ev, it, src)
 		if err != nil {
 			return nil, err
 		}
-		fns[i] = fn
+		a.addGroup()
+		aggs[i] = a
 	}
-	one := relation.Int(1)
 	for r := 0; r < src.Len(); r++ {
-		for i, it := range sel.Items {
-			if typed[i] {
-				continue
-			}
-			v := one
-			if !it.Star {
-				var err error
-				v, err = fns[i](r)
-				if err != nil {
-					return nil, err
-				}
-			}
-			if err := states[i].add(v); err != nil {
+		for _, a := range aggs {
+			if err := a.add(0, r); err != nil {
 				return nil, err
 			}
 		}
 	}
 	out := relation.NewWithDict(src.Dict(), "", names...)
-	rec := make(relation.Tuple, len(states))
-	for i, st := range states {
-		rec[i] = st.result()
+	rec := make(relation.Tuple, len(aggs))
+	for i, a := range aggs {
+		rec[i] = a.result(0)
 	}
 	out.AppendRow(rec)
 	return out, nil

@@ -426,3 +426,78 @@ func refGroupProject(ev *evaluator, sel *sqlparse.Select, src *relation.Relation
 	}
 	return out, nil
 }
+
+// aggState accumulates one aggregate for the reference engine, one boxed
+// Value at a time; groupAgg replicates its semantics on typed arrays.
+type aggState struct {
+	fn    sqlparse.AggFunc
+	count int64
+	sum   float64
+	best  relation.Value
+	isInt bool
+	init  bool
+}
+
+func newAggState(fn sqlparse.AggFunc) *aggState { return &aggState{fn: fn, isInt: true} }
+
+func (a *aggState) add(v relation.Value) error {
+	if v.IsNull() {
+		return nil
+	}
+	a.count++
+	switch a.fn {
+	case sqlparse.AggCount:
+		return nil
+	case sqlparse.AggSum, sqlparse.AggAvg:
+		f, ok := v.AsFloat()
+		if !ok {
+			return fmt.Errorf("query: %s over non-numeric value %v", a.fn, v)
+		}
+		if v.Kind() != relation.KindInt {
+			a.isInt = false
+		}
+		a.sum += f
+		return nil
+	case sqlparse.AggMax, sqlparse.AggMin:
+		if !a.init {
+			a.best = v
+			a.init = true
+			return nil
+		}
+		c, ok := v.Compare(a.best)
+		if !ok {
+			return fmt.Errorf("query: %s over incomparable values %v and %v", a.fn, v, a.best)
+		}
+		if (a.fn == sqlparse.AggMax && c > 0) || (a.fn == sqlparse.AggMin && c < 0) {
+			a.best = v
+		}
+		return nil
+	}
+	return fmt.Errorf("query: unknown aggregate %v", a.fn)
+}
+
+func (a *aggState) result() relation.Value {
+	switch a.fn {
+	case sqlparse.AggCount:
+		return relation.Int(a.count)
+	case sqlparse.AggSum:
+		if a.count == 0 {
+			return relation.Null()
+		}
+		if a.isInt {
+			return relation.Int(int64(a.sum))
+		}
+		return relation.Float(a.sum)
+	case sqlparse.AggAvg:
+		if a.count == 0 {
+			return relation.Null()
+		}
+		return relation.Float(a.sum / float64(a.count))
+	case sqlparse.AggMax, sqlparse.AggMin:
+		if !a.init {
+			return relation.Null()
+		}
+		return a.best
+	}
+	return relation.Null()
+}

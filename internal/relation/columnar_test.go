@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -55,6 +56,58 @@ func TestDictParseValueCaches(t *testing.T) {
 	}
 	if d.ParseValue("").Kind() != KindNull {
 		t.Fatal("empty cell should parse to NULL")
+	}
+}
+
+// TestDictConcurrentReadersAndWriters runs String/Tokens readers against
+// Intern/ParseValue writers on one dictionary — the serving pattern: a
+// dataset's dictionary is read by every request while queries and deltas
+// keep interning fresh strings. Run under -race.
+func TestDictConcurrentReadersAndWriters(t *testing.T) {
+	d := NewDict()
+	words := make([]string, 200)
+	codes := make([]uint32, len(words))
+	for i := range words {
+		words[i] = fmt.Sprintf("token soup number %d", i)
+		codes[i] = d.Intern(words[i])
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				j := (i + w) % len(codes)
+				if got := d.String(codes[j]); got != words[j] {
+					t.Errorf("String(%d) = %q, want %q", codes[j], got, words[j])
+					return
+				}
+				if toks := d.Tokens(codes[j]); len(toks) != 4 {
+					t.Errorf("Tokens(%q) = %v, want 4 tokens", words[j], toks)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				c := d.Intern(fmt.Sprintf("writer w%d round r%d", w, i))
+				if got := d.Tokens(c); len(got) != 4 {
+					t.Errorf("Tokens(new %d) = %v, want 4 tokens", c, got)
+					return
+				}
+				if v := d.ParseValue(fmt.Sprintf("%d.5", i)); v.Kind() != KindFloat {
+					t.Errorf("ParseValue(%d.5) kind = %v", i, v.Kind())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, w := range words {
+		if c, ok := d.Lookup(w); !ok || c != codes[i] {
+			t.Fatalf("Lookup(%q) = %d,%v, want %d,true", w, c, ok, codes[i])
+		}
 	}
 }
 

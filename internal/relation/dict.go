@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"unicode"
 )
 
@@ -38,22 +37,6 @@ type Dict struct {
 	// guarded by mu
 	// parsed: raw CSV cell → parsed value cache
 	parsed map[string]Value
-	// fz, once published by Freeze, is an immutable snapshot of the state
-	// above: readers that hit the snapshot skip the lock entirely. Entries
-	// interned after the freeze fall back to the mutex path.
-	fz atomic.Pointer[frozenDict]
-}
-
-// frozenDict is an immutable snapshot of a dictionary at freeze time. Its
-// maps are copies (the live maps keep mutating under mu), its slices are
-// capacity-clipped views of the live slices (append-only, so the shared
-// prefix never changes), and every token list is precomputed — a frozen
-// read never needs the write lock.
-type frozenDict struct {
-	ids    map[string]uint32
-	strs   []string
-	toks   [][]uint32
-	parsed map[string]Value
 }
 
 // NewDict creates an empty dictionary.
@@ -64,11 +47,6 @@ func NewDict() *Dict {
 
 // Intern returns the code of s, adding it to the dictionary if new.
 func (d *Dict) Intern(s string) uint32 {
-	if f := d.fz.Load(); f != nil {
-		if id, ok := f.ids[s]; ok {
-			return id
-		}
-	}
 	d.mu.RLock()
 	id, ok := d.ids[s]
 	d.mu.RUnlock()
@@ -93,13 +71,6 @@ func (d *Dict) internLocked(s string) uint32 {
 
 // Lookup returns the code of s without interning it.
 func (d *Dict) Lookup(s string) (uint32, bool) {
-	if f := d.fz.Load(); f != nil {
-		if id, ok := f.ids[s]; ok {
-			return id, true
-		}
-		// Not in the snapshot — it may still have been interned after the
-		// freeze, so fall through to the live state.
-	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	id, ok := d.ids[s]
@@ -108,9 +79,6 @@ func (d *Dict) Lookup(s string) (uint32, bool) {
 
 // String returns the string behind a code.
 func (d *Dict) String(code uint32) string {
-	if f := d.fz.Load(); f != nil && int(code) < len(f.strs) {
-		return f.strs[code]
-	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.strs[code]
@@ -146,11 +114,6 @@ var noTokens = []uint32{}
 //
 //lint:view
 func (d *Dict) Tokens(code uint32) []uint32 {
-	// Freeze precomputes every token list, so frozen codes answer without
-	// any locking at all.
-	if f := d.fz.Load(); f != nil && int(code) < len(f.toks) {
-		return f.toks[code]
-	}
 	d.mu.RLock()
 	t := d.toks[code]
 	d.mu.RUnlock()
@@ -189,64 +152,18 @@ func (d *Dict) tokensLocked(code uint32) []uint32 {
 	return uniq
 }
 
-// Freeze seals the dictionary's current contents into an immutable snapshot
-// that concurrent readers hit without taking the lock: token lists are
-// precomputed for every interned string, the lookup and parse caches are
-// copied, and the string/token tables are shared as capacity-clipped
-// prefixes (the dictionary is append-only, so the prefix never changes).
-//
-// Freezing does not make the dictionary read-only — strings interned after
-// the freeze simply take the ordinary mutex path — so serving code can
-// freeze a dataset's dictionaries once at load time and still run arbitrary
-// queries against them. Freeze may be called again after further growth to
-// extend the lock-free prefix.
-func (d *Dict) Freeze() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// Tokenizing a string interns its tokens, growing the table; iterate to
-	// the moving end so every string — including freshly interned tokens —
-	// has a cached token list. Token strings are single lowercase runs, so
-	// the pass converges after one round of growth.
-	for code := 0; code < len(d.strs); code++ {
-		d.tokensLocked(uint32(code))
-	}
-	n := len(d.strs)
-	f := &frozenDict{
-		ids:    make(map[string]uint32, len(d.ids)),
-		strs:   d.strs[:n:n],
-		toks:   d.toks[:n:n],
-		parsed: make(map[string]Value, len(d.parsed)),
-	}
-	for s, id := range d.ids {
-		f.ids[s] = id
-	}
-	for raw, v := range d.parsed {
-		f.parsed[raw] = v
-	}
-	d.fz.Store(f)
-}
-
-// Frozen reports whether Freeze has published a snapshot.
-func (d *Dict) Frozen() bool { return d.fz.Load() != nil }
-
 // ParseValue parses a raw CSV cell like the package-level ParseValue,
 // caching the result per distinct raw string: repeated cells — the common
 // case in real columns — cost one map lookup instead of a re-parse and a
 // fresh allocation.
 func (d *Dict) ParseValue(raw string) Value {
-	if f := d.fz.Load(); f != nil {
-		if v, ok := f.parsed[raw]; ok {
-			return v
-		}
-	}
 	d.mu.RLock()
 	v, ok := d.parsed[raw]
 	d.mu.RUnlock()
 	if ok {
 		return v
 	}
-	v = parseValueInto(raw, d)
-	return v
+	return parseValueInto(raw, d)
 }
 
 // parseValueInto parses and caches under the write lock. The cache key is

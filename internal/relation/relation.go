@@ -334,20 +334,12 @@ func (d *Database) Relations() []*Relation {
 	return out
 }
 
-// FreezeDicts seals every relation's dictionary (Dict.Freeze), so
-// concurrent readers of a dataset shared across requests take the
-// lock-free snapshot path. Relations sharing one dictionary freeze it
-// once. Queries can still intern new strings afterwards — post-freeze
-// entries simply use the mutex path.
-func (d *Database) FreezeDicts() {
-	frozen := map[*Dict]bool{}
-	for _, r := range d.Relations() {
-		if dict := r.Dict(); !frozen[dict] {
-			frozen[dict] = true
-			dict.Freeze()
-		}
-	}
-}
+// FreezeDicts does nothing: a dictionary has one read path, its lock.
+//
+// Deprecated: kept only because the benchmark harness
+// (cmd/e3bench/servedelta.go) still calls it; the method goes with the
+// next change to the benchmark.
+func (d *Database) FreezeDicts() {}
 
 // TotalRows sums row counts over all relations (the paper's N statistic).
 func (d *Database) TotalRows() int {

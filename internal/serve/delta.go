@@ -191,10 +191,6 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Re-freeze so codes the delta interned join the lock-free prefix.
-	ndb1.FreezeDicts()
-	ndb2.FreezeDicts()
-
 	nv := &dataVersion{version: cur.version + 1, db1: ndb1, db2: ndb2}
 	ds.cur.Store(nv)
 

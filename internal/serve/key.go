@@ -3,7 +3,10 @@ package serve
 import (
 	"fmt"
 	"strings"
+	"time"
 
+	explain3d "explain3d"
+	"explain3d/internal/core"
 	"explain3d/internal/linkage"
 	"explain3d/internal/schemamap"
 	"explain3d/internal/sqlparse"
@@ -55,16 +58,36 @@ func pairOptions(rq *Request) linkage.PairOptions {
 	return popt
 }
 
+// solveParams resolves a request's solver fields the way pairOptions
+// resolves its Stage-1 ones: explain3d.CoreParams applies the library's
+// conventions (zero priors mean 0.9, TimeoutMS 0 means 60 s, a negative
+// one disables the budget), and MinProb 0 means the 0.02 default that
+// core.(*Stage1).Instance applies. The cache key and the solve both read
+// the result.
+func solveParams(rq *Request) (params core.Params, minProb float64) {
+	params = explain3d.CoreParams(&explain3d.Options{
+		Alpha: rq.Alpha, Beta: rq.Beta, BatchSize: rq.BatchSize,
+		SolverTimeout: time.Duration(rq.TimeoutMS) * time.Millisecond,
+		NoSummary:     rq.NoSummary, Workers: rq.Workers,
+	})
+	minProb = rq.MinProb
+	if minProb == 0 {
+		minProb = 0.02
+	}
+	return params, minProb
+}
+
 // cacheKey renders the canonicalized request tuple. Every field that can
 // change the response participates: the dataset pair, both canonical
-// queries, the canonical matches, and all solver/mapping parameters, the
-// Stage-1 ones as pairOptions resolves them. Workers is included because
+// queries, the canonical matches, and all solver/mapping parameters as
+// pairOptions and solveParams resolve them. Workers is included because
 // budget-limited solves return timing-dependent incumbents that vary with
 // parallelism.
 func cacheKey(dataset, q1c, q2c, mc string, rq *Request) string {
 	popt := pairOptions(rq)
+	params, minProb := solveParams(rq)
 	return fmt.Sprintf("ds=%s\x1fq1=%s\x1fq2=%s\x1fm=%s\x1fa=%g\x1fb=%g\x1fbatch=%d\x1fto=%d\x1fw=%d\x1fmst=%d\x1fms=%g\x1fminp=%g\x1fsum=%t",
 		dataset, q1c, q2c, mc,
-		rq.Alpha, rq.Beta, rq.BatchSize, rq.TimeoutMS, rq.Workers,
-		popt.MinSharedTokens, popt.MinSim, rq.MinProb, rq.NoSummary)
+		params.Alpha, params.Beta, params.BatchSize, params.SolverTimeLimit, params.Workers,
+		popt.MinSharedTokens, popt.MinSim, minProb, rq.NoSummary)
 }

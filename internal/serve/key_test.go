@@ -143,11 +143,12 @@ func TestCacheKeyDistinguishesParams(t *testing.T) {
 	}
 }
 
-// TestCacheKeyEquatesEquivalentParams: request spellings that Stage 1
+// TestCacheKeyEquatesEquivalentParams: request spellings that the solve
 // treats identically — MinSharedTokens below 1, MinSim at or below 0
-// versus the 0.05 default —
-// must share one cache key, or each spelling pays its own solve and
-// Stage-1 index build.
+// versus the 0.05 default, zero priors versus 0.9, TimeoutMS 0 versus
+// 60000 and any two negative timeouts, MinProb 0 versus 0.02 — must share
+// one cache key, or each spelling pays its own solve and Stage-1 index
+// build.
 func TestCacheKeyEquatesEquivalentParams(t *testing.T) {
 	k := func(rq Request) string { return cacheKey("d", "q1", "q2", "m", &rq) }
 	for name, pair := range map[string][2]Request{
@@ -155,7 +156,12 @@ func TestCacheKeyEquatesEquivalentParams(t *testing.T) {
 		"mst -2/1":         {{MinSharedTokens: -2}, {MinSharedTokens: 1}},
 		"minsim 0/0.05":    {{MinSim: 0}, {MinSim: 0.05}},
 		"minsim -1/0.05":   {{MinSim: -1}, {MinSim: 0.05}},
-		"all defaults/set": {{}, {MinSharedTokens: 1, MinSim: 0.05}},
+		"alpha 0/0.9":      {{Alpha: 0}, {Alpha: 0.9}},
+		"beta 0/0.9":       {{Beta: 0}, {Beta: 0.9}},
+		"timeout 0/60000":  {{TimeoutMS: 0}, {TimeoutMS: 60000}},
+		"timeout -1/-500":  {{TimeoutMS: -1}, {TimeoutMS: -500}},
+		"minprob 0/0.02":   {{MinProb: 0}, {MinProb: 0.02}},
+		"all defaults/set": {{}, {MinSharedTokens: 1, MinSim: 0.05, Alpha: 0.9, Beta: 0.9, TimeoutMS: 60000, MinProb: 0.02}},
 	} {
 		if a, b := k(pair[0]), k(pair[1]); a != b {
 			t.Errorf("%s: equivalent requests get distinct keys:\n%q\n%q", name, a, b)

@@ -6,8 +6,9 @@
 // iterate on query pairs over the same datasets — so the server is built
 // around reuse across requests:
 //
-//   - datasets are registered once; their dictionaries are frozen
-//     (relation.Dict.Freeze) so concurrent readers take the lock-free path;
+//   - datasets are registered once and shared by every request; a
+//     dataset's string dictionary is safe for concurrent use, so queries
+//     may still intern strings into it;
 //   - each query side's Stage-1 prefix (provenance + canonicalization),
 //     the right side's candidate index (core.PairIndex), and the full pair
 //     prefix (core.PairPrefix) live in a per-dataset Stage-1 memo, built
@@ -225,17 +226,14 @@ func New(opts Options) *Server {
 // Close cancels every in-flight solve. The server must not be used after.
 func (s *Server) Close() { s.baseCancel() }
 
-// Register adds a dataset pair under a name, freezing both databases'
-// dictionaries so concurrent request handling reads them lock-free. The
-// caller must not mutate the databases afterwards (apply deltas through
-// the server instead). A name collision returns a *ConflictError and
-// leaves the existing dataset untouched.
+// Register adds a dataset pair under a name, shared by every request from
+// then on. The caller must not mutate the databases afterwards (apply
+// deltas through the server instead). A name collision returns a
+// *ConflictError and leaves the existing dataset untouched.
 func (s *Server) Register(name string, db1, db2 *relation.Database) error {
 	if name == "" {
 		return fmt.Errorf("serve: dataset name must be non-empty")
 	}
-	db1.FreezeDicts()
-	db2.FreezeDicts()
 	ds := &Dataset{Name: name, solve: core.NewSolveCache(0)}
 	ds.cur.Store(&dataVersion{db1: db1, db2: db2})
 	s.mu.Lock()
@@ -489,11 +487,7 @@ func (s *Server) runFlight(ctx context.Context, key string, f *flight, ds *Datas
 // timedOut reports a budget-limited (incumbent) answer.
 func (s *Server) solve(ctx context.Context, ds *Dataset, dv *dataVersion, rq *Request, q1, q2 *sqlparse.Select, mattr schemamap.Matching) (body []byte, status int, errMsg string, tags []string, timedOut bool) {
 	popt := pairOptions(rq)
-	params := explain3d.CoreParams(&explain3d.Options{
-		Alpha: rq.Alpha, Beta: rq.Beta, BatchSize: rq.BatchSize,
-		SolverTimeout: time.Duration(rq.TimeoutMS) * time.Millisecond,
-		NoSummary:     rq.NoSummary, Workers: rq.Workers,
-	})
+	params, minProb := solveParams(rq)
 	pp, advanced, err := s.prefixFor(ds, dv, q1, q2, mattr, popt, params.Workers)
 	if errors.Is(err, errBuildPanicked) {
 		return nil, http.StatusInternalServerError, err.Error(), nil, false
@@ -501,7 +495,7 @@ func (s *Server) solve(ctx context.Context, ds *Dataset, dv *dataVersion, rq *Re
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err.Error(), nil, false
 	}
-	res, err := core.ExplainPrefixContext(ctx, pp, nil, rq.MinProb, params, ds.solve)
+	res, err := core.ExplainPrefixContext(ctx, pp, nil, minProb, params, ds.solve)
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err.Error(), nil, false
 	}

@@ -58,38 +58,24 @@ func (p *Pattern) Matches(row relation.Tuple) bool {
 	return true
 }
 
-// Options tunes the summarizer's cost model.
-type Options struct {
-	// PatternCost is the fixed price of adding a pattern to the summary
-	// (Data X-Ray's conciseness term). Default 1.
-	PatternCost float64
-	// FalsePositiveCost prices covering a non-target tuple (specificity
-	// term). Default 1.
-	FalsePositiveCost float64
-	// MaxFixedAttrs bounds the number of non-wildcard attributes per
-	// candidate pattern (lattice depth). Default 2.
-	MaxFixedAttrs int
-}
-
-func (o Options) withDefaults() Options {
-	if o.PatternCost == 0 {
-		o.PatternCost = 1
-	}
-	if o.FalsePositiveCost == 0 {
-		o.FalsePositiveCost = 1
-	}
-	if o.MaxFixedAttrs == 0 {
-		o.MaxFixedAttrs = 2
-	}
-	return o
-}
+// The summarizer's cost model.
+const (
+	// patternCost is the fixed price of adding a pattern to the summary
+	// (Data X-Ray's conciseness term).
+	patternCost = 1
+	// falsePositiveCost prices covering a non-target tuple (specificity
+	// term).
+	falsePositiveCost = 1
+	// maxFixedAttrs bounds the number of non-wildcard attributes per
+	// candidate pattern (lattice depth).
+	maxFixedAttrs = 2
+)
 
 // Summarize derives a pattern cover for the target tuples of rel:
 // targets[i] marks row i as explained. The result is a greedy weighted
 // set cover over candidate patterns mined from the targets themselves;
 // per-tuple singleton patterns guarantee the cover is total.
-func Summarize(rel *relation.Relation, targets []bool, opt Options) []*Pattern {
-	opt = opt.withDefaults()
+func Summarize(rel *relation.Relation, targets []bool) []*Pattern {
 	if rel.Len() == 0 || len(targets) != rel.Len() {
 		return nil
 	}
@@ -110,7 +96,7 @@ func Summarize(rel *relation.Relation, targets []bool, opt Options) []*Pattern {
 			parts[a] = row[a].AppendKey(append(b, '='))
 		}
 	}
-	// comboKeys enumerates every ≤ MaxFixedAttrs combination of the
+	// comboKeys enumerates every ≤ maxFixedAttrs combination of the
 	// rendered fragments; visit must not retain key.
 	comboKeys := func(row relation.Tuple, visit func(key []byte, fixed []int)) {
 		renderParts(row)
@@ -119,7 +105,7 @@ func Summarize(rel *relation.Relation, targets []bool, opt Options) []*Pattern {
 			if len(chosen) > 0 {
 				visit(keyBuf[:keyLen], chosen)
 			}
-			if len(chosen) >= opt.MaxFixedAttrs {
+			if len(chosen) >= maxFixedAttrs {
 				return
 			}
 			for a := start; a < nAttr; a++ {
@@ -135,7 +121,7 @@ func Summarize(rel *relation.Relation, targets []bool, opt Options) []*Pattern {
 		walk(0, nil, 0)
 	}
 
-	// Candidate generation: every combination of ≤ MaxFixedAttrs
+	// Candidate generation: every combination of ≤ maxFixedAttrs
 	// attribute values observed in some target tuple.
 	nTargets := 0
 	for _, t := range targets {
@@ -194,7 +180,7 @@ func Summarize(rel *relation.Relation, targets []bool, opt Options) []*Pattern {
 				active = append(active, a)
 			}
 		}
-		if len(active) < 2 || opt.MaxFixedAttrs < 2 {
+		if len(active) < 2 {
 			continue
 		}
 		var walk func(start, depth, keyLen int)
@@ -204,7 +190,7 @@ func Summarize(rel *relation.Relation, targets []bool, opt Options) []*Pattern {
 					bump(s)
 				}
 			}
-			if depth >= opt.MaxFixedAttrs {
+			if depth >= maxFixedAttrs {
 				return
 			}
 			for ai := start; ai < len(active); ai++ {
@@ -248,7 +234,7 @@ func Summarize(rel *relation.Relation, targets []bool, opt Options) []*Pattern {
 	for i, s := range pool {
 		h[i] = heapEntry{
 			s: s, newCover: len(s.covers), order: s.order,
-			ratio: float64(len(s.covers)) / (opt.PatternCost + opt.FalsePositiveCost*float64(s.falsePos)),
+			ratio: float64(len(s.covers)) / (patternCost + falsePositiveCost*float64(s.falsePos)),
 		}
 	}
 	heap.Init(&h)
@@ -267,7 +253,7 @@ func Summarize(rel *relation.Relation, targets []bool, opt Options) []*Pattern {
 		}
 		if newCover != top.newCover {
 			top.newCover = newCover
-			top.ratio = float64(newCover) / (opt.PatternCost + opt.FalsePositiveCost*float64(top.s.falsePos))
+			top.ratio = float64(newCover) / (patternCost + falsePositiveCost*float64(top.s.falsePos))
 			heap.Fix(&h, 0)
 			continue
 		}

@@ -31,7 +31,7 @@ func academicRel() (*relation.Relation, []bool) {
 
 func TestSummarizeFindsCommonPattern(t *testing.T) {
 	r, targets := academicRel()
-	pats := Summarize(r, targets, Options{})
+	pats := Summarize(r, targets)
 	if len(pats) == 0 {
 		t.Fatal("no patterns")
 	}
@@ -63,23 +63,13 @@ func TestSummarizeFindsCommonPattern(t *testing.T) {
 	}
 }
 
-func TestSummarizeAvoidsFalsePositives(t *testing.T) {
-	r, targets := academicRel()
-	pats := Summarize(r, targets, Options{FalsePositiveCost: 100})
-	for _, p := range pats {
-		if p.FalsePos > 0 {
-			t.Fatalf("pattern %s has %d false positives despite heavy penalty", p, p.FalsePos)
-		}
-	}
-}
-
 func TestSummarizeAllTargets(t *testing.T) {
 	r, _ := academicRel()
 	targets := make([]bool, r.Len())
 	for i := range targets {
 		targets[i] = true
 	}
-	pats := Summarize(r, targets, Options{})
+	pats := Summarize(r, targets)
 	// Everything is a target: the single wildcard-heavy pattern per degree
 	// (or fewer) suffices; importantly, coverage is total.
 	total := 0
@@ -93,17 +83,17 @@ func TestSummarizeAllTargets(t *testing.T) {
 
 func TestSummarizeEmpty(t *testing.T) {
 	r, _ := academicRel()
-	if pats := Summarize(r, make([]bool, r.Len()), Options{}); len(pats) != 0 {
+	if pats := Summarize(r, make([]bool, r.Len())); len(pats) != 0 {
 		t.Fatalf("no targets should produce no patterns: %v", pats)
 	}
-	if pats := Summarize(relation.New("e", "a"), nil, Options{}); pats != nil {
+	if pats := Summarize(relation.New("e", "a"), nil); pats != nil {
 		t.Fatalf("empty relation: %v", pats)
 	}
 }
 
 func TestPatternString(t *testing.T) {
 	r, targets := academicRel()
-	pats := Summarize(r, targets, Options{})
+	pats := Summarize(r, targets)
 	for _, p := range pats {
 		if p.String() == "" {
 			t.Fatal("empty pattern rendering")
@@ -113,7 +103,7 @@ func TestPatternString(t *testing.T) {
 
 func TestSummarizeMismatchedTargets(t *testing.T) {
 	r, _ := academicRel()
-	if pats := Summarize(r, []bool{true}, Options{}); pats != nil {
+	if pats := Summarize(r, []bool{true}); pats != nil {
 		t.Fatalf("mismatched target length should return nil, got %v", pats)
 	}
 }
