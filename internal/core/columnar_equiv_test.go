@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"explain3d/internal/datagen"
-	"explain3d/internal/linkage"
 	"explain3d/internal/schemamap"
 	"explain3d/internal/sqlparse"
 )
@@ -21,44 +20,25 @@ func mustMatching(t *testing.T, spec string) schemamap.Matching {
 }
 
 // runEquivalence runs the full pipeline twice on the same input — once
-// with the columnar inverted-index Stage 1 at each worker count, once by
-// solving the tuple mapping produced by the pairwise reference
-// implementation — and demands identical matches, explanations, and
-// evidence.
+// through BuildInstance, which scans at the calibrated similarity floor, at
+// each worker count, once by solving the instance the raw Stage-1 prefix
+// gives at the caller's unraised options — and demands identical matches,
+// explanations, and evidence. The index scan itself is checked against the
+// pairwise reference in package linkage.
 func runEquivalence(t *testing.T, in Input, p Params) {
 	t.Helper()
-	// Reference Stage 1: pairwise candidate generation over the same
-	// virtual columns the production path scores.
 	inst, _, err := BuildInstance(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, t2 := inst.T1, inst.T2
-	v1, err := VirtualColumns(t1, in.Mattr, true)
+	st, err := BuildStage1(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := VirtualColumns(t2, in.Mattr, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := make([]int, len(in.Mattr))
-	for i := range idx {
-		idx[i] = i
-	}
-	popt := linkage.DefaultPairOptions()
-	ref, err := linkage.SimilaritiesPairwise(v1, v2, idx, idx, popt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cal := in.Calibrator
-	if cal == nil {
-		cal = linkage.NewCalibrator(50)
-	}
-	refMatches := FilterMatches(linkage.Calibrate(ref, cal), 0.02)
-	if !reflect.DeepEqual(inst.Matches, refMatches) {
-		t.Fatalf("columnar Stage 1 diverged from the pairwise reference: %d vs %d matches",
-			len(inst.Matches), len(refMatches))
+	ref := st.Instance(in.Calibrator, in.MinProb)
+	if !reflect.DeepEqual(inst.Matches, ref.Matches) {
+		t.Fatalf("BuildInstance diverged from the unraised Stage-1 prefix: %d vs %d matches",
+			len(inst.Matches), len(ref.Matches))
 	}
 
 	var base *Explanations
@@ -80,9 +60,9 @@ func runEquivalence(t *testing.T, in Input, p Params) {
 		}
 	}
 
-	// The reference mapping must also solve to the same explanations —
+	// The unraised instance must also solve to the same explanations —
 	// Stage 2 sees byte-identical input.
-	expl, _, err := SolveInstance(&Instance{T1: t1, T2: t2, Matches: refMatches, Card: CardinalityOf(in.Mattr)}, p)
+	expl, _, err := SolveInstance(ref, p)
 	if err != nil {
 		t.Fatal(err)
 	}

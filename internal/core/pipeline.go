@@ -20,9 +20,14 @@ type Input struct {
 	Q1, Q2   *sqlparse.Select
 	Mattr    schemamap.Matching
 	// Calibrator optionally converts similarities to probabilities
-	// (Section 5.1.2); nil treats similarity as probability.
+	// (Section 5.1.2); nil treats similarity as probability. Together with
+	// MinProb it sets the lowest similarity the one-shot Stage-1 scan
+	// scores (Calibrator.SimFloor).
 	Calibrator *linkage.Calibrator
 	// MinProb drops initial matches below this probability (default 0.02).
+	// BuildInstance and Explain push it into the Stage-1 scan as a MinSim
+	// floor, so pairs it would drop are never scored; BuildStage1 keeps
+	// every pair above PairOpts.MinSim for later calibration.
 	MinProb float64
 	// PairOpts overrides the candidate-generation options for stage 1
 	// (nil uses linkage.DefaultPairOptions).
@@ -89,15 +94,26 @@ func ExplainContext(ctx context.Context, in Input, p Params) (*Result, error) {
 // BuildInstance runs Stage 1: extract provenance, canonicalize, and derive
 // the initial tuple mapping. The two queries' extraction/canonicalization
 // chains are independent and run concurrently (the paper reports Stage 1
-// dominates total runtime). It composes the reusable Stage-1 prefix
-// (BuildStage1) with the per-request calibration/filter step
-// (Stage1.Instance); servers cache the prefix and call those directly.
+// dominates total runtime). It composes the Stage-1 prefix (BuildStage1)
+// with the calibration/filter step (Stage1.Instance), scanning at MinSim
+// raised to the calibrated floor Calibrator.SimFloor(MinProb): a pair
+// scored below it would only be dropped by the filter, so the matches are
+// the same as the composition at the unraised MinSim. Servers cache the
+// raw prefix, which serves any calibrator and MinProb, and call those two
+// directly.
 func BuildInstance(in Input) (*Instance, *Result, error) {
+	minProb := resolveMinProb(in.MinProb)
+	popt := linkage.DefaultPairOptions()
+	if in.PairOpts != nil {
+		popt = *in.PairOpts
+	}
+	popt.MinSim = max(popt.MinSim, in.Calibrator.SimFloor(minProb))
+	in.PairOpts = &popt
 	s, err := BuildStage1(in)
 	if err != nil {
 		return nil, nil, err
 	}
-	inst := s.Instance(in.Calibrator, in.MinProb)
+	inst := s.Instance(in.Calibrator, minProb)
 	res := &Result{Prov1: s.Prov1, Prov2: s.Prov2, T1: s.T1, T2: s.T2, Instance: inst}
 	return inst, res, nil
 }

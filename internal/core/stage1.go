@@ -149,6 +149,14 @@ func BuildStage1(in Input) (*Stage1, error) {
 	return st, nil
 }
 
+// resolveMinProb applies the default probability floor: 0 means 0.02.
+func resolveMinProb(minProb float64) float64 {
+	if minProb == 0 {
+		return 0.02
+	}
+	return minProb
+}
+
 // Instance derives an optimization instance from the Stage-1 prefix:
 // calibrate the raw similarities (nil calibrator treats similarity as
 // probability) and drop matches below minProb (0 means the 0.02 default).
@@ -158,9 +166,6 @@ func (s *Stage1) Instance(cal *linkage.Calibrator, minProb float64) *Instance {
 	if cal == nil {
 		cal = linkage.NewCalibrator(50) // unfitted: identity mapping
 	}
-	if minProb == 0 {
-		minProb = 0.02
-	}
-	matches := FilterMatches(linkage.Calibrate(s.RawMatches, cal), minProb)
+	matches := FilterMatches(linkage.Calibrate(s.RawMatches, cal), resolveMinProb(minProb))
 	return &Instance{T1: s.T1, T2: s.T2, Matches: matches, Card: CardinalityOf(s.Mattr)}
 }

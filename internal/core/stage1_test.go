@@ -128,3 +128,88 @@ func TestExplainContextCancelled(t *testing.T) {
 		t.Fatal("cancelled explain must set Stats.TimedOut")
 	}
 }
+
+// TestBuildInstanceCalibratedFloor is the differential check of the
+// calibrated floor: BuildInstance scans at MinSim raised to
+// Calibrator.SimFloor(MinProb), and must give the same matches and
+// explanations as the raw Stage-1 prefix at the caller's MinSim, calibrated
+// and filtered afterwards. The calibrator is fitted on synthetic labels so
+// that its lowest surviving bucket holds matches, the bucket below it
+// carries a small positive probability under the 0.02 default, and the top
+// bucket is rejected.
+func TestBuildInstanceCalibratedFloor(t *testing.T) {
+	im, err := datagen.GenerateIMDb(datagen.IMDbSpec{Movies: 600, Persons: 100, StartYear: 2000, EndYear: 2000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q1, q2, mattr, err := datagen.Templates()[2].Instantiate("2000") // Q3 count comedies
+	if err != nil {
+		t.Fatal(err)
+	}
+	popt := linkage.DefaultPairOptions()
+	in := Input{DB1: im.DB1, DB2: im.DB2, Q1: q1, Q2: q2, Mattr: mattr, PairOpts: &popt, Workers: 1}
+	raw, err := BuildStage1(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sims := make([]float64, len(raw.RawMatches))
+	truth := make([]bool, len(raw.RawMatches))
+	for i, m := range raw.RawMatches {
+		sims[i] = m.Sim
+		// Title Jaccard 1/5, 1/2 and 1 at an equal year put the pairs in
+		// buckets 30, 37 and 49: a few true pairs low, half high, none at
+		// the top.
+		truth[i] = (m.Sim < 0.7 && i%100 == 0) || (m.Sim >= 0.7 && m.Sim < 1 && i%2 == 0)
+	}
+	cal := linkage.NewCalibrator(50)
+	if err := cal.Fit(sims, truth); err != nil {
+		t.Fatal(err)
+	}
+	in.Calibrator = cal
+	want := raw.Instance(cal, 0)
+	floor := cal.SimFloor(0.02)
+	lowest := 0
+	for _, m := range want.Matches {
+		if m.Sim < floor+1.0/50 {
+			lowest++
+		}
+	}
+	raisedOpt := popt
+	raisedOpt.MinSim = floor
+	raisedIn := in
+	raisedIn.PairOpts = &raisedOpt
+	raised, err := BuildStage1(raisedIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if floor <= popt.MinSim || lowest == 0 || len(raised.RawMatches) >= len(raw.RawMatches) {
+		t.Fatalf("degenerate workload: floor %v, %d kept matches in its bucket, %d of %d raw matches scanned at the floor",
+			floor, lowest, len(raised.RawMatches), len(raw.RawMatches))
+	}
+	p := DefaultParams()
+	p.BatchSize = 16
+	for _, workers := range []int{1, 2} {
+		in := in
+		in.Workers = workers
+		p := p
+		p.Workers = workers
+		inst, _, err := BuildInstance(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(inst.Matches, want.Matches) {
+			t.Fatalf("workers=%d: BuildInstance kept %d matches, the unraised prefix %d", workers, len(inst.Matches), len(want.Matches))
+		}
+		res, err := ExplainContext(context.Background(), in, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		expl, _, err := SolveInstanceContext(context.Background(), want, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Expl, expl) {
+			t.Fatalf("workers=%d: explanations differ from the unraised prefix's", workers)
+		}
+	}
+}

@@ -112,14 +112,12 @@ func BenchmarkSimilaritiesInvertedParallel(b *testing.B) {
 // MinSharedTokens > 1 on the dense-vocabulary workload isolates the
 // per-left-row prefix filter: with long posting lists every row's skip
 // budget lands on its own most expensive merges, on top of the global
-// stop-word prune (the Off variant).
-func benchPrefixFilter(b *testing.B, off bool) {
+// stop-word prune.
+func BenchmarkSimilaritiesPrefixFilter(b *testing.B) {
 	left, right := benchPair(2000, 200, 99)
 	idx := []int{0, 1}
 	opt := DefaultPairOptions()
 	opt.MinSharedTokens = 3
-	disableRowPrefixFilter = off
-	defer func() { disableRowPrefixFilter = false }()
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
@@ -131,9 +129,6 @@ func benchPrefixFilter(b *testing.B, off bool) {
 	}
 	b.ReportMetric(float64(total)/float64(b.N), "matches")
 }
-
-func BenchmarkSimilaritiesPrefixFilterOn(b *testing.B)  { benchPrefixFilter(b, false) }
-func BenchmarkSimilaritiesPrefixFilterOff(b *testing.B) { benchPrefixFilter(b, true) }
 
 // BenchmarkSimilaritiesDenseMinSim runs Stage 1 at the shape of e3bench's
 // oneshot-stage1 workload: a 20000-row scenario with a dense filler

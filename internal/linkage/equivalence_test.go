@@ -52,8 +52,10 @@ func randomRelation(rng *rand.Rand, name string, rows, cols int, d *relation.Dic
 // minSimGrid holds the MinSim values the randomized equivalence tests draw
 // from: the permissive floors plus thresholds where the shared-token
 // similarity bound rejects most candidates, including exact Jaccard values
-// (3/5, 2/3, 3/4) and 1.
-var minSimGrid = []float64{0, 0.05, 0.3, 0.5, 0.6, 2.0 / 3, 0.75, 1}
+// (3/5, 2/3, 3/4) and 1, and the high floors a calibrated probability
+// floor raises MinSim to, where each row's prefix filter skips all but a
+// few of its posting lists.
+var minSimGrid = []float64{0, 0.05, 0.3, 0.5, 0.6, 2.0 / 3, 0.75, 0.9, 0.96, 0.98, 0.99, 1}
 
 // similarities is the one-shot Stage-1 call: index the right side, then
 // scan the left once.
@@ -201,14 +203,6 @@ func TestSimilaritiesPerRowPrefixFilter(t *testing.T) {
 				t.Fatal(err)
 			}
 			matchesEqual(t, fmt.Sprintf("prefix-filter minShared=%d workers=%d", minShared, workers), got, want)
-			// The global-prune-only path (pre-filter behavior) must agree too.
-			disableRowPrefixFilter = true
-			off, err := similarities(left, right, []int{0}, []int{0}, opt, workers)
-			disableRowPrefixFilter = false
-			if err != nil {
-				t.Fatal(err)
-			}
-			matchesEqual(t, fmt.Sprintf("prefix-filter-off minShared=%d workers=%d", minShared, workers), off, want)
 		}
 	}
 }
@@ -231,5 +225,121 @@ func TestSimilaritiesNumericOnlyColumns(t *testing.T) {
 	matchesEqual(t, "numeric-only", got, want)
 	if len(got) == 0 {
 		t.Fatal("numeric cross product should score at least the exact pair")
+	}
+}
+
+// TestSimilaritiesThresholdPrefixFilter drives the MinSim-derived skip
+// budget: long multi-token titles next to a numeric column and a NULL-heavy
+// one, so at a high MinSim a pair must share many more tokens than
+// MinSharedTokens and each left row skips most of its posting lists, while
+// rows whose NULLs cap their similarity below MinSim are skipped outright.
+// The right side perturbs left titles by a word or two, so many pairs sit
+// right at the shared-token count the budget assumes. Every threshold and
+// worker count must match the pairwise reference byte for byte, and the
+// fixed rows 0 and 1 pin need itself.
+func TestSimilaritiesThresholdPrefixFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	vocab := make([]string, 24)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("w%d", i)
+	}
+	words := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = vocab[rng.Intn(len(vocab))]
+		}
+		return out
+	}
+	join := func(ws []string) string {
+		s := ws[0]
+		for _, w := range ws[1:] {
+			s += " " + w
+		}
+		return s
+	}
+	note := func() any {
+		if rng.Intn(10) < 7 {
+			return nil
+		}
+		return join(words(1 + rng.Intn(2)))
+	}
+	d := relation.NewDict()
+	left := relation.NewWithDict(d, "L", "title", "year", "note")
+	right := relation.NewWithDict(d, "R", "title", "year", "note")
+	// Row 0: ten distinct title tokens and a NULL note, so its similarity
+	// to any right row is at most (m/10 + 1 + 0)/3 with m shared tokens.
+	// Row 1: two title tokens and a NULL note, capped at (1 + 1 + 0)/3.
+	left.Append("a0 a1 a2 a3 a4 a5 a6 a7 a8 a9", int64(2000), nil)
+	left.Append("a0 a1", int64(2000), nil)
+	right.Append("a0 a1 a2 a3 a4 a5 a6 x y", int64(2000), "z")
+	right.Append("a0 a1", int64(2000), "z")
+	var titles [][]string
+	for i := 0; i < 80; i++ {
+		ws := words(4 + rng.Intn(6))
+		titles = append(titles, ws)
+		left.Append(join(ws), int64(2000+rng.Intn(3)), note())
+	}
+	for i := 0; i < 80; i++ {
+		ws := append([]string(nil), titles[rng.Intn(len(titles))]...)
+		switch rng.Intn(3) {
+		case 0:
+			ws[rng.Intn(len(ws))] = vocab[rng.Intn(len(vocab))]
+		case 1:
+			ws = append(ws, vocab[rng.Intn(len(vocab))])
+		default:
+			ws = words(4 + rng.Intn(6))
+		}
+		right.Append(join(ws), int64(2000+rng.Intn(3)), note())
+	}
+	idx := []int{0, 1, 2}
+	for _, tc := range []struct {
+		minSim       float64
+		need0, need1 int // need of the fixed rows at MinSharedTokens 1
+	}{
+		{0.45, 4, 1}, {0.55, 7, 2}, {0.62, 9, 2}, {0.65, 10, 2}, {0.7, 0, 0},
+		{0.8, 0, 0}, {0.9, 0, 0},
+	} {
+		for mst := 1; mst <= 3; mst++ {
+			opt := PairOptions{MinSim: tc.minSim, MinSharedTokens: mst}
+			ix, err := BuildIndex(right, idx, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lv := ix.buildLeftView(left, idx)
+			lv.block = unionRows(lv.tok, lv.n)
+			ps := pairScorer{ix: ix, lv: lv}
+			if mst == 1 {
+				if got := ps.need(0, len(lv.block[0])); got != tc.need0 {
+					t.Fatalf("MinSim %v: need(row 0) = %d, want %d", tc.minSim, got, tc.need0)
+				}
+				if got := ps.need(1, len(lv.block[1])); got != tc.need1 {
+					t.Fatalf("MinSim %v: need(row 1) = %d, want %d", tc.minSim, got, tc.need1)
+				}
+			}
+			raised, skipped := 0, 0
+			for i := 0; i < lv.n; i++ {
+				switch n := ps.need(i, len(lv.block[i])); {
+				case n == 0:
+					skipped++
+				case n > mst:
+					raised++
+				}
+			}
+			want, err := SimilaritiesPairwise(left, right, idx, idx, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (tc.minSim < 0.9 && len(want) == 0) || raised+skipped == 0 || (tc.minSim >= 0.7 && skipped == 0) {
+				t.Fatalf("MinSim %v mst=%d: degenerate workload: %d matches, %d rows with need > mst, %d rows skipped",
+					tc.minSim, mst, len(want), raised, skipped)
+			}
+			for _, workers := range []int{1, 4} {
+				got, err := ix.Similarities(left, idx, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				matchesEqual(t, fmt.Sprintf("MinSim %v mst=%d workers=%d", tc.minSim, mst, workers), got, want)
+			}
+		}
 	}
 }

@@ -138,10 +138,11 @@ func (ix *Index) buildLeftView(left *relation.Relation, leftIdx []int) *leftView
 // the index's joint token-id space (tokenization once per distinct string,
 // cached in each Dict), and each left row merges the posting lists of its
 // tokens with a shared-token counter. A pair is scored when it shares at
-// least MinSharedTokens distinct tokens — the exact match set of the
-// pairwise reference implementation (SimilaritiesPairwise), at O(Σ
-// posting-list products) instead of O(|L|·|R|) blocking probes. Jaccard
-// runs on sorted token-id slices instead of string-keyed maps.
+// least MinSharedTokens distinct tokens — the exact match set of a pairwise
+// scan of every blocking candidate, at O(Σ posting-list products) instead
+// of O(|L|·|R|) blocking probes. Each row skips the posting lists MinSim
+// and MinSharedTokens prove it can do without (see scan). Jaccard runs on
+// sorted token-id slices instead of string-keyed maps.
 //
 // workers splits the scan into contiguous left-row ranges (0 defaults to
 // GOMAXPROCS); output is identical at any worker count. Safe for
@@ -224,6 +225,46 @@ func (ps pairScorer) bound(i, j, shared int) float64 {
 	return total / float64(len(lv.cols))
 }
 
+// rowBound is an upper bound on bound(i, j, shared) over every right row
+// j, taken from left row i's columns alone: a NULL left cell adds 0, a
+// token column whose left cell has a tokens adds min(shared, a)/a (0 when
+// a is 0), and a numeric left cell or a column without token lists on both
+// sides adds 1. Each term is at least bound's for any j — its numerator
+// min(shared, a) is no smaller than min(shared, a, b) and its denominator a
+// no larger than a+b−min(shared, a, b) — and the sum runs in bound's column
+// order, so the bound holds bit for bit.
+func (ps pairScorer) rowBound(i, shared int) float64 {
+	lv, ix := ps.lv, ps.ix
+	total := 0.0
+	for k := range lv.cols {
+		lc := &lv.cols[k]
+		switch {
+		case lc.null[i]:
+		case lc.num[i] || lv.tok[k] == nil || ix.rTok[k] == nil:
+			total++
+		default:
+			if a := len(lv.tok[k][i]); a > 0 {
+				total += float64(min(shared, a)) / float64(a)
+			}
+		}
+	}
+	return total / float64(len(lv.cols))
+}
+
+// need returns the fewest shared blocking tokens, at least MinSharedTokens,
+// that left row i must have with a right row for the pair to reach MinSim
+// (rowBound is non-decreasing in the shared count), or 0 when no count up to
+// the row's n blocking tokens does: then no right row can match the row.
+func (ps pairScorer) need(i, n int) int {
+	minSim := ps.ix.opt.MinSim
+	for m := ps.ix.opt.MinSharedTokens; m <= n; m++ {
+		if u := ps.rowBound(i, m); u >= minSim && u > 0 {
+			return m
+		}
+	}
+	return 0
+}
+
 // accept decides left row i's blocking candidates and appends its matches
 // to out in ascending right-row order. cnt[j] is the row's shared-token
 // count with right row j over the posting lists it merged, and skippedHere
@@ -271,28 +312,17 @@ func (ix *Index) blockedScan(lv *leftView) bool {
 // scan runs candidate generation and scoring of one left view against the
 // index: the back half of Similarities.
 func (ix *Index) scan(lv *leftView, workers int) []Match {
-	opt := ix.opt
 	ps := pairScorer{ix: ix, lv: lv}
 	blocked := ix.blockedScan(lv)
 	n, nRight := lv.n, ix.nRight
 	if blocked {
 		lv.block = unionRows(lv.tok, n)
 	}
-	minShared := int32(opt.MinSharedTokens)
 	// scoreRange scans rows [lo, hi) with worker-local candidate state: a
 	// dense shared-token counter indexed by right row id plus the list of
-	// touched rows, reset between rows — no per-row map allocation. rowSkip
-	// holds the positions (within lv.block[i]) of the current row's
-	// prefix-filtered tokens.
-	scoreRange := func(lo, hi int, cnt []int32, touched, rowSkip []int32, out []Match) ([]Match, []int32, []int32) {
-		inRowSkip := func(rowSkip []int32, p int) bool {
-			for _, q := range rowSkip {
-				if int(q) == p {
-					return true
-				}
-			}
-			return false
-		}
+	// touched rows, reset between rows — no per-row map allocation. order
+	// holds the current row's tokens by descending posting length.
+	scoreRange := func(lo, hi int, cnt, touched []int32, order []uint32, out []Match) ([]Match, []int32, []uint32) {
 		for i := lo; i < hi; i++ {
 			if !blocked {
 				for j := 0; j < nRight; j++ {
@@ -301,48 +331,41 @@ func (ix *Index) scan(lv *leftView, workers int) []Match {
 				continue
 			}
 			toks := lv.block[i]
-			// Per-left-row prefix filter: a pair sharing at least minShared
-			// distinct tokens with this row still shares one outside ANY
-			// (minShared−1)-subset of the row's tokens, so each row can skip
-			// merging its own longest minShared−1 posting lists — not just
-			// the globally pruned stop words. Globally skipped tokens the
-			// row carries count against the same budget (their postings are
-			// gone for every row); the remaining budget goes to the longest
+			// Per-left-row prefix filter: a pair that must share at least
+			// need distinct tokens with this row still shares one outside
+			// ANY (need−1)-subset of the row's tokens, so the row can skip
+			// merging its own longest need−1 posting lists — not just the
+			// globally pruned stop words. Globally skipped tokens the row
+			// carries count against the same budget (their postings are
+			// gone for every row); the rest of it goes to the longest
 			// surviving lists, which dominate this row's merge cost.
-			skippedHere := 0
-			rowSkip = rowSkip[:0]
-			if minShared > 1 {
-				budget := int(minShared) - 1
-				if ix.anySkip {
-					for _, tok := range toks {
-						if ix.globallySkipped(tok) {
-							budget--
-							skippedHere++
-						}
+			need := ps.need(i, len(toks))
+			if need == 0 {
+				continue // no right row can reach MinSim
+			}
+			skippedHere, budget := 0, need-1
+			if ix.anySkip {
+				for _, tok := range toks {
+					if ix.globallySkipped(tok) {
+						budget--
+						skippedHere++
 					}
-				}
-				if disableRowPrefixFilter {
-					budget = 0
-				}
-				for b := 0; b < budget; b++ {
-					best, bestLen := -1, skipFloor-1
-					for p, tok := range toks {
-						if len(ix.postings(tok)) > bestLen && !inRowSkip(rowSkip, p) {
-							best, bestLen = p, len(ix.postings(tok))
-						}
-					}
-					if best < 0 {
-						break
-					}
-					rowSkip = append(rowSkip, int32(best))
-					skippedHere++
 				}
 			}
-			touched = touched[:0]
-			for p, tok := range toks {
-				if len(rowSkip) > 0 && inRowSkip(rowSkip, p) {
-					continue
+			if budget > 0 {
+				order = append(order[:0], toks...)
+				slices.SortFunc(order, func(a, b uint32) int {
+					return cmp.Compare(len(ix.postings(b)), len(ix.postings(a)))
+				})
+				skip := 0
+				for skip < budget && skip < len(order) && len(ix.postings(order[skip])) >= skipFloor {
+					skip++
 				}
+				skippedHere += skip
+				toks = order[skip:]
+			}
+			touched = touched[:0]
+			for _, tok := range toks {
 				for _, j := range ix.postings(tok) {
 					if cnt[j] == 0 {
 						touched = append(touched, j)
@@ -352,7 +375,7 @@ func (ix *Index) scan(lv *leftView, workers int) []Match {
 			}
 			out = ps.accept(i, touched, cnt, skippedHere, out)
 		}
-		return out, touched, rowSkip
+		return out, touched, order
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -362,7 +385,7 @@ func (ix *Index) scan(lv *leftView, workers int) []Match {
 	}
 	if workers <= 1 {
 		var out []Match
-		out, _, _ = scoreRange(0, n, make([]int32, nRight), make([]int32, 0, 64), make([]int32, 0, 4), out)
+		out, _, _ = scoreRange(0, n, make([]int32, nRight), make([]int32, 0, 64), nil, out)
 		return out
 	}
 	// Contiguous row-range chunks scored in parallel: each chunk's matches
@@ -386,7 +409,7 @@ func (ix *Index) scan(lv *leftView, workers int) []Match {
 			defer wg.Done()
 			cnt := make([]int32, nRight)
 			touched := make([]int32, 0, 64)
-			rowSkip := make([]int32, 0, 4)
+			var order []uint32
 			for {
 				c := int(next.Add(1)) - 1
 				if c >= nChunks {
@@ -397,7 +420,7 @@ func (ix *Index) scan(lv *leftView, workers int) []Match {
 					hi = n
 				}
 				var out []Match
-				out, touched, rowSkip = scoreRange(lo, hi, cnt, touched, rowSkip, out)
+				out, touched, order = scoreRange(lo, hi, cnt, touched, order, out)
 				blocks[c] = out
 			}
 		}()

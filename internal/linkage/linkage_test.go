@@ -1,6 +1,7 @@
 package linkage
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -214,6 +215,100 @@ func TestCalibrateDropsZeros(t *testing.T) {
 	ms := Calibrate([]Match{{L: 0, R: 0, Sim: 0.1}, {L: 0, R: 1, Sim: 0.9}}, c)
 	if len(ms) != 1 || ms[0].R != 1 || ms[0].P != 1 {
 		t.Fatalf("calibrated = %+v", ms)
+	}
+}
+
+// TestCalibratorSimFloor checks SimFloor against the filter it stands in
+// for: over fitted tables with zero-probability buckets, unobserved gaps,
+// non-monotone probabilities and tables that reject every bucket, every
+// similarity that Calibrate keeps at P ≥ minProb — probed at and around
+// each bucket edge b/k, where float rounding decides the bucket — is at
+// least the floor, and the floor is tight: the floor itself is kept and
+// the next float below it is not.
+func TestCalibratorSimFloor(t *testing.T) {
+	minProbs := []float64{1e-9, 0.02, 0.3, -0.5}
+	for _, c := range []*Calibrator{nil, NewCalibrator(50)} {
+		for _, mp := range minProbs {
+			if got := c.SimFloor(mp); got != mp {
+				t.Fatalf("unfitted SimFloor(%v) = %v, want minProb", mp, got)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	var finite, posInf, negInf int
+	for _, k := range []int{50, 7} {
+		var probes []float64
+		for b := 0; b <= k; b++ {
+			x := float64(b) / float64(k)
+			probes = append(probes, x, (float64(b)+0.5)/float64(k))
+			up, down := x, x
+			for step := 0; step < 4; step++ {
+				up, down = math.Nextafter(up, 2), math.Nextafter(down, -1)
+				probes = append(probes, up, down)
+			}
+		}
+		for trial := 0; trial < 60; trial++ {
+			var sims []float64
+			var truth []bool
+			allRejected := trial%10 == 0
+			for b := 0; b < k; b++ {
+				center := (float64(b) + 0.5) / float64(k)
+				n, trues := 200, 0
+				switch mode := rng.Intn(5); {
+				case mode == 0:
+					n = 0 // unobserved: filled from a neighbour
+				case allRejected || mode == 1:
+				case mode == 2:
+					trues = 1 // P = 0.005, below the 0.02 default
+				default:
+					trues = rng.Intn(n + 1)
+				}
+				for i := 0; i < n; i++ {
+					sims = append(sims, center)
+					truth = append(truth, i < trues)
+				}
+			}
+			c := NewCalibrator(k)
+			if err := c.Fit(sims, truth); err != nil {
+				t.Fatal(err)
+			}
+			for _, mp := range minProbs {
+				kept := func(sim float64) bool {
+					ms := Calibrate([]Match{{Sim: sim}}, c)
+					return len(ms) == 1 && ms[0].P >= mp
+				}
+				floor := c.SimFloor(mp)
+				for _, sim := range probes {
+					if kept(sim) && sim < floor {
+						t.Fatalf("k=%d trial %d minProb %v: kept similarity %v below SimFloor %v", k, trial, mp, sim, floor)
+					}
+				}
+				switch {
+				case math.IsInf(floor, 1):
+					posInf++
+					for b := 0; b < k; b++ {
+						if kept((float64(b) + 0.5) / float64(k)) {
+							t.Fatalf("k=%d trial %d minProb %v: SimFloor +Inf but bucket %d is kept", k, trial, mp, b)
+						}
+					}
+				case math.IsInf(floor, -1):
+					negInf++
+					if !kept(0) {
+						t.Fatalf("k=%d trial %d minProb %v: SimFloor -Inf but bucket 0 is rejected", k, trial, mp)
+					}
+				case !kept(floor) || kept(math.Nextafter(floor, -1)):
+					t.Fatalf("k=%d trial %d minProb %v: SimFloor %v is not the lowest kept similarity", k, trial, mp, floor)
+				default:
+					finite++
+				}
+				if allRejected && !math.IsInf(floor, 1) {
+					t.Fatalf("k=%d trial %d minProb %v: every bucket is rejected, SimFloor = %v", k, trial, mp, floor)
+				}
+			}
+		}
+	}
+	if finite == 0 || posInf == 0 || negInf == 0 {
+		t.Fatalf("degenerate tables: %d finite floors, %d +Inf, %d -Inf", finite, posInf, negInf)
 	}
 }
 

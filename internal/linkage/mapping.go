@@ -2,6 +2,8 @@ package linkage
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"explain3d/internal/relation"
 )
@@ -20,7 +22,11 @@ type Match struct {
 // columns every pair is scored (the cross product).
 type PairOptions struct {
 	// MinSim drops candidate pairs below this combined similarity
-	// (default 0.05 — pairs with essentially no evidence).
+	// (default 0.05 — pairs with essentially no evidence). It also sizes
+	// the scan's per-row prefix filter: a left row that must share m
+	// tokens with a right row to reach MinSim skips its m−1 longest
+	// posting lists, so a higher MinSim makes the scan cheaper, not only
+	// the output shorter.
 	MinSim float64
 	// MinSharedTokens is the blocking threshold (default 1): only pairs
 	// sharing at least this many tokens on the matched string attributes
@@ -35,11 +41,6 @@ type PairOptions struct {
 func DefaultPairOptions() PairOptions {
 	return PairOptions{MinSim: 0.05, MinSharedTokens: 1}
 }
-
-// disableRowPrefixFilter turns off the per-left-row prefix filter inside
-// the scan, leaving only the global stop-word prune — the pre-filter
-// behavior, kept reachable for differential tests and benchmarks.
-var disableRowPrefixFilter = false
 
 // matchCol is one matched column's typed row view for the scoring loop:
 // null flags and numeric values are read straight off the columnar typed
@@ -223,6 +224,36 @@ func (c *Calibrator) Prob(sim float64) float64 {
 		return sim // identity fallback: treat similarity as probability
 	}
 	return c.probs[c.bucket(sim)]
+}
+
+// SimFloor returns the largest similarity s such that every similarity
+// that keeps a positive probability (Calibrate) at or above minProb
+// (core.FilterMatches) is at least s, so a Stage-1 scan at MinSim s loses
+// no match those two steps keep. An unfitted or nil calibrator gives
+// minProb, since identity calibration sets P to the similarity; when no
+// bucket survives it returns +Inf, and when the lowest bucket survives,
+// -Inf. Otherwise s is the smallest float64 that bucket maps to the lowest
+// surviving bucket or above, found by stepping from its edge b/k with
+// math.Nextafter, so float rounding in bucket never drops a kept pair.
+func (c *Calibrator) SimFloor(minProb float64) float64 {
+	if c == nil || !c.fit {
+		return minProb
+	}
+	b0 := slices.IndexFunc(c.probs, func(p float64) bool { return p > 0 && p >= minProb })
+	switch b0 {
+	case -1:
+		return math.Inf(1)
+	case 0:
+		return math.Inf(-1)
+	}
+	s := float64(b0) / float64(c.k)
+	for c.bucket(s) < b0 {
+		s = math.Nextafter(s, math.Inf(1))
+	}
+	for c.bucket(math.Nextafter(s, math.Inf(-1))) >= b0 {
+		s = math.Nextafter(s, math.Inf(-1))
+	}
+	return s
 }
 
 // Calibrate assigns P to every match using the calibrator and drops

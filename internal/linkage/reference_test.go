@@ -9,11 +9,11 @@ import (
 
 // SimilaritiesPairwise is the pre-columnar reference implementation of
 // Index.Similarities: per-row string-keyed token sets, a string-keyed inverted
-// index, and a per-left-row candidate map probed pairwise. It is retained
-// (sequentially, single-threaded) as the ground truth for the equivalence
-// property tests and as the baseline side of the Stage-1 benchmarks —
-// BuildIndex followed by Index.Similarities must return the exact same
-// match list.
+// index, and a per-left-row candidate map probed pairwise, with no prefix
+// filter and no similarity bound. It is the ground truth for the
+// equivalence property tests and the baseline side of the Stage-1
+// benchmarks — BuildIndex followed by Index.Similarities must return the
+// exact same match list.
 func SimilaritiesPairwise(left, right *relation.Relation, leftIdx, rightIdx []int, opt PairOptions) ([]Match, error) {
 	if len(leftIdx) != len(rightIdx) || len(leftIdx) == 0 {
 		return nil, fmt.Errorf("linkage: need equal, non-empty attribute index lists (got %d and %d)", len(leftIdx), len(rightIdx))
