@@ -93,3 +93,38 @@ func BenchmarkPairPrefixAdvance(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSolveInstanceScenario times Stage 2 alone at oneshot-stage1's
+// shape: a 20000-row scenario with one filler word per 50 rows, MinSim
+// 0.6, BatchSize 100, two workers. The instance is built once in setup, so
+// every iteration partitions, encodes and solves the same sub-problems;
+// allocations are reported because the solver's scratch is what it gates.
+func BenchmarkSolveInstanceScenario(b *testing.B) {
+	const rows, workers = 20000, 2
+	sc := datagen.GenerateScenario(datagen.ScenarioSpec{
+		Rows: rows, Vocab: rows / 50, Disagree: 0.002, Noise: 0.02, Seed: 1,
+	})
+	popt := linkage.DefaultPairOptions()
+	popt.MinSim = 0.6
+	inst, _, err := BuildInstance(Input{
+		DB1: sc.DB1, DB2: sc.DB2, Q1: sc.Q1, Q2: sc.Q2, Mattr: sc.Mattr,
+		PairOpts: &popt, Workers: workers,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := DefaultParams()
+	p.BatchSize = 100
+	p.Workers = workers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, st, err := SolveInstance(inst, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.TimedOut {
+			b.Fatal("solver budget expired")
+		}
+	}
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"sort"
-	"strconv"
 
 	"explain3d/internal/linkage"
 	"explain3d/internal/milp"
@@ -30,36 +29,14 @@ type encoded struct {
 	posR   map[int]int
 }
 
-// tagger builds the debug names of variables and rows into one reused
-// byte buffer — the encode hot path used to burn a fmt.Sprintf (reflection,
-// interface boxing) per tuple and per match; each name is now a single
-// string allocation.
-type tagger struct{ buf []byte }
-
-func (t *tagger) side(prefix string, side Side, id int) string {
-	t.buf = append(t.buf[:0], prefix...)
-	if side == Left {
-		t.buf = append(t.buf, 'L')
-	} else {
-		t.buf = append(t.buf, 'R')
-	}
-	t.buf = strconv.AppendInt(t.buf, int64(id), 10)
-	return string(t.buf)
-}
-
-func (t *tagger) num(prefix string, id int) string {
-	t.buf = append(t.buf[:0], prefix...)
-	t.buf = strconv.AppendInt(t.buf, int64(id), 10)
-	return string(t.buf)
-}
-
 // encode implements Algorithm 1: translate a sub-problem of the EXP-3D
 // instance into a MILP whose optimum is the most probable complete
-// explanation set (Section 3.2). It consumes the canonical relations'
-// columnar impact arrays directly and reuses preallocated term and name
-// buffers sized from the sub-problem — no per-tuple fmt or map churn.
-func encode(inst *Instance, sub *subProblem, p Params) *encoded {
-	m := milp.NewModel("exp3d", milp.Maximize)
+// explanation set (Section 3.2). It resets m, a maximization model a
+// worker keeps across sub-problems, and fills it; the result is valid until
+// the next encode into m. It reads the canonical relations' impact arrays
+// directly and names no variable or row (names only decorate errors).
+func encode(m *milp.Model, inst *Instance, sub *subProblem, p Params) *encoded {
+	m.Reset()
 	enc := &encoded{model: m, sub: sub}
 
 	posL := make(map[int]int, len(sub.left))
@@ -76,7 +53,6 @@ func encode(inst *Instance, sub *subProblem, p Params) *encoded {
 	// sub-problem (a grouped tuple can absorb every partner's impact).
 	lo, hi := impactBounds(inst, sub, posL, posR)
 
-	var tags tagger
 	// terms is the shared scratch buffer for constraint rows; AddConstr
 	// copies (and merges) what it is given, so one buffer serves every row.
 	terms := make([]milp.Term, 0, 8)
@@ -89,18 +65,18 @@ func encode(inst *Instance, sub *subProblem, p Params) *encoded {
 		} else {
 			impact = inst.T2.Impacts[id]
 		}
-		x = m.AddVar(0, 1, milp.Binary, tags.side("x_", side, id))
-		y = m.AddVar(0, 1, milp.Binary, tags.side("y_", side, id))
-		iv = m.AddVar(lo, hi, milp.Continuous, tags.side("I_", side, id))
+		x = m.AddVar(0, 1, milp.Binary, "")
+		y = m.AddVar(0, 1, milp.Binary, "")
+		iv = m.AddVar(lo, hi, milp.Continuous, "")
 		m.SetBranchPriority(x, 1)
 		// Equation 7: y = 1 forces I* = I.
-		m.IndicatorEq(y, iv, impact, lo, hi, tags.side("imp_", side, id))
+		m.IndicatorEq(y, iv, impact, lo, hi, "")
 		// Objective (Equation 8). The paper linearizes the bilinear term
 		// (1−x)·y with big-M rows; the constraint y ≤ 1−x makes the plain
 		// linear form exact: deleted tuples force y = 0, so the term is
 		// a·x + (c−b)·y + b, matching Equation 3 case by case.
 		terms = append(terms[:0], milp.Term{Var: y, Coef: 1}, milp.Term{Var: x, Coef: 1})
-		m.AddConstr(terms, milp.LE, 1, tags.side("y_le_notx_", side, id))
+		m.AddConstr(terms, milp.LE, 1, "")
 		m.SetObjCoef(x, a-b)
 		m.SetObjCoef(y, c-b)
 		m.AddObjConst(b)
@@ -133,13 +109,13 @@ func encode(inst *Instance, sub *subProblem, p Params) *encoded {
 	}
 	mv := make([]matchVars, 0, len(sub.matches))
 	enc.z = make([]milp.Var, 0, len(sub.matches))
-	for mi, match := range sub.matches {
+	for _, match := range sub.matches {
 		l, r := posL[match.L], posR[match.R]
-		z := m.AddVar(0, 1, milp.Binary, tags.num("z_m", mi))
+		z := m.AddVar(0, 1, milp.Binary, "")
 		terms = append(terms[:0], milp.Term{Var: z, Coef: 1}, milp.Term{Var: enc.xL[l], Coef: 1})
-		m.AddConstr(terms, milp.LE, 1, tags.num("z_xl_m", mi))
+		m.AddConstr(terms, milp.LE, 1, "")
 		terms = append(terms[:0], milp.Term{Var: z, Coef: 1}, milp.Term{Var: enc.xR[r], Coef: 1})
-		m.AddConstr(terms, milp.LE, 1, tags.num("z_xr_m", mi))
+		m.AddConstr(terms, milp.LE, 1, "")
 		prob := clampProb(match.P)
 		m.SetObjCoef(z, math.Log(prob)-math.Log(1-prob))
 		m.AddObjConst(math.Log(1 - prob))
@@ -165,10 +141,10 @@ func encode(inst *Instance, sub *subProblem, p Params) *encoded {
 			terms = append(terms, milp.Term{Var: mv[mi].z, Coef: 1})
 		}
 		if inst.Card.LeftAtMostOne {
-			m.AddConstr(terms, milp.LE, 1, tags.num("cardL", l))
+			m.AddConstr(terms, milp.LE, 1, "")
 		}
 		terms = append(terms, milp.Term{Var: enc.xL[l], Coef: 1})
-		m.AddConstr(terms, milp.GE, 1, tags.num("covL", l))
+		m.AddConstr(terms, milp.GE, 1, "")
 	}
 	for r := range sub.right {
 		terms = terms[:0]
@@ -176,10 +152,10 @@ func encode(inst *Instance, sub *subProblem, p Params) *encoded {
 			terms = append(terms, milp.Term{Var: mv[mi].z, Coef: 1})
 		}
 		if inst.Card.RightAtMostOne {
-			m.AddConstr(terms, milp.LE, 1, tags.num("cardR", r))
+			m.AddConstr(terms, milp.LE, 1, "")
 		}
 		terms = append(terms, milp.Term{Var: enc.xR[r], Coef: 1})
-		m.AddConstr(terms, milp.GE, 1, tags.num("covR", r))
+		m.AddConstr(terms, milp.GE, 1, "")
 	}
 
 	// Impact equality (Definition 3.3 / Equations 11–12). Group by the
@@ -193,23 +169,23 @@ func encode(inst *Instance, sub *subProblem, p Params) *encoded {
 		for r := range sub.right {
 			terms = terms[:0]
 			for _, mi := range matchesOfR[r] {
-				zi := m.ProductBinaryCont(mv[mi].z, enc.iL[mv[mi].l], lo, hi, tags.num("zi", mi))
+				zi := m.ProductBinaryCont(mv[mi].z, enc.iL[mv[mi].l], lo, hi, "")
 				enc.zi[mi] = zi
 				terms = append(terms, milp.Term{Var: zi, Coef: 1})
 			}
 			terms = append(terms, milp.Term{Var: enc.iR[r], Coef: -1})
-			m.AddConstr(terms, milp.EQ, 0, tags.num("impEqR", r))
+			m.AddConstr(terms, milp.EQ, 0, "")
 		}
 	} else {
 		for l := range sub.left {
 			terms = terms[:0]
 			for _, mi := range matchesOfL[l] {
-				zi := m.ProductBinaryCont(mv[mi].z, enc.iR[mv[mi].r], lo, hi, tags.num("zi", mi))
+				zi := m.ProductBinaryCont(mv[mi].z, enc.iR[mv[mi].r], lo, hi, "")
 				enc.zi[mi] = zi
 				terms = append(terms, milp.Term{Var: zi, Coef: 1})
 			}
 			terms = append(terms, milp.Term{Var: enc.iL[l], Coef: -1})
-			m.AddConstr(terms, milp.EQ, 0, tags.num("impEqL", l))
+			m.AddConstr(terms, milp.EQ, 0, "")
 		}
 	}
 	return enc

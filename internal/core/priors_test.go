@@ -114,7 +114,7 @@ func TestWarmStartAlwaysFeasible(t *testing.T) {
 		for j := 0; j < nr; j++ {
 			sub.right = append(sub.right, j)
 		}
-		enc := encode(inst, sub, DefaultParams())
+		enc := encode(milp.NewModel("exp3d", milp.Maximize), inst, sub, DefaultParams())
 		warm := warmStart(inst, enc)
 		if err := enc.model.CheckFeasible(warm, 1e-6); err != nil {
 			t.Fatalf("trial %d (card %+v): warm start infeasible: %v", trial, card, err)

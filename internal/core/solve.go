@@ -88,7 +88,9 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 			cancel() // stop in-flight workers; their results are discarded
 		})
 	}
-	solveSub := func(si int) {
+	// solveSub encodes into m, the calling worker's model (encode resets
+	// it), so a worker's sub-problems reuse one model's storage.
+	solveSub := func(m *milp.Model, si int) {
 		if failed.Load() {
 			// A sub-problem already failed; skip the (expensive) encode of
 			// the rest. Note this guards on the error flag, not ctx.Err():
@@ -118,7 +120,7 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 		// pays off because the solver returns the warm-start (greedy)
 		// incumbent as StatusLimit, so budgets degrade to greedy-quality
 		// solutions rather than delete-everything fallbacks.
-		enc := encode(inst, sub, p)
+		enc := encode(m, inst, sub, p)
 		st.MILPVars = enc.model.NumVars()
 		st.MILPRows = enc.model.NumRows()
 		opt := milp.Options{WarmStart: warmStart(inst, enc)}
@@ -171,8 +173,9 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 		workers = len(subs)
 	}
 	if workers <= 1 {
+		m := milp.NewModel("exp3d", milp.Maximize)
 		for si := range subs {
-			solveSub(si)
+			solveSub(m, si)
 			if failed.Load() {
 				break
 			}
@@ -184,8 +187,9 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				m := milp.NewModel("exp3d", milp.Maximize)
 				for si := range work {
-					solveSub(si)
+					solveSub(m, si)
 				}
 			}()
 		}

@@ -3,8 +3,11 @@ package core
 import (
 	"reflect"
 	"testing"
+	"time"
 
+	"explain3d/internal/datagen"
 	"explain3d/internal/linkage"
+	"explain3d/internal/milp"
 )
 
 // clusteredInstance builds a synthetic instance of n independent 2×2
@@ -212,5 +215,136 @@ func TestBuildSubProblemsDropsUnassignedNodes(t *testing.T) {
 	subs = buildSubProblems(inst, [][]int{{0, 2}})
 	if len(subs[0].matches) != 0 {
 		t.Fatalf("matches = %+v: half-assigned match must be dropped", subs[0].matches)
+	}
+}
+
+// imdbInput is IMDb template tpl over 600 movies of one year (seed 3): 73
+// canonical tuples a side for Q1 and Q3.
+func imdbInput(t *testing.T, tpl int) Input {
+	t.Helper()
+	im, err := datagen.GenerateIMDb(datagen.IMDbSpec{Movies: 600, Persons: 100, StartYear: 2000, EndYear: 2000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q1, q2, mattr, err := datagen.Templates()[tpl].Instantiate("2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	popt := linkage.DefaultPairOptions()
+	return Input{DB1: im.DB1, DB2: im.DB2, Q1: q1, Q2: q2, Mattr: mattr, PairOpts: &popt, Workers: 1}
+}
+
+// TestEncodeModelReuse encodes every sub-problem of a partitioned IMDb
+// instance into one model that the previous sub-problem used, and checks
+// the solve against a fresh model's: same dimensions, solution, objective
+// and search. SolveInstance, whose workers each keep one model, must give
+// identical explanations and stats at one and three workers.
+func TestEncodeModelReuse(t *testing.T) {
+	inst, _, err := BuildInstance(imdbInput(t, 2)) // Q3 count comedies
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams()
+	p.BatchSize = 16
+	subs, err := splitInstance(inst, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(subs) < 3 {
+		t.Fatalf("%d sub-problems, want several", len(subs))
+	}
+	reused := milp.NewModel("exp3d", milp.Maximize)
+	grew, shrank := false, false
+	for si, sub := range subs {
+		before := reused.NumVars()
+		got := encode(reused, inst, sub, p)
+		want := encode(milp.NewModel("exp3d", milp.Maximize), inst, sub, p)
+		if si > 0 {
+			grew = grew || got.model.NumVars() > before
+			shrank = shrank || got.model.NumVars() < before
+		}
+		if got.model.NumVars() != want.model.NumVars() || got.model.NumRows() != want.model.NumRows() {
+			t.Fatalf("sub %d: reused model %s, fresh %s", si, got.model, want.model)
+		}
+		gs, err := milp.Solve(got.model, milp.Options{WarmStart: warmStart(inst, got)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := milp.Solve(want.model, milp.Options{WarmStart: warmStart(inst, want)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gs, ws) {
+			t.Fatalf("sub %d: reused model solves to %+v, fresh %+v", si, gs, ws)
+		}
+	}
+	if !grew || !shrank {
+		t.Fatalf("sub-problem sizes never grew (%v) or never shrank (%v) from one to the next", grew, shrank)
+	}
+	var first *Explanations
+	var firstStats Stats
+	for _, workers := range []int{1, 3} {
+		p.Workers = workers
+		expl, st, err := SolveInstance(inst, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.SolveTime = 0
+		if first == nil {
+			first, firstStats = expl, *st
+			continue
+		}
+		if !reflect.DeepEqual(expl, first) || *st != firstStats {
+			t.Fatalf("Workers=%d: %+v / %+v, Workers=1: %+v / %+v", workers, expl, *st, first, firstStats)
+		}
+	}
+}
+
+// TestSolveInstanceNodeCappedBudget pins the budget on a slow solve:
+// IMDb Q1 with a calibrator that keeps 314 matches encodes, at BatchSize
+// 200, into one 1066-variable block the sparse engine searches at about
+// 2 ms a node, so reaching maxNodes would take minutes. A 300 ms budget
+// must end it promptly with the incumbent, TimedOut set and no error.
+func TestSolveInstanceNodeCappedBudget(t *testing.T) {
+	in := imdbInput(t, 0) // Q1 actors in short movies
+	raw, err := BuildStage1(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sims := make([]float64, len(raw.RawMatches))
+	truth := make([]bool, len(raw.RawMatches))
+	for i, m := range raw.RawMatches {
+		sims[i] = m.Sim
+		truth[i] = m.Sim >= 0.44 && i%2 == 0
+	}
+	cal := linkage.NewCalibrator(50)
+	if err := cal.Fit(sims, truth); err != nil {
+		t.Fatal(err)
+	}
+	in.Calibrator = cal
+	inst, _, err := BuildInstance(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inst.Matches) != 314 {
+		t.Fatalf("%d matches kept, want 314", len(inst.Matches))
+	}
+	p := DefaultParams()
+	p.BatchSize = 200
+	p.Workers = 1
+	p.SolverTimeLimit = 300 * time.Millisecond
+	start := time.Now()
+	expl, st, err := SolveInstance(inst, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("a 300ms budget took %v", took)
+	}
+	if !st.TimedOut || st.SparseBlocks == 0 {
+		t.Fatalf("stats %+v: want TimedOut on a sparse block", *st)
+	}
+	if err := CheckComplete(inst, expl); err != nil {
+		t.Fatalf("budget-limited explanations incomplete: %v", err)
 	}
 }

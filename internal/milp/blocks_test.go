@@ -152,7 +152,7 @@ func TestBlocksMatchReference(t *testing.T) {
 			local := make([]int, len(m.vars))
 			for b := range want {
 				wsub, wmap := refSubModel(m, want[b])
-				gsub := m.subModel(got[b], local)
+				gsub := m.subModel(got[b], local, new(Model))
 				where := fmt.Sprintf("trial %d disable=%v block %d", trial, disable, b)
 				if fmt.Sprint(got[b].vars) != fmt.Sprint(wmap) {
 					t.Fatalf("%s: mapping %v, want %v", where, got[b].vars, wmap)
@@ -226,7 +226,7 @@ func TestMergeTermsMatchesMap(t *testing.T) {
 			terms[i] = Term{Var(rng.Intn(nv)), coefs[rng.Intn(len(coefs))]}
 		}
 		want := refMergeTerms(terms)
-		got := mergeTerms(terms)
+		got := mergeTerms(nil, terms)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d %v: got %v, want %v", trial, terms, got, want)
 		}
@@ -247,10 +247,10 @@ func TestMergeTermsMatchesMap(t *testing.T) {
 		t.Fatal("no trial cancelled a variable to exactly 0")
 	}
 	// A lone zero-coefficient term is kept, not dropped.
-	if got := mergeTerms([]Term{{3, 0}}); len(got) != 1 || got[0] != (Term{3, 0}) {
+	if got := mergeTerms(nil, []Term{{3, 0}}); len(got) != 1 || got[0] != (Term{3, 0}) {
 		t.Fatalf("mergeTerms({3, 0}) = %v, want the term kept", got)
 	}
-	if got := mergeTerms([]Term{{3, 0}, {4, 1}}); len(got) != 1 || got[0] != (Term{4, 1}) {
+	if got := mergeTerms(nil, []Term{{3, 0}, {4, 1}}); len(got) != 1 || got[0] != (Term{4, 1}) {
 		t.Fatalf("mergeTerms({3, 0}, {4, 1}) = %v, want the zero term dropped", got)
 	}
 }

@@ -61,12 +61,12 @@ func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error)
 	sol := &Solution{X: make([]float64, len(m.vars)), Blocks: len(blocks), Status: StatusOptimal}
 	sol.Objective = m.objConst
 
-	local := make([]int, len(m.vars))
+	sc := &scratch{local: make([]int, len(m.vars))}
 	for _, blk := range blocks {
-		sub := m.subModel(blk, local)
+		sub := m.subModel(blk, sc.local, &sc.sub)
 		var warm []float64
 		if opt.WarmStart != nil {
-			warm = make([]float64, len(blk.vars))
+			warm = grow(&sc.warm, len(blk.vars))
 			for i, gv := range blk.vars {
 				warm[i] = opt.WarmStart[gv]
 			}
@@ -74,7 +74,7 @@ func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error)
 				warm = nil
 			}
 		}
-		res := branchAndBound(ctx, sub, opt, warm, deadline)
+		res := branchAndBound(ctx, sub, opt, warm, deadline, sc)
 		sol.Nodes += res.nodes
 		sol.Iters += res.iters
 		sol.Refactors += res.refactors
@@ -101,6 +101,27 @@ func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error)
 	return sol, nil
 }
 
+// scratch is the memory one SolveContext call reuses from block to block:
+// the sub-model, branch-and-bound's per-variable arrays and the free list
+// of dropped dense simplexes.
+type scratch struct {
+	sub                             Model
+	local, intVars                  []int
+	warm, c, rootLB, rootUB, lb, ub []float64
+	seen                            []bool
+	tableaus                        tableaus
+}
+
+// grow returns *buf resized to n, reallocating only when its capacity is
+// short; the contents are stale.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
 // block is one connected component of the variable/constraint graph: its
 // variables in increasing order and its non-empty rows in model order, both
 // as indexes into the model.
@@ -111,33 +132,21 @@ type block struct {
 
 // blocks partitions the model into connected components of the
 // variable/constraint graph in one union-find pass over the rows, then
-// buckets each non-empty row into the block of its first variable: O(vars +
-// nnz). A variable no row references is a block of its own (counted in
-// Solution.Blocks and the engine counts like any other), so its bound
-// selection is still performed. Blocks are ordered by smallest variable,
-// which fixes the order SolveContext sums their objectives in. With
-// disable, one block holds every variable and every non-empty row.
+// buckets each variable and each non-empty row (by its first variable)
+// into its block: O(vars + nnz). Every block's vars and rows are subslices
+// of two flat arrays, sized by a counting pass. A variable no row
+// references is a block of its own (counted in Solution.Blocks and the
+// engine counts like any other), so its bound selection is still
+// performed. Blocks are ordered by smallest variable, which fixes the
+// order SolveContext sums their objectives in. With disable, one block
+// holds every variable and every non-empty row.
 func (m *Model) blocks(disable bool) []block {
 	n := len(m.vars)
 	if n == 0 {
 		return nil
 	}
-	if disable {
-		all := block{vars: make([]int, n)}
-		for i := range all.vars {
-			all.vars[i] = i
-		}
-		for ri, r := range m.rows {
-			if len(r.terms) > 0 {
-				all.rows = append(all.rows, ri)
-			}
-		}
-		return []block{all}
-	}
+	// With disable every parent stays 0: one component.
 	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
 	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
@@ -145,55 +154,90 @@ func (m *Model) blocks(disable bool) []block {
 		}
 		return x
 	}
-	for _, r := range m.rows {
-		for i := 1; i < len(r.terms); i++ {
-			ra, rb := find(int(r.terms[0].Var)), find(int(r.terms[i].Var))
-			if ra != rb {
-				parent[ra] = rb
+	if !disable {
+		for i := range parent {
+			parent[i] = i
+		}
+		for _, r := range m.rows {
+			for i := 1; i < len(r.terms); i++ {
+				ra, rb := find(int(r.terms[0].Var)), find(int(r.terms[i].Var))
+				if ra != rb {
+					parent[ra] = rb
+				}
 			}
 		}
 	}
-	// id[root] is the root's block; ids follow each block's smallest variable.
-	id := make([]int, n)
-	for i := range id {
-		id[i] = -1
-	}
-	var out []block
+	// of[v] is v's block, numbered by smallest variable (id[root] is the
+	// root's block plus one); rowOf[ri] is row ri's, -1 for an empty row.
+	id, of := make([]int, n), make([]int, n)
+	nb := 0
 	for v := 0; v < n; v++ {
 		root := find(v)
-		if id[root] < 0 {
-			id[root] = len(out)
-			out = append(out, block{})
+		if id[root] == 0 {
+			nb++
+			id[root] = nb
 		}
-		out[id[root]].vars = append(out[id[root]].vars, v)
+		of[v] = id[root] - 1
 	}
+	rowOf := make([]int, len(m.rows))
 	for ri, r := range m.rows {
+		rowOf[ri] = -1
 		if len(r.terms) > 0 {
-			b := id[find(int(r.terms[0].Var))]
-			out[b].rows = append(out[b].rows, ri)
+			rowOf[ri] = of[r.terms[0].Var]
 		}
+	}
+	vars, vEnd := bucket(of, nb)
+	rows, rEnd := bucket(rowOf, nb)
+	out := make([]block, nb)
+	for b, v0, r0 := 0, 0, 0; b < nb; b++ {
+		out[b] = block{vars: vars[v0:vEnd[b]:vEnd[b]], rows: rows[r0:rEnd[b]:rEnd[b]]}
+		v0, r0 = vEnd[b], rEnd[b]
 	}
 	return out
 }
 
-// subModel extracts the sub-problem of block b; its variable i is b.vars[i].
-// local is scratch of length NumVars, shared across calls: it receives each
-// block variable's local index, which only this block's rows read.
-func (m *Model) subModel(b block, local []int) *Model {
-	sub := NewModel(m.Name, m.sense)
-	sub.vars = make([]varData, len(b.vars))
+// bucket lists the items i with of[i] >= 0 grouped by of[i] < nb, in
+// increasing order within a group, and returns each group's end offset.
+func bucket(of []int, nb int) (flat, end []int) {
+	end = make([]int, nb)
+	for _, b := range of {
+		if b >= 0 {
+			end[b]++
+		}
+	}
+	total := 0
+	for b, k := range end {
+		end[b], total = total, total+k // now the group's start
+	}
+	flat = make([]int, total)
+	for i, b := range of {
+		if b >= 0 {
+			flat[end[b]] = i
+			end[b]++
+		}
+	}
+	return flat, end
+}
+
+// subModel rebuilds sub in place as the sub-problem of block b; its
+// variable i is b.vars[i]. local is scratch of length NumVars, shared
+// across calls: it receives each block variable's local index, which only
+// this block's rows read.
+func (m *Model) subModel(b block, local []int, sub *Model) *Model {
+	sub.Reset()
+	sub.Name, sub.sense = m.Name, m.sense
 	for i, gv := range b.vars {
 		local[gv] = i
-		sub.vars[i] = m.vars[gv]
+		sub.vars = append(sub.vars, m.vars[gv])
 	}
-	sub.rows = make([]rowData, len(b.rows))
-	for k, ri := range b.rows {
+	for _, ri := range b.rows {
 		r := &m.rows[ri]
-		terms := make([]Term, len(r.terms))
-		for i, t := range r.terms {
-			terms[i] = Term{Var: Var(local[t.Var]), Coef: t.Coef}
+		start := len(sub.arena)
+		for _, t := range r.terms {
+			sub.arena = append(sub.arena, Term{Var: Var(local[t.Var]), Coef: t.Coef})
 		}
-		sub.rows[k] = rowData{name: r.name, terms: terms, sense: r.sense, rhs: r.rhs}
+		end := len(sub.arena)
+		sub.rows = append(sub.rows, rowData{name: r.name, terms: sub.arena[start:end:end], sense: r.sense, rhs: r.rhs})
 	}
 	return sub
 }
@@ -283,34 +327,32 @@ type bbNode struct {
 // every other node applies its one bound delta to an existing optimal
 // basis and repairs it with dual pivots. Options.cold restores the
 // historical solve-from-scratch behavior.
-func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, deadline time.Time) bbResult {
+func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, deadline time.Time, sc *scratch) bbResult {
 	n := len(m.vars)
-	c := make([]float64, n)
+	c := grow(&sc.c, n)
 	sign := 1.0
 	if m.sense == Maximize {
 		sign = -1
 	}
+	rootLB := grow(&sc.rootLB, n)
+	rootUB := grow(&sc.rootUB, n)
+	intVars := sc.intVars[:0]
 	for i, v := range m.vars {
 		c[i] = sign * v.obj
-	}
-	rootLB := make([]float64, n)
-	rootUB := make([]float64, n)
-	for i, v := range m.vars {
 		rootLB[i] = v.lb
 		rootUB[i] = v.ub
-	}
-	intVars := make([]int, 0, n)
-	for i, v := range m.vars {
 		if v.vt != Continuous {
 			intVars = append(intVars, i)
 		}
 	}
+	sc.intVars = intVars
 
 	best := math.Inf(1)
 	var bestX []float64
 	if warm != nil {
+		// Scratch too: nothing writes an incumbent, SolveContext copies it out.
 		best = sign * m.objectiveOf(warm) // objectiveOf includes objConst=0 for subModels
-		bestX = append([]float64(nil), warm...)
+		bestX = warm
 	}
 
 	expired := func() bool {
@@ -328,7 +370,9 @@ func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, 
 		(opt.engine == engineAdaptive && chooseDense(m, len(intVars)))
 	var eng lpEngine
 	if dense {
-		eng = &denseEngine{ctx: ctx, deadline: deadline, c: c, rows: m.rows, useWarm: useWarm}
+		de := &denseEngine{ctx: ctx, deadline: deadline, c: c, rows: m.rows, useWarm: useWarm, tableaus: &sc.tableaus}
+		defer func() { sc.tableaus.put(de.hot) }()
+		eng = de
 	} else {
 		eng = &sparseEngine{ctx: ctx, deadline: deadline, c: c, rows: m.rows, useWarm: useWarm}
 	}
@@ -339,9 +383,9 @@ func branchAndBound(ctx context.Context, m *Model, opt Options, warm []float64, 
 
 	// bounds materializes a node's full bound arrays (root bounds plus the
 	// delta chain, nearest node winning) into shared scratch space.
-	scratchLB := make([]float64, n)
-	scratchUB := make([]float64, n)
-	seen := make([]bool, n)
+	scratchLB := grow(&sc.lb, n)
+	scratchUB := grow(&sc.ub, n)
+	seen := grow(&sc.seen, n) // all false: bounds unsets what it sets
 	bounds := func(node *bbNode) ([]float64, []float64) {
 		copy(scratchLB, rootLB)
 		copy(scratchUB, rootUB)

@@ -251,7 +251,7 @@ func TestDualRepairMatchesColdSolve(t *testing.T) {
 			sense := []ConstrSense{LE, GE}[rng.Intn(2)]
 			rows = append(rows, rowData{terms: terms, sense: sense, rhs: float64(rng.Intn(9) - 2)})
 		}
-		st, _, x, s := solveLPKeep(context.Background(), c, lb, ub, rows, time.Time{})
+		st, _, x, s := solveLPKeep(context.Background(), c, lb, ub, rows, time.Time{}, new(tableaus))
 		if st != lpOptimal {
 			continue // only warm-start from optimal parents, as B&B does
 		}

@@ -45,13 +45,15 @@ type nodeSnap any
 
 // denseEngine wraps the dense-tableau simplex (simplex.go / dual.go) in
 // the engine interface. Its refactorization policy is the historical one:
-// a fixed counter of consecutive warm solves forces a cold rebuild.
+// a fixed counter of consecutive warm solves forces a cold rebuild. Its
+// tableaus come from, and when dropped go back to, the call's free list.
 type denseEngine struct {
 	ctx      context.Context
 	deadline time.Time
 	c        []float64
 	rows     []rowData
 	useWarm  bool
+	tableaus *tableaus
 
 	hot       *simplex
 	curSeq    uint64
@@ -73,15 +75,18 @@ func (e *denseEngine) expired() bool {
 // children can warm-start; otherwise the previous hot state is left intact
 // for other stack entries that still reference it.
 func (e *denseEngine) cold(lb, ub []float64) (lpStatus, float64, []float64) {
-	st, obj, x, s := solveLPKeep(e.ctx, e.c, lb, ub, e.rows, e.deadline)
+	st, obj, x, s := solveLPKeep(e.ctx, e.c, lb, ub, e.rows, e.deadline, e.tableaus)
 	if s != nil {
 		e.itersN += s.pivots
 	}
 	e.warmSince = 0
 	if st == lpOptimal && s != nil && e.useWarm {
+		e.tableaus.put(e.hot)
 		e.hot = s
 		e.nextSeq++
 		e.curSeq = e.nextSeq
+	} else {
+		e.tableaus.put(s)
 	}
 	return st, obj, x
 }
@@ -216,7 +221,7 @@ func (e *sparseEngine) cold(lb, ub []float64) (lpStatus, float64, []float64) {
 		// The factorization failed beyond repair (effectively unreachable:
 		// the crash basis is diagonal) — fall back to the dense reference
 		// solver for this node, size permitting.
-		st2, obj, x, ds := solveLPKeep(e.ctx, e.c, lb, ub, e.rows, e.deadline)
+		st2, obj, x, ds := solveLPKeep(e.ctx, e.c, lb, ub, e.rows, e.deadline, new(tableaus))
 		if ds != nil {
 			e.itersN += ds.pivots
 		}

@@ -17,10 +17,10 @@ func (m *Model) ProductBinaryCont(z, v Var, lo, hi float64, name string) Var {
 		pHi = 0
 	}
 	p := m.AddVar(pLo, pHi, Continuous, name)
-	m.AddConstr([]Term{{p, 1}, {z, -hi}}, LE, 0, name+"_ub_z")
-	m.AddConstr([]Term{{p, 1}, {z, -lo}}, GE, 0, name+"_lb_z")
-	m.AddConstr([]Term{{p, 1}, {v, -1}, {z, -lo}}, LE, -lo, name+"_ub_v")
-	m.AddConstr([]Term{{p, 1}, {v, -1}, {z, -hi}}, GE, -hi, name+"_lb_v")
+	m.AddConstr([]Term{{p, 1}, {z, -hi}}, LE, 0, suffixed(name, "_ub_z"))
+	m.AddConstr([]Term{{p, 1}, {z, -lo}}, GE, 0, suffixed(name, "_lb_z"))
+	m.AddConstr([]Term{{p, 1}, {v, -1}, {z, -lo}}, LE, -lo, suffixed(name, "_ub_v"))
+	m.AddConstr([]Term{{p, 1}, {v, -1}, {z, -hi}}, GE, -hi, suffixed(name, "_lb_v"))
 	return p
 }
 
@@ -31,7 +31,15 @@ func (m *Model) ProductBinaryCont(z, v Var, lo, hi float64, name string) Var {
 //	v − target ≥ (lo − target)·(1−y).
 func (m *Model) IndicatorEq(y, v Var, target, lo, hi float64, name string) {
 	// v + (hi-target)·y ≤ hi
-	m.AddConstr([]Term{{v, 1}, {y, hi - target}}, LE, hi, name+"_ub")
+	m.AddConstr([]Term{{v, 1}, {y, hi - target}}, LE, hi, suffixed(name, "_ub"))
 	// v + (lo-target)·y ≥ lo
-	m.AddConstr([]Term{{v, 1}, {y, lo - target}}, GE, lo, name+"_lb")
+	m.AddConstr([]Term{{v, 1}, {y, lo - target}}, GE, lo, suffixed(name, "_lb"))
+}
+
+// suffixed names a helper row after its caller; unnamed callers get "".
+func suffixed(name, suffix string) string {
+	if name == "" {
+		return ""
+	}
+	return name + suffix
 }

@@ -287,6 +287,23 @@ func TestValidateErrors(t *testing.T) {
 	if _, err := Solve(m2, Options{}); err == nil {
 		t.Fatal("empty domain should be rejected")
 	}
+	// Messages give the index always and the name only when there is one.
+	const named = "milp: variable empty (0) has empty domain [3,1]"
+	if _, err := Solve(m2, Options{}); err == nil || err.Error() != named {
+		t.Fatalf("named variable: %v, want %q", err, named)
+	}
+	m2.Reset()
+	y := m2.AddVar(0, 1, Continuous, "")
+	m2.AddVar(2, 1, Continuous, "")
+	if _, err := Solve(m2, Options{}); err == nil || err.Error() != "milp: variable 1 has empty domain [2,1]" {
+		t.Fatalf("unnamed variable: %v", err)
+	}
+	m2.Reset()
+	m2.AddVar(0, 1, Continuous, "")
+	m2.AddConstr([]Term{{y, 1}}, GE, 1, "")
+	if err := m2.CheckFeasible([]float64{0}, 1e-9); err == nil || err.Error() != "milp: constraint 0 violated: 0 < 1" {
+		t.Fatalf("unnamed row: %v", err)
+	}
 	m3 := NewModel("bad3", Minimize)
 	m3.AddVar(math.Inf(-1), 1, Continuous, "freelb")
 	if _, err := Solve(m3, Options{}); err == nil {

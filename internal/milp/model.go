@@ -82,12 +82,21 @@ type Model struct {
 	sense    Sense
 	vars     []varData
 	rows     []rowData
+	arena    []Term // every row's merged terms, back to back
 	objConst float64
 }
 
 // NewModel creates an empty model with the given optimization sense.
 func NewModel(name string, sense Sense) *Model {
 	return &Model{Name: name, sense: sense}
+}
+
+// Reset empties the model for reuse, keeping its name, its sense and the
+// storage of its variables, rows and terms, which the next additions
+// overwrite: nothing may still read the earlier contents.
+func (m *Model) Reset() {
+	m.vars, m.rows, m.arena = m.vars[:0], m.rows[:0], m.arena[:0]
+	m.objConst = 0
 }
 
 // AddVar declares a variable. Binary variables may pass any bounds; they
@@ -124,10 +133,15 @@ func (m *Model) SetBranchPriority(v Var, pri int) { m.vars[v].pri = pri }
 func (m *Model) AddObjConst(c float64) { m.objConst += c }
 
 // AddConstr appends a linear constraint Σ terms (sense) rhs. Terms on the
-// same variable are merged.
+// same variable are merged. The merged terms are copied to the end of the
+// model's term arena and the row keeps a subslice capped at its own length,
+// so no later append can write into it; terms itself is not retained and
+// may be reused for the next row.
 func (m *Model) AddConstr(terms []Term, sense ConstrSense, rhs float64, name string) {
-	merged := mergeTerms(terms)
-	m.rows = append(m.rows, rowData{name: name, terms: merged, sense: sense, rhs: rhs})
+	start := len(m.arena)
+	m.arena = mergeTerms(m.arena, terms)
+	end := len(m.arena)
+	m.rows = append(m.rows, rowData{name: name, terms: m.arena[start:end:end], sense: sense, rhs: rhs})
 }
 
 // mergeScanMax is the longest row mergeTerms merges by linear scan; most
@@ -138,38 +152,39 @@ const mergeScanMax = 16
 
 // mergeTerms sums terms on the same variable left to right, keeps each
 // variable at its first appearance and drops sums that are exactly 0. A
-// single term is returned as is, even with a zero coefficient.
+// single term is kept as is, even with a zero coefficient. The merged
+// terms are appended to dst, which must not overlap terms.
 //
 //lint:floatexact coefficients that cancel to exact 0.0 drop the term; keeping near-zero terms is deliberate
-func mergeTerms(terms []Term) []Term {
+func mergeTerms(dst, terms []Term) []Term {
 	if len(terms) <= 1 {
-		return append([]Term(nil), terms...)
+		return append(dst, terms...)
 	}
-	out := make([]Term, 0, len(terms))
+	base := len(dst)
 	if len(terms) <= mergeScanMax {
 	next:
 		for _, t := range terms {
-			for i := range out {
-				if out[i].Var == t.Var {
-					out[i].Coef += t.Coef
+			for i := base; i < len(dst); i++ {
+				if dst[i].Var == t.Var {
+					dst[i].Coef += t.Coef
 					continue next
 				}
 			}
-			out = append(out, t)
+			dst = append(dst, t)
 		}
 	} else {
 		at := make(map[Var]int, len(terms))
 		for _, t := range terms {
 			if i, seen := at[t.Var]; seen {
-				out[i].Coef += t.Coef
+				dst[i].Coef += t.Coef
 				continue
 			}
-			at[t.Var] = len(out)
-			out = append(out, t)
+			at[t.Var] = len(dst)
+			dst = append(dst, t)
 		}
 	}
-	kept := out[:0]
-	for _, t := range out {
+	kept := dst[:base]
+	for _, t := range dst[base:] {
 		if t.Coef != 0 {
 			kept = append(kept, t)
 		}
@@ -299,27 +314,35 @@ func (s *Solution) Value(v Var) float64 { return s.X[v] }
 // BoolValue rounds a binary variable's value.
 func (s *Solution) BoolValue(v Var) bool { return s.X[v] > 0.5 }
 
+// label names variable or row i in an error: its index, and its name if any.
+func label(kind, name string, i int) string {
+	if name == "" {
+		return fmt.Sprintf("%s %d", kind, i)
+	}
+	return fmt.Sprintf("%s %s (%d)", kind, name, i)
+}
+
 // validate checks model invariants before solving.
 func (m *Model) validate() error {
 	for i, v := range m.vars {
 		if math.IsInf(v.lb, -1) || math.IsNaN(v.lb) {
-			return fmt.Errorf("milp: variable %s (%d) must have a finite lower bound", v.name, i)
+			return fmt.Errorf("milp: %s must have a finite lower bound", label("variable", v.name, i))
 		}
 		if v.ub < v.lb {
-			return fmt.Errorf("milp: variable %s (%d) has empty domain [%g,%g]", v.name, i, v.lb, v.ub)
+			return fmt.Errorf("milp: %s has empty domain [%g,%g]", label("variable", v.name, i), v.lb, v.ub)
 		}
 	}
-	for _, r := range m.rows {
+	for ri, r := range m.rows {
 		for _, t := range r.terms {
 			if int(t.Var) < 0 || int(t.Var) >= len(m.vars) {
-				return fmt.Errorf("milp: constraint %s references unknown variable %d", r.name, t.Var)
+				return fmt.Errorf("milp: %s references unknown variable %d", label("constraint", r.name, ri), t.Var)
 			}
 			if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
-				return fmt.Errorf("milp: constraint %s has non-finite coefficient on variable %d", r.name, t.Var)
+				return fmt.Errorf("milp: %s has non-finite coefficient on variable %d", label("constraint", r.name, ri), t.Var)
 			}
 		}
 		if math.IsNaN(r.rhs) || math.IsInf(r.rhs, 0) {
-			return fmt.Errorf("milp: constraint %s has non-finite right-hand side", r.name)
+			return fmt.Errorf("milp: %s has non-finite right-hand side", label("constraint", r.name, ri))
 		}
 	}
 	return nil
@@ -334,15 +357,15 @@ func (m *Model) CheckFeasible(x []float64, tol float64) error {
 	}
 	for i, v := range m.vars {
 		if x[i] < v.lb-tol || x[i] > v.ub+tol {
-			return fmt.Errorf("milp: variable %s (%d) = %g outside [%g,%g]", v.name, i, x[i], v.lb, v.ub)
+			return fmt.Errorf("milp: %s = %g outside [%g,%g]", label("variable", v.name, i), x[i], v.lb, v.ub)
 		}
 		if v.vt != Continuous {
 			if math.Abs(x[i]-math.Round(x[i])) > tol {
-				return fmt.Errorf("milp: variable %s (%d) = %g is not integral", v.name, i, x[i])
+				return fmt.Errorf("milp: %s = %g is not integral", label("variable", v.name, i), x[i])
 			}
 		}
 	}
-	for _, r := range m.rows {
+	for ri, r := range m.rows {
 		lhs := 0.0
 		for _, t := range r.terms {
 			lhs += t.Coef * x[t.Var]
@@ -350,15 +373,15 @@ func (m *Model) CheckFeasible(x []float64, tol float64) error {
 		switch r.sense {
 		case LE:
 			if lhs > r.rhs+tol {
-				return fmt.Errorf("milp: constraint %s violated: %g > %g", r.name, lhs, r.rhs)
+				return fmt.Errorf("milp: %s violated: %g > %g", label("constraint", r.name, ri), lhs, r.rhs)
 			}
 		case GE:
 			if lhs < r.rhs-tol {
-				return fmt.Errorf("milp: constraint %s violated: %g < %g", r.name, lhs, r.rhs)
+				return fmt.Errorf("milp: %s violated: %g < %g", label("constraint", r.name, ri), lhs, r.rhs)
 			}
 		case EQ:
 			if math.Abs(lhs-r.rhs) > tol {
-				return fmt.Errorf("milp: constraint %s violated: %g != %g", r.name, lhs, r.rhs)
+				return fmt.Errorf("milp: %s violated: %g != %g", label("constraint", r.name, ri), lhs, r.rhs)
 			}
 		}
 	}

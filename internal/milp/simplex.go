@@ -51,6 +51,35 @@ type simplex struct {
 	pivots   int             // lifetime simplex iterations (pivots + bound flips)
 	deadline time.Time       // zero = no limit
 	ctx      context.Context // nil = never canceled
+	buf      []float64       // backing array T's rows and the float arrays were carved from
+}
+
+// tableaus is one SolveContext call's free list of dropped simplexes:
+// newSimplex rebuilds one in place, reusing its slices and backing array.
+type tableaus struct{ free []*simplex }
+
+// get returns a simplex whose backing array is zeroed and of length size,
+// recycled if a free one's fits; if none does, it lets them all go rather
+// than keep every size seen.
+func (p *tableaus) get(size int) *simplex {
+	for i, s := range p.free {
+		if cap(s.buf) >= size {
+			p.free[i] = p.free[len(p.free)-1]
+			p.free = p.free[:len(p.free)-1]
+			s.buf = s.buf[:size]
+			clear(s.buf)
+			return s
+		}
+	}
+	p.free = nil
+	return &simplex{buf: make([]float64, size)}
+}
+
+// put takes back a simplex that nothing reads any more.
+func (p *tableaus) put(s *simplex) {
+	if s != nil {
+		p.free = append(p.free, s)
+	}
 }
 
 // newSimplex builds the working problem from a (minimization) model slice:
@@ -58,25 +87,30 @@ type simplex struct {
 // an initial basis from slacks wherever the slack's sign admits the
 // initial residual, reserving artificial columns — and hence phase-1
 // effort — for the rows that genuinely need them.
-func newSimplex(c, lb, ub []float64, rows []rowData) *simplex {
+//
+// The simplex comes from free, and its owner returns it there when it
+// drops it. T's rows, lb, ub, cost, realCost, d and xB are carved from
+// one backing array of m·n + 5n + m floats, which the build relies on get
+// zeroing; T, status, basis and rowOf keep their storage but not their
+// contents, which the build overwrites in full.
+func newSimplex(c, lb, ub []float64, rows []rowData, free *tableaus) *simplex {
 	m := len(rows)
 	nv := len(c)
-	// Residuals at the all-at-lower-bound starting point, and which rows
-	// can seat their slack directly.
-	res := make([]float64, m)
-	needArt := make([]bool, m)
-	nSlack, nArt := 0, 0
-	for i, r := range rows {
-		ri := r.rhs
+	// residual is a row's slack at the all-at-lower-bound starting point; a
+	// row needs an artificial unless its slack's sign admits it.
+	residual := func(r rowData) float64 {
+		res := r.rhs
 		for _, t := range r.terms {
-			ri -= t.Coef * lb[t.Var]
+			res -= t.Coef * lb[t.Var]
 		}
-		res[i] = ri
-		switch {
-		case r.sense == LE && ri >= 0:
-		case r.sense == GE && ri <= 0:
-		default:
-			needArt[i] = true
+		return res
+	}
+	needArt := func(r rowData, res float64) bool {
+		return !(r.sense == LE && res >= 0) && !(r.sense == GE && res <= 0)
+	}
+	nSlack, nArt := 0, 0
+	for _, r := range rows {
+		if needArt(r, residual(r)) {
 			nArt++
 		}
 		if r.sense != EQ {
@@ -84,20 +118,24 @@ func newSimplex(c, lb, ub []float64, rows []rowData) *simplex {
 		}
 	}
 	n := nv + nSlack + nArt
-	s := &simplex{
-		m: m, n: n, nStruct: nv, artStart: nv + nSlack,
-		T:        make([][]float64, m),
-		lb:       make([]float64, n),
-		ub:       make([]float64, n),
-		cost:     make([]float64, n),
-		realCost: make([]float64, n),
-		status:   make([]varStatus, n),
-		basis:    make([]int, m),
-		rowOf:    make([]int, n),
-		xB:       make([]float64, m),
-		d:        make([]float64, n),
-		maxIter:  20000 + 200*(m+nv),
+	s := free.get(m*n + 5*n + m)
+	buf := s.buf
+	carve := func(k int) []float64 {
+		out := buf[:k:k]
+		buf = buf[k:]
+		return out
 	}
+	*s = simplex{
+		m: m, n: n, nStruct: nv, artStart: nv + nSlack,
+		buf: s.buf, T: grow(&s.T, m), status: grow(&s.status, n),
+		basis: grow(&s.basis, m), rowOf: grow(&s.rowOf, n),
+		maxIter: 20000 + 200*(m+nv),
+	}
+	for i := range s.T {
+		s.T[i] = carve(n)
+	}
+	s.lb, s.ub, s.cost, s.realCost, s.d = carve(n), carve(n), carve(n), carve(n), carve(n)
+	s.xB = carve(m)
 	for j := range s.rowOf {
 		s.rowOf[j] = -1
 	}
@@ -118,39 +156,40 @@ func newSimplex(c, lb, ub []float64, rows []rowData) *simplex {
 		s.xB[i] = val
 	}
 	slack := nv
-	art := s.artStart
+	nextArt := s.artStart
 	for i, r := range rows {
-		row := make([]float64, n)
+		row := s.T[i]
 		for _, t := range r.terms {
 			row[t.Var] += t.Coef
 		}
-		s.T[i] = row
+		res := residual(r)
+		art := needArt(r, res)
 		sign := 1.0
 		switch r.sense {
 		case LE:
 			row[slack] = 1
-			if !needArt[i] {
-				seat(i, slack, res[i])
+			if !art {
+				seat(i, slack, res)
 			}
 			slack++
 		case GE:
 			row[slack] = -1
-			if !needArt[i] {
+			if !art {
 				// Normalize so the basic (slack) column becomes +1.
 				sign = -1
-				seat(i, slack, -res[i])
+				seat(i, slack, -res)
 			}
 			slack++
 		}
-		if needArt[i] {
-			if res[i] >= 0 {
-				row[art] = 1
+		if art {
+			if res >= 0 {
+				row[nextArt] = 1
 			} else {
-				row[art] = -1
+				row[nextArt] = -1
 				sign = -1
 			}
-			seat(i, art, math.Abs(res[i]))
-			art++
+			seat(i, nextArt, math.Abs(res))
+			nextArt++
 		}
 		if sign < 0 {
 			for j := 0; j < n; j++ {
@@ -472,15 +511,15 @@ func (s *simplex) expired() bool {
 // objective, and structural solution. A zero deadline means no limit;
 // cancellation of ctx is reported as an iteration limit.
 func solveLP(ctx context.Context, c, lb, ub []float64, rows []rowData, deadline time.Time) (lpStatus, float64, []float64) {
-	st, obj, x, _ := solveLPKeep(ctx, c, lb, ub, rows, deadline)
+	st, obj, x, _ := solveLPKeep(ctx, c, lb, ub, rows, deadline, new(tableaus))
 	return st, obj, x
 }
 
 // solveLPKeep is solveLP returning the solver instance as well, so
 // branch-and-bound can snapshot its optimal basis and warm-start child
 // nodes from it. The instance is nil when the relaxation was refused for
-// size.
-func solveLPKeep(ctx context.Context, c, lb, ub []float64, rows []rowData, deadline time.Time) (lpStatus, float64, []float64, *simplex) {
+// size; otherwise its tableau comes from free.
+func solveLPKeep(ctx context.Context, c, lb, ub []float64, rows []rowData, deadline time.Time, free *tableaus) (lpStatus, float64, []float64, *simplex) {
 	m := len(rows)
 	nSlack := 0
 	for _, r := range rows {
@@ -491,7 +530,7 @@ func solveLPKeep(ctx context.Context, c, lb, ub []float64, rows []rowData, deadl
 	if m*(len(c)+nSlack+m) > maxTableauCells {
 		return lpIterLimit, 0, nil, nil
 	}
-	s := newSimplex(c, lb, ub, rows)
+	s := newSimplex(c, lb, ub, rows, free)
 	s.deadline = deadline
 	s.ctx = ctx
 	st := s.solve()

@@ -88,7 +88,7 @@ func randomSquareRows(rng *rand.Rand, m int) []rowData {
 				terms = append(terms, Term{Var(j), rng.Float64()*2 - 1})
 			}
 		}
-		rows[i] = rowData{terms: mergeTerms(terms), sense: EQ, rhs: rng.Float64() * 10}
+		rows[i] = rowData{terms: mergeTerms(nil, terms), sense: EQ, rhs: rng.Float64() * 10}
 	}
 	return rows
 }
