@@ -8,7 +8,7 @@
 package summarize
 
 import (
-	"container/heap"
+	"bytes"
 	"strconv"
 	"strings"
 
@@ -45,13 +45,13 @@ func (p *Pattern) String() string {
 	return b.String()
 }
 
-// Matches reports whether a tuple instantiates the pattern.
+// Matches reports whether a tuple instantiates the pattern: each fixed
+// value has the same key (Value.AppendKey) as the tuple's, the equality
+// Summarize counts Covered and FalsePos by.
 func (p *Pattern) Matches(row relation.Tuple) bool {
+	var pb, rb [32]byte
 	for i, v := range p.Values {
-		if v == nil {
-			continue
-		}
-		if !row[i].Identical(*v) {
+		if v != nil && !bytes.Equal(v.AppendKey(pb[:0]), row[i].AppendKey(rb[:0])) {
 			return false
 		}
 	}
@@ -67,254 +67,292 @@ const (
 	// term).
 	falsePositiveCost = 1
 	// maxFixedAttrs bounds the number of non-wildcard attributes per
-	// candidate pattern (lattice depth).
+	// candidate pattern (lattice depth); Summarize mines depths 1 and 2.
 	maxFixedAttrs = 2
 )
 
 // Summarize derives a pattern cover for the target tuples of rel:
 // targets[i] marks row i as explained. The result is a greedy weighted
-// set cover over candidate patterns mined from the targets themselves;
-// per-tuple singleton patterns guarantee the cover is total.
+// set cover over candidate patterns mined from the targets themselves; it
+// is total because every target row mines depth-1 candidates that cover it.
+//
+// Everything runs on integer value ids: each distinct cell key
+// (relation.CellKey, equal exactly when Value.AppendKey is) that a target
+// row carries on an attribute gets one. A depth-1 candidate is a value id,
+// a depth-2 candidate a pair of ids on two attributes, and a candidate's
+// fixed values come from the first target row that carries it.
 func Summarize(rel *relation.Relation, targets []bool) []*Pattern {
-	if rel.Len() == 0 || len(targets) != rel.Len() {
+	n := rel.Len()
+	if n == 0 || len(targets) != n {
 		return nil
 	}
 	attrs := rel.Schema.Names()
 	nAttr := len(attrs)
-
-	// Candidate keys render a row's values over a fixed attribute set as
-	// "a=<key>|b=<key>|…" with attributes ascending. renderParts fills the
-	// per-attribute fragments in shared byte buffers — the scoring pass
-	// touches every row of the relation, so per-combo string allocation
-	// would dominate — and both candidate generation and scoring assemble
-	// keys from these fragments, so they agree by construction.
-	parts := make([][]byte, nAttr)
-	keyBuf := make([]byte, 0, 128)
-	renderParts := func(row relation.Tuple) {
-		for a := range parts {
-			b := strconv.AppendInt(parts[a][:0], int64(a), 10)
-			parts[a] = row[a].AppendKey(append(b, '='))
-		}
-	}
-	// comboKeys enumerates every ≤ maxFixedAttrs combination of the
-	// rendered fragments; visit must not retain key.
-	comboKeys := func(row relation.Tuple, visit func(key []byte, fixed []int)) {
-		renderParts(row)
-		var walk func(start int, chosen []int, keyLen int)
-		walk = func(start int, chosen []int, keyLen int) {
-			if len(chosen) > 0 {
-				visit(keyBuf[:keyLen], chosen)
-			}
-			if len(chosen) >= maxFixedAttrs {
-				return
-			}
-			for a := start; a < nAttr; a++ {
-				n := keyLen
-				if n > 0 {
-					keyBuf = append(keyBuf[:n], '|')
-					n++
-				}
-				keyBuf = append(keyBuf[:n], parts[a]...)
-				walk(a+1, append(chosen, a), n+len(parts[a]))
-			}
-		}
-		walk(0, nil, 0)
-	}
-
-	// Candidate generation: every combination of ≤ maxFixedAttrs
-	// attribute values observed in some target tuple.
-	nTargets := 0
-	for _, t := range targets {
+	var tgt []int32 // target rows, ascending
+	for i, t := range targets {
 		if t {
-			nTargets++
+			tgt = append(tgt, int32(i))
 		}
 	}
-	cands := make(map[string]*scored, 4*nTargets)
-	var row relation.Tuple
-	for i := 0; i < rel.Len(); i++ {
-		if !targets[i] {
-			continue
+	k := nAttr + nAttr*(nAttr-1)/2 // candidates per target row
+	valIDs, pairIDs := newIDTable(len(tgt)), newIDTable(len(tgt)*(k-nAttr))
+
+	// vid[i*nAttr+a] is row i's value id on attribute a, or -1 when no
+	// target row carries the value there. Ids count attribute by attribute
+	// in order of first appearance among the target rows, and value id g
+	// is candidate g: cands[g].rep is the first target row carrying it.
+	vid := make([]int32, n*nAttr)
+	cands := make([]cand, 0, len(tgt)*k)
+	var valAttr []int32
+	var keys []relation.CellKey
+	for a := range nAttr {
+		keys = rel.ColumnCellKeys(keys[:0], a, rel.Dict())
+		clear(valIDs.ids)
+		for _, i := range tgt {
+			g, fresh := valIDs.insert(keys[i], int32(len(cands)))
+			if fresh {
+				cands = append(cands, cand{rep: i, g: [2]int32{g, -1}})
+				valAttr = append(valAttr, int32(a))
+			}
+			vid[int(i)*nAttr+a] = g
 		}
-		row = rel.RowInto(row, i)
-		comboKeys(row, func(key []byte, fixed []int) {
-			if _, ok := cands[string(key)]; ok { // no-alloc map probe
-				return
+		for i, ck := range keys {
+			if !targets[i] {
+				vid[i*nAttr+a] = valIDs.find(ck)
 			}
-			vals := make([]*relation.Value, nAttr)
-			for _, f := range fixed {
-				v := row[f]
-				vals[f] = &v
+		}
+	}
+	nVals := int32(len(cands))
+	// pairKey keys the depth-2 candidate of ids ga < gb (on attributes
+	// a < b) in pairIDs.
+	pairKey := func(ga, gb int32) relation.CellKey { return relation.CellKey{Bits: uint64(ga)<<32 | uint64(gb)} }
+
+	// Mining: hits lists each target row's k candidates, all of which
+	// cover it.
+	hits := make([]int32, 0, len(tgt)*k)
+	for _, i := range tgt {
+		row := vid[int(i)*nAttr : int(i+1)*nAttr]
+		hits = append(hits, row...)
+		for x, ga := range row {
+			for _, gb := range row[x+1:] {
+				c, fresh := pairIDs.insert(pairKey(ga, gb), int32(len(cands)))
+				if fresh {
+					cands = append(cands, cand{rep: i, g: [2]int32{ga, gb}})
+				}
+				hits = append(hits, c)
 			}
-			// The map key doubles as the deterministic tie-break order: it
-			// lists attributes ascending with canonical value encodings, so
-			// it orders distinct candidates totally.
-			k := string(key)
-			cands[k] = &scored{p: &Pattern{Attrs: attrs, Values: vals}, order: k}
-		})
+		}
 	}
 
-	// Evaluate candidates. Every candidate fixes values drawn verbatim from
-	// some target row, so a row instantiates a candidate exactly when the
-	// key built from the row's own values over the same attribute set
-	// equals the candidate's key. One pass over the relation probing each
-	// row's combinations therefore scores the whole pool — no full relation
-	// scan per candidate. The walk into depth ≥ 2 only extends attributes
-	// whose depth-1 probe hit: a composite candidate exists only if all of
-	// its single-attribute projections do (they come from the same target
-	// rows), so the misses skipped this way cannot be hits.
-	active := make([]int, 0, nAttr)
-	for i := 0; i < rel.Len(); i++ {
-		row = rel.RowInto(row, i)
-		renderParts(row)
-		bump := func(s *scored) {
-			if targets[i] {
-				s.covers = append(s.covers, i)
-			} else {
-				s.falsePos++
-			}
+	// Scoring: a non-target row instantiates a candidate exactly when its
+	// ids on the candidate's attributes are the candidate's. Pairs are
+	// probed only among the row's ids that are candidates themselves.
+	falsePos := make([]int32, len(cands))
+	active := make([]int32, 0, nAttr)
+	for i := range n {
+		if targets[i] {
+			continue
 		}
 		active = active[:0]
-		for a := 0; a < nAttr; a++ {
-			if s, ok := cands[string(parts[a])]; ok { // no-alloc map probe
-				bump(s)
-				active = append(active, a)
+		for _, g := range vid[i*nAttr : (i+1)*nAttr] {
+			if g >= 0 {
+				falsePos[g]++
+				active = append(active, g)
 			}
 		}
-		if len(active) < 2 {
-			continue
-		}
-		var walk func(start, depth, keyLen int)
-		walk = func(start, depth, keyLen int) {
-			if depth >= 2 {
-				if s, ok := cands[string(keyBuf[:keyLen])]; ok { // no-alloc map probe
-					bump(s)
+		for x, ga := range active {
+			for _, gb := range active[x+1:] {
+				if c := pairIDs.find(pairKey(ga, gb)); c >= 0 {
+					falsePos[c]++
 				}
 			}
-			if depth >= maxFixedAttrs {
-				return
-			}
-			for ai := start; ai < len(active); ai++ {
-				n := keyLen
-				if n > 0 {
-					keyBuf = append(keyBuf[:n], '|')
-					n++
-				}
-				keyBuf = append(keyBuf[:n], parts[active[ai]]...)
-				walk(ai+1, depth+1, n+len(parts[active[ai]]))
-			}
 		}
-		walk(0, 0, 0)
 	}
-	pool := make([]*scored, 0, len(cands))
-	for _, s := range cands {
-		if len(s.covers) > 0 {
-			//lint:ignore mapiter the lazy-greedy heap is a total order on (ratio, candidate key), so selection is independent of map iteration order
-			pool = append(pool, s)
+
+	// covers[start[c]:start[c+1]] are the target ordinals (indexes into
+	// tgt) that candidate c covers, bucketed from hits.
+	start := make([]int32, len(cands)+1)
+	for _, c := range hits {
+		start[c+1]++
+	}
+	for c := range cands {
+		start[c+1] += start[c]
+	}
+	fill := append([]int32(nil), start...)
+	covers := make([]int32, len(hits))
+	for h, c := range hits {
+		covers[fill[c]] = int32(h / k)
+		fill[c]++
+	}
+
+	// The heap and its tie-break keys: candidate c's key is
+	// arena[off[c]:off[c+1]], "<attr>=<AppendKey>[|<attr>=<AppendKey>]",
+	// the bytes the string-keyed summarizer ordered candidates by. A pair
+	// covering exactly the rows, with exactly the false positives, of one
+	// of its values always ties with it on ratio. When the value's key
+	// sorts first — always for the first value, a prefix of the pair's
+	// key; for the second when its attribute renders smaller ("10=" before
+	// "2=") — the cover takes the value first and the pair then covers
+	// nothing new, so the pair stays out of the heap.
+	cnt := func(c int32) int32 { return start[c+1] - start[c] }
+	same := func(c, g int32) bool { return cnt(c) == cnt(g) && falsePos[c] == falsePos[g] }
+	h := candHeap{e: make([]heapEntry, 0, len(cands)), off: make([]uint32, len(cands)+1)}
+	frag := func(g int32) []byte { return h.arena[h.off[g]:h.off[g+1]] }
+	for c, cd := range cands {
+		ga, gb, c := cd.g[0], cd.g[1], int32(c)
+		live := c < nVals || !same(c, ga) && !(same(c, gb) && bytes.Compare(frag(gb), frag(ga)) < 0)
+		if c < nVals {
+			h.arena = strconv.AppendInt(h.arena, int64(valAttr[c]), 10)
+			h.arena = rel.At(int(cd.rep), int(valAttr[c])).AppendKey(append(h.arena, '='))
+		} else if live {
+			h.arena = append(append(append(h.arena, frag(ga)...), '|'), frag(gb)...)
+		}
+		h.off[c+1] = uint32(len(h.arena))
+		if live {
+			h.e = append(h.e, heapEntry{c: c, newCover: cnt(c), ratio: ratio(cnt(c), falsePos[c])})
 		}
 	}
 
 	// Greedy weighted set cover: repeatedly take the pattern with the best
 	// (new coverage) / (pattern cost + false-positive cost) ratio, ties
-	// broken by the candidate key — a total order, so the pop sequence is
-	// deterministic whatever order the candidate map yielded. The selection
-	// is lazy: the heap holds possibly stale coverage counts, and since
-	// covering tuples only ever shrinks a candidate's remaining coverage,
-	// re-scoring just the heap top until it is fresh selects the same
-	// pattern an exhaustive rescan would — without touching the rest of the
-	// pool each round.
-	uncovered := make([]bool, rel.Len())
-	remaining := 0
-	for i, t := range targets {
-		if t {
-			uncovered[i] = true
-			remaining++
-		}
+	// broken by key bytes, then by candidate number (distinct candidates'
+	// keys collide when a string holds "|<attr>=\x00"). The order is total,
+	// so the heap's layout cannot change the pops. The selection is lazy:
+	// coverage only shrinks, so re-scoring just the heap top until it is
+	// fresh selects the same pattern an exhaustive rescan would.
+	for i := len(h.e)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	h := make(candHeap, len(pool))
-	for i, s := range pool {
-		h[i] = heapEntry{
-			s: s, newCover: len(s.covers), order: s.order,
-			ratio: float64(len(s.covers)) / (patternCost + falsePositiveCost*float64(s.falsePos)),
-		}
-	}
-	heap.Init(&h)
+	covered := make([]bool, len(tgt))
+	remaining := len(tgt)
 	var out []*Pattern
-	for remaining > 0 && h.Len() > 0 {
-		top := &h[0]
-		newCover := 0
-		for _, i := range top.s.covers {
-			if uncovered[i] {
+	for remaining > 0 && len(h.e) > 0 {
+		top := &h.e[0]
+		c, cov, newCover := top.c, covers[start[top.c]:start[top.c+1]], int32(0)
+		for _, t := range cov {
+			if !covered[t] {
 				newCover++
 			}
 		}
+		if newCover != top.newCover && newCover > 0 {
+			top.newCover, top.ratio = newCover, ratio(newCover, falsePos[c])
+			h.down(0)
+			continue
+		}
+		h.e[0] = h.e[len(h.e)-1]
+		h.e = h.e[:len(h.e)-1]
+		h.down(0)
 		if newCover == 0 {
-			heap.Pop(&h)
 			continue
 		}
-		if newCover != top.newCover {
-			top.newCover = newCover
-			top.ratio = float64(newCover) / (patternCost + falsePositiveCost*float64(top.s.falsePos))
-			heap.Fix(&h, 0)
-			continue
-		}
-		best := top.s
-		heap.Pop(&h)
-		for _, i := range best.covers {
-			if uncovered[i] {
-				uncovered[i] = false
+		for _, t := range cov {
+			if !covered[t] {
+				covered[t] = true
 				remaining--
 			}
 		}
-		best.p.Covered = newCover
-		best.p.FalsePos = best.falsePos
-		out = append(out, best.p)
+		vals := make([]*relation.Value, nAttr)
+		for _, g := range cands[c].g {
+			if g >= 0 {
+				v := rel.At(int(cands[c].rep), int(valAttr[g]))
+				vals[valAttr[g]] = &v
+			}
+		}
+		out = append(out, &Pattern{Attrs: attrs, Values: vals, Covered: int(newCover), FalsePos: int(falsePos[c])})
 	}
 	return out
 }
 
-// scored is a candidate pattern with its coverage statistics and its
-// deterministic tie-break key (the candidate's canonical map key).
-type scored struct {
-	p        *Pattern
-	covers   []int
-	falsePos int
-	order    string
+// cand is a candidate: its value ids (g[1] is -1 at depth 1) and the first
+// target row that carries them.
+type cand struct {
+	rep int32
+	g   [2]int32
 }
 
-// heapEntry is one lazy-greedy queue entry; newCover and ratio may be stale
-// (computed against an earlier, larger uncovered set) and are refreshed at
-// the top of the heap before selection.
+// ratio is a candidate's greedy score.
+func ratio(newCover, falsePos int32) float64 {
+	return float64(newCover) / (patternCost + falsePositiveCost*float64(falsePos))
+}
+
+// heapEntry is one lazy-greedy queue entry for candidate c; newCover and
+// ratio may be stale (computed against an earlier, larger uncovered set)
+// and are refreshed at the top of the heap before selection.
 type heapEntry struct {
-	s        *scored
-	newCover int
-	ratio    float64
-	order    string
+	c, newCover int32
+	ratio       float64
 }
 
-// candHeap is a max-heap on ratio with the candidate key breaking ties,
-// which makes the ordering total and the pop sequence deterministic.
-type candHeap []heapEntry
-
-func (h candHeap) Len() int { return len(h) }
-
-func (h candHeap) Less(i, j int) bool {
-	if h[i].ratio > h[j].ratio {
-		return true
-	}
-	if h[i].ratio < h[j].ratio {
-		return false
-	}
-	return h[i].order < h[j].order
+// candHeap is a max-heap on ratio, ties broken by the candidates' keys
+// arena[off[c]:off[c+1]] and then by candidate number.
+type candHeap struct {
+	e     []heapEntry
+	arena []byte
+	off   []uint32
 }
 
-func (h candHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *candHeap) less(i, j int) bool {
+	a, b := h.e[i], h.e[j]
+	if a.ratio != b.ratio {
+		return a.ratio > b.ratio
+	}
+	d := bytes.Compare(h.arena[h.off[a.c]:h.off[a.c+1]], h.arena[h.off[b.c]:h.off[b.c+1]])
+	return d < 0 || d == 0 && a.c < b.c
+}
 
-func (h *candHeap) Push(x any) { *h = append(*h, x.(heapEntry)) }
+// down sifts entry i toward the leaves until the heap order holds.
+func (h *candHeap) down(i int) {
+	for {
+		best := i
+		for _, ch := range [2]int{2*i + 1, 2*i + 2} {
+			if ch < len(h.e) && h.less(ch, best) {
+				best = ch
+			}
+		}
+		if best == i {
+			return
+		}
+		h.e[i], h.e[best] = h.e[best], h.e[i]
+		i = best
+	}
+}
 
-func (h *candHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// idTable numbers cell keys: a flat open-addressing table (linear
+// probing) presized to at most 50% load for every key the target rows can
+// carry, so it never grows. ids holds id+1; 0 marks an empty slot.
+type idTable struct {
+	keys []relation.CellKey
+	ids  []int32
+}
+
+func newIDTable(hint int) *idTable {
+	size := 8
+	for size < 2*hint {
+		size <<= 1
+	}
+	return &idTable{keys: make([]relation.CellKey, size), ids: make([]int32, size)}
+}
+
+// slot returns k's slot: the one holding k, or the empty one that ends
+// its probe sequence.
+func (t *idTable) slot(k relation.CellKey) int {
+	mask := len(t.ids) - 1
+	s := int(k.Mix(0)) & mask
+	for t.ids[s] != 0 && t.keys[s] != k {
+		s = (s + 1) & mask
+	}
+	return s
+}
+
+// find returns k's id, or -1.
+func (t *idTable) find(k relation.CellKey) int32 { return t.ids[t.slot(k)] - 1 }
+
+// insert returns k's id, giving it id if k is new.
+func (t *idTable) insert(k relation.CellKey, id int32) (int32, bool) {
+	s := t.slot(k)
+	if t.ids[s] != 0 {
+		return t.ids[s] - 1, false
+	}
+	t.keys[s], t.ids[s] = k, id+1
+	return id, true
 }
