@@ -21,20 +21,21 @@
 //	                partitions, side builds, Stage-1 memo entries)
 //	GET  /healthz   liveness
 //
-// Repeat and textually-equivalent requests are answered from a result
-// cache; concurrent identical requests share one solve. SIGINT/SIGTERM
-// drains in-flight requests and cancels their solves.
+// Answers live in one result table: repeat and textually-equivalent
+// requests are answered from its finished bodies, and concurrent identical
+// requests join its in-flight solve. SIGINT/SIGTERM drains in-flight
+// requests and cancels their solves.
 //
 // Deltas apply copy-on-write: each batch publishes a new dataset
 // generation atomically while in-flight explains keep reading the
 // generation they started on. Untouched relations are the same objects in
 // every generation, so each dataset keeps one Stage-1 memo entry per query
-// side, candidate index and pair prefix, reused while the relations it was
-// built from are unchanged. A re-explain after a delta rebuilds only the
-// sides whose read set the delta touched, advances the pair prefix over
-// the dirty rows, and reuses cached block solutions whose instance hashes
-// are unchanged. Result-cache entries are invalidated only if their
-// queries read a touched relation.
+// pair, reused while the relations both queries read are unchanged. A
+// re-explain after a delta rebuilds only the sides whose read set the delta
+// touched, advances the pair prefix over the dirty rows, and reuses cached
+// block solutions whose instance hashes are unchanged. Result-table
+// entries, finished or in flight, are dropped only if their queries read a
+// touched relation.
 package main
 
 import (

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"explain3d/internal/linkage"
 	"explain3d/internal/query"
@@ -46,9 +45,6 @@ type Result struct {
 	Instance     *Instance
 	Expl         *Explanations
 	Stats        Stats
-	// Stage1Time covers provenance, canonicalization, and mapping
-	// generation (the paper reports it dominates total runtime).
-	Stage1Time time.Duration
 }
 
 // Explain runs the 3-stage framework end to end (Stage 3 summarization is
@@ -76,12 +72,10 @@ func ExplainContext(ctx context.Context, in Input, p Params) (*Result, error) {
 	if in.Workers == 0 {
 		in.Workers = p.Workers // one knob parallelizes both stages
 	}
-	stage1 := time.Now()
 	inst, res, err := BuildInstance(in)
 	if err != nil {
 		return nil, err
 	}
-	res.Stage1Time = time.Since(stage1)
 	expl, stats, err := SolveInstanceContext(ctx, inst, p)
 	if err != nil {
 		return nil, err

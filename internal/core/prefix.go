@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"explain3d/internal/linkage"
 	"explain3d/internal/relation"
@@ -384,15 +383,13 @@ func ExplainPrefixContext(ctx context.Context, pp *PairPrefix, cal *linkage.Cali
 	if err := p.withDefaults().validate(); err != nil {
 		return nil, err
 	}
-	stage1 := time.Now()
 	st := &Stage1{
 		Prov1: pp.Side1.Prov, Prov2: pp.Side2.Prov,
 		T1: pp.Side1.Canon, T2: pp.Side2.Canon,
 		Mattr: pp.Mattr, RawMatches: pp.Raw,
 	}
 	inst := st.Instance(cal, minProb)
-	res := &Result{Prov1: st.Prov1, Prov2: st.Prov2, T1: st.T1, T2: st.T2,
-		Instance: inst, Stage1Time: time.Since(stage1)}
+	res := &Result{Prov1: st.Prov1, Prov2: st.Prov2, T1: st.T1, T2: st.T2, Instance: inst}
 	expl, stats, err := SolveInstanceCached(ctx, inst, p, cache)
 	if err != nil {
 		return nil, err

@@ -13,7 +13,7 @@ import (
 // delta.go — POST /datasets/{name}/delta: apply a copy-on-write
 // append/update/delete batch to a registered dataset pair and atomically
 // publish the new generation. In-flight explain requests keep reading the
-// generation they started on; only result-cache entries whose queries read
+// generation they started on; only result-table entries whose queries read
 // a touched relation are invalidated.
 
 // RelationDelta is one relation's batch in a delta request. Deletes and
@@ -52,7 +52,7 @@ type RelationDeltaStats struct {
 type DeltaResponse struct {
 	// Version is the dataset's new data version.
 	Version int64 `json:"version"`
-	// Invalidated counts result-cache entries this delta dropped.
+	// Invalidated counts finished answers this delta dropped.
 	Invalidated int                           `json:"invalidated"`
 	DB1         map[string]RelationDeltaStats `json:"db1,omitempty"`
 	DB2         map[string]RelationDeltaStats `json:"db2,omitempty"`
@@ -194,7 +194,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	nv := &dataVersion{version: cur.version + 1, db1: ndb1, db2: ndb2}
 	ds.cur.Store(nv)
 
-	// Drop exactly the result-cache entries this delta could have changed,
+	// Drop exactly the result-table entries this delta could have changed,
 	// and account the batch.
 	touched := make(map[string]bool, len(res1)+len(res2))
 	var rows int64
@@ -206,7 +206,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		touched["2:"+name] = true
 		rows += int64(dres.Appended + dres.Updated + dres.Deleted)
 	}
-	inv := s.cache.invalidate(ds.Name, touched)
+	inv := s.results.invalidate(ds.Name, touched)
 	s.deltasApplied.Add(1)
 	s.deltaRows.Add(rows)
 

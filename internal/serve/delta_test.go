@@ -5,12 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	explain3d "explain3d"
 	"explain3d/internal/core"
@@ -276,6 +280,87 @@ func TestDeltaEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDeltaDoesNotJoinStaleFlight holds a solve on generation 0, posts an
+// update to Q1's relation, and asks the same question again: the repeat
+// must start its own solve on generation 1 (a miss, not a join of the
+// stale flight) and answer byte-identically to one-shot Explain on the new
+// data, while the held request still answers for generation 0.
+func TestDeltaDoesNotJoinStaleFlight(t *testing.T) {
+	s, ts, sc := scenarioServer(t, serve.Options{})
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	s.SolveHook = func() {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+	}
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock() // a failed check must not leave the held solve blocking shutdown
+	rq := scenarioRequest(sc)
+	type reply struct {
+		disposition, version string
+		body                 []byte
+		err                  error
+	}
+	send := func(out chan<- reply) {
+		payload, _ := json.Marshal(rq)
+		resp, err := http.Post(ts.URL+"/explain", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			out <- reply{err: err}
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("status %d: %s", resp.StatusCode, body)
+		}
+		out <- reply{resp.Header.Get("X-Explaind-Cache"), resp.Header.Get("X-Explaind-Version"), body, err}
+	}
+	held, repeat := make(chan reply, 1), make(chan reply, 1)
+	go send(held)
+	<-entered
+
+	rel1 := sc.Spec.Name + "1"
+	ld, wd := stressDelta(t, sc.DB1, rel1, rand.New(rand.NewSource(5)), 0)
+	resp, dres, raw := postDelta(t, ts.URL, "scen", serve.DeltaRequest{DB1: map[string]serve.RelationDelta{rel1: wd}})
+	if resp.StatusCode != http.StatusOK || dres.Version != 1 {
+		t.Fatalf("delta: status %d, version %d: %s", resp.StatusCode, dres.Version, raw)
+	}
+	ndb1, _, err := sc.DB1.ApplyDelta(relation.DBDelta{rel1: ld})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go send(repeat)
+	var r reply
+	select {
+	case r = <-repeat:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the post-delta request is waiting on the held generation-0 solve")
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.disposition != "miss" || r.version != "1" {
+		t.Fatalf("post-delta disposition %q at version %q, want miss at 1", r.disposition, r.version)
+	}
+	if !bytes.Equal(r.body, scenarioOneShot(t, ndb1, sc.DB2, sc, rq)) {
+		t.Fatal("post-delta body differs from one-shot Explain on the new generation")
+	}
+
+	unblock()
+	if r = <-held; r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.version != "0" {
+		t.Fatalf("held request version %q, want 0", r.version)
+	}
+	if !bytes.Equal(r.body, scenarioOneShot(t, sc.DB1, sc.DB2, sc, rq)) {
+		t.Fatal("held body differs from one-shot Explain on generation 0")
+	}
+}
+
 // TestDeltaSide2 posts deltas to side 2 (the relation Q2 reads): first
 // impact-only updates, which keep side 2's matched-column content and so
 // its candidate index, then a batch that rewrites a key, deletes a row and
@@ -438,8 +523,8 @@ func TestDeltaValidation(t *testing.T) {
 
 // TestStage1MemoBounded applies more deltas to the queried relation than
 // any fixed generation window would hold, explaining after each: the
-// Stage-1 memo keeps one entry per key throughout, and the final answer is
-// byte-identical to one-shot Explain on the final data.
+// Stage-1 memo keeps one entry per query pair throughout, and the final
+// answer is byte-identical to one-shot Explain on the final data.
 func TestStage1MemoBounded(t *testing.T) {
 	s, ts, sc := scenarioServer(t, serve.Options{})
 	rq := scenarioRequest(sc)
@@ -447,8 +532,8 @@ func TestStage1MemoBounded(t *testing.T) {
 		t.Fatalf("cold status %d: %s", resp.StatusCode, body)
 	}
 	entries := s.Metrics().Stage1Entries
-	if entries != 4 {
-		t.Fatalf("cold Stage1Entries = %d, want 4 (two sides, an index, a prefix)", entries)
+	if entries != 1 {
+		t.Fatalf("cold Stage1Entries = %d, want 1 (one per query pair)", entries)
 	}
 
 	rel1 := sc.Spec.Name + "1"

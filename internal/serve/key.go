@@ -46,7 +46,7 @@ func matchingText(m schemamap.Matching) string {
 // the solve runs with, giving every spelling of one behaviour one value:
 // MinSharedTokens below 1 means 1, and MinSim ≤ 0 means the library
 // default. The cache keys and the solve both read the result, so
-// equivalent requests share one result-cache entry and one Stage-1 index.
+// equivalent requests share one result-table entry and one Stage-1 memo entry.
 func pairOptions(rq *Request) linkage.PairOptions {
 	popt := linkage.DefaultPairOptions()
 	if rq.MinSharedTokens > 1 {
@@ -78,16 +78,18 @@ func solveParams(rq *Request) (params core.Params, minProb float64) {
 }
 
 // cacheKey renders the canonicalized request tuple. Every field that can
-// change the response participates: the dataset pair, both canonical
+// change a kept answer participates: the dataset pair, both canonical
 // queries, the canonical matches, and all solver/mapping parameters as
-// pairOptions and solveParams resolve them. Workers is included because
-// budget-limited solves return timing-dependent incumbents that vary with
-// parallelism.
+// pairOptions and solveParams resolve them. Workers does not: only whole
+// answers are kept, and those are byte-identical at any worker count
+// (budget-limited incumbents, which vary with parallelism, answer only
+// their own waiters). The solver budget stays in the key, so a short-budget
+// request never waits on a long-budget solve.
 func cacheKey(dataset, q1c, q2c, mc string, rq *Request) string {
 	popt := pairOptions(rq)
 	params, minProb := solveParams(rq)
-	return fmt.Sprintf("ds=%s\x1fq1=%s\x1fq2=%s\x1fm=%s\x1fa=%g\x1fb=%g\x1fbatch=%d\x1fto=%d\x1fw=%d\x1fmst=%d\x1fms=%g\x1fminp=%g\x1fsum=%t",
+	return fmt.Sprintf("ds=%s\x1fq1=%s\x1fq2=%s\x1fm=%s\x1fa=%g\x1fb=%g\x1fbatch=%d\x1fto=%d\x1fmst=%d\x1fms=%g\x1fminp=%g\x1fsum=%t",
 		dataset, q1c, q2c, mc,
-		params.Alpha, params.Beta, params.BatchSize, params.SolverTimeLimit, params.Workers,
+		params.Alpha, params.Beta, params.BatchSize, params.SolverTimeLimit,
 		popt.MinSharedTokens, popt.MinSim, minProb, rq.NoSummary)
 }

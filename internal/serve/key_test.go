@@ -128,7 +128,6 @@ func TestCacheKeyDistinguishesParams(t *testing.T) {
 		"beta":    {Beta: 0.8},
 		"batch":   {BatchSize: 32},
 		"timeout": {TimeoutMS: 100},
-		"workers": {Workers: 2},
 		"mst":     {MinSharedTokens: 2},
 		"minsim":  {MinSim: 0.5},
 		"minprob": {MinProb: 0.5},
@@ -146,9 +145,9 @@ func TestCacheKeyDistinguishesParams(t *testing.T) {
 // TestCacheKeyEquatesEquivalentParams: request spellings that the solve
 // treats identically — MinSharedTokens below 1, MinSim at or below 0
 // versus the 0.05 default, zero priors versus 0.9, TimeoutMS 0 versus
-// 60000 and any two negative timeouts, MinProb 0 versus 0.02 — must share
-// one cache key, or each spelling pays its own solve and Stage-1 index
-// build.
+// 60000 and any two negative timeouts, MinProb 0 versus 0.02, any two
+// worker counts — must share one cache key, or each spelling pays its own
+// solve.
 func TestCacheKeyEquatesEquivalentParams(t *testing.T) {
 	k := func(rq Request) string { return cacheKey("d", "q1", "q2", "m", &rq) }
 	for name, pair := range map[string][2]Request{
@@ -161,6 +160,7 @@ func TestCacheKeyEquatesEquivalentParams(t *testing.T) {
 		"timeout 0/60000":  {{TimeoutMS: 0}, {TimeoutMS: 60000}},
 		"timeout -1/-500":  {{TimeoutMS: -1}, {TimeoutMS: -500}},
 		"minprob 0/0.02":   {{MinProb: 0}, {MinProb: 0.02}},
+		"workers 1/2":      {{Workers: 1}, {Workers: 2}},
 		"all defaults/set": {{}, {MinSharedTokens: 1, MinSim: 0.05, Alpha: 0.9, Beta: 0.9, TimeoutMS: 60000, MinProb: 0.02}},
 	} {
 		if a, b := k(pair[0]), k(pair[1]); a != b {

@@ -10,12 +10,11 @@ import (
 // build panicked; the panic itself fails the builder's own flight.
 var errBuildPanicked = errors.New("serve: Stage-1 build panicked")
 
-// stage1Memo is a dataset's Stage-1 memo: one entry per Stage-1 key (a query
-// side, the right side's candidate index, a pair prefix), tagged with the
-// pointer inputs it was built from. Copy-on-write deltas keep untouched
-// relations, and so the sides built over them, pointer-identical across
-// generations, so equal inputs mean an entry is valid whichever generation
-// built it.
+// stage1Memo is a dataset's Stage-1 memo: one entry per Stage-1 key (a
+// query pair's prefix), tagged with the pointer inputs it was built from (the
+// relations its queries read). Copy-on-write deltas keep untouched relations
+// pointer-identical across generations, so equal inputs mean an entry is
+// valid whichever generation built it.
 type stage1Memo struct {
 	mu sync.Mutex
 	// guarded by mu

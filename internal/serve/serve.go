@@ -9,26 +9,28 @@
 //   - datasets are registered once and shared by every request; a
 //     dataset's string dictionary is safe for concurrent use, so queries
 //     may still intern strings into it;
-//   - each query side's Stage-1 prefix (provenance + canonicalization),
-//     the right side's candidate index (core.PairIndex), and the full pair
-//     prefix (core.PairPrefix) live in a per-dataset Stage-1 memo, built
-//     once per canonical (query, matches, options) key and shared;
-//   - finished responses are cached in an LRU keyed on the canonicalized
-//     (dataset-pair, query-pair, matches, params) tuple; a budget-limited
-//     answer (TimedOut) goes to its waiting clients but is never cached;
-//   - concurrent identical requests share one solve (single-flight), and a
-//     solve whose every client disconnected is cancelled through the
-//     request-context machinery (core.ExplainContext → milp.SolveContext).
+//   - answers live in one result table keyed on the canonicalized
+//     (dataset-pair, query-pair, matches, params) tuple: an entry is either
+//     a solve in flight, which concurrent identical requests join and which
+//     is cancelled (core.ExplainPrefixContext → milp.SolveContext) when its
+//     every client disconnects, or a finished body in an LRU; a
+//     budget-limited answer (TimedOut) goes to its waiting clients but is
+//     never kept;
+//   - each query pair's Stage-1 prefix (core.PairPrefix: both sides'
+//     provenance and canonicalization, the right side's candidate index,
+//     the raw similarities) is one entry of a per-dataset Stage-1 memo,
+//     built once per canonical (query pair, matches, options) key;
+//   - each dataset's core.SolveCache replays unchanged MILP partitions.
 //
 // Datasets are versioned: POST /datasets/{name}/delta applies a
 // copy-on-write append/update/delete batch, atomically publishing a new
 // immutable generation while in-flight requests keep reading the old one.
-// Deltas invalidate only the result-cache entries whose queries read a
-// touched relation. A memo entry is reused while the pointers it was built
-// from (a side's relations, an index's side, a prefix's two sides) are
-// unchanged, which copy-on-write guarantees for untouched relations; a
-// prefix whose sides changed advances (core.PairPrefix.Advance), and
-// unchanged MILP partitions replay from a per-dataset solution cache.
+// A delta drops only the result-table entries, finished or in flight,
+// whose queries read a touched relation. A memo entry is reused while the
+// relations both queries read are the same pointers, which copy-on-write
+// guarantees for untouched relations; otherwise it advances
+// (core.PairPrefix.Advance), rebuilding only the sides whose relations
+// changed.
 //
 // Response bodies are byte-identical to one-shot Explain output for the
 // same inputs; cache disposition, timing, and the data version travel in
@@ -42,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -85,7 +88,8 @@ type Request struct {
 
 // Options tunes the server.
 type Options struct {
-	// CacheSize bounds the result cache (entries; default 128).
+	// CacheSize bounds the finished answers the result table keeps
+	// (entries; default 128).
 	CacheSize int
 	// MaxWorkers caps the per-request Workers budget (0 = uncapped).
 	MaxWorkers int
@@ -108,7 +112,7 @@ type Metrics struct {
 	Requests    int64 `json:"requests"`
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
-	// Evictions counts result-cache entries dropped by the LRU capacity
+	// Evictions counts finished answers dropped by the LRU capacity
 	// bound; a high rate relative to CacheHits means CacheSize is too small
 	// for the working set.
 	Evictions    int64 `json:"evictions"`
@@ -119,17 +123,19 @@ type Metrics struct {
 	Cancelled    int64 `json:"cancelled"`
 	Errors       int64 `json:"errors"`
 	CachedBodies int64 `json:"cached_bodies"`
-	// Stage1Entries counts the Stage-1 memo entries (query sides, candidate
-	// indexes, pair prefixes) over all datasets: at most one per key,
-	// however many generations a dataset has been through.
+	// Stage1Entries counts the Stage-1 memo entries over all datasets: one
+	// pair prefix per canonical (query pair, matches, options) key, however
+	// many generations a dataset has been through. SideBuilds counts the
+	// query sides built for them and IndexBuilds their cold (not advanced)
+	// builds.
 	Stage1Entries int64 `json:"stage1_entries"`
 	Datasets      int64 `json:"datasets"`
 	// DeltasApplied counts delta batches accepted; DeltaRows totals their
 	// appended+updated+deleted rows.
 	DeltasApplied int64 `json:"deltas_applied"`
 	DeltaRows     int64 `json:"delta_rows"`
-	// Invalidated counts result-cache entries dropped because a delta
-	// touched a relation their queries read.
+	// Invalidated counts finished answers dropped because a delta touched a
+	// relation their queries read.
 	Invalidated int64 `json:"invalidated"`
 	// PrefixAdvances counts pair prefixes advanced incrementally from the
 	// memo's prefix for the same key after a delta changed one of its sides;
@@ -187,8 +193,7 @@ type Server struct {
 	// guarded by mu
 	datasets map[string]*Dataset
 
-	cache   *resultCache
-	flights *flightGroup
+	results *resultTable
 
 	base       context.Context
 	baseCancel context.CancelFunc
@@ -199,8 +204,9 @@ type Server struct {
 	prefixAdvances, prefixBuilds, dirtyPartitions         atomic.Int64
 
 	// SolveHook, when set, runs at the start of every actual solve (after
-	// single-flight deduplication). Tests use it to hold solves open while
-	// concurrent requests pile onto the flight.
+	// single-flight deduplication), once the solve has taken its data
+	// generation. Tests use it to hold solves open while concurrent
+	// requests pile onto the flight.
 	SolveHook func()
 }
 
@@ -216,8 +222,7 @@ func New(opts Options) *Server {
 		opts: opts,
 		//lint:ignore guarded constructor: the fresh server is not shared until returned
 		datasets:   make(map[string]*Dataset),
-		cache:      newResultCache(opts.CacheSize),
-		flights:    newFlightGroup(),
+		results:    newResultTable(opts.CacheSize),
 		base:       ctx,
 		baseCancel: cancel,
 	}
@@ -266,23 +271,24 @@ func (s *Server) Metrics() Metrics {
 		stage1 += int64(ds.memo.len())
 	}
 	s.mu.RUnlock()
+	bodies, evictions, invalidated := s.results.stats()
 	return Metrics{
 		Requests:        s.requests.Load(),
 		CacheHits:       s.cacheHits.Load(),
 		CacheMisses:     s.cacheMisses.Load(),
-		Evictions:       s.cache.evicted(),
+		Evictions:       evictions,
 		FlightJoins:     s.flightJoins.Load(),
 		Solves:          s.solves.Load(),
 		SideBuilds:      s.sideBuilds.Load(),
 		IndexBuilds:     s.indexBuilds.Load(),
 		Cancelled:       s.cancelled.Load(),
 		Errors:          s.errCount.Load(),
-		CachedBodies:    int64(s.cache.len()),
+		CachedBodies:    int64(bodies),
 		Stage1Entries:   stage1,
 		Datasets:        int64(n),
 		DeltasApplied:   s.deltasApplied.Load(),
 		DeltaRows:       s.deltaRows.Load(),
-		Invalidated:     s.cache.invalidated(),
+		Invalidated:     invalidated,
 		PrefixAdvances:  s.prefixAdvances.Load(),
 		PrefixBuilds:    s.prefixBuilds.Load(),
 		DirtyPartitions: s.dirtyPartitions.Load(),
@@ -414,90 +420,70 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	key := cacheKey(ds.Name, q1c, q2c, mc, &rq)
 
-	if body, ver, ok := s.cache.get(key); ok {
+	res, ctx, disposition := s.results.join(key, ds.Name, q1, q2, s.base)
+	if disposition == "hit" {
 		s.cacheHits.Add(1)
-		writeResult(w, body, "hit", ver, start)
+		writeResult(w, res.body, disposition, res.version, start)
 		return
 	}
 	s.cacheMisses.Add(1)
-
-	f, fctx, started := s.flights.join(key, s.base)
-	disposition := "miss"
-	if started {
-		go s.runFlight(fctx, key, f, ds, &rq, q1, q2, mattr)
+	if disposition == "miss" {
+		go s.runSolve(ctx, res, ds, &rq, q1, q2, mattr)
 	} else {
 		s.flightJoins.Add(1)
-		disposition = "flight"
 	}
 	select {
-	case <-f.done:
-		if f.errMsg != "" {
+	case <-res.done:
+		if res.errMsg != "" {
 			s.errCount.Add(1)
-			httpError(w, f.status, "%s", f.errMsg)
+			httpError(w, res.status, "%s", res.errMsg)
 			return
 		}
-		writeResult(w, f.body, disposition, f.version, start)
+		writeResult(w, res.body, disposition, res.version, start)
 	case <-r.Context().Done():
 		// Client gone: detach; the last detachment cancels the solve.
 		s.cancelled.Add(1)
-		s.flights.leave(key, f)
+		s.results.leave(res)
 	}
 }
 
-// runFlight executes one deduplicated solve and publishes its result. The
-// body enters the cache before the flight completes, so a request issued
-// after any response to this flight is a cache hit, never a second solve.
-func (s *Server) runFlight(ctx context.Context, key string, f *flight, ds *Dataset, rq *Request, q1, q2 *sqlparse.Select, mattr schemamap.Matching) {
-	// A panicking solve fails its own flight with a 500, never cached,
+// runSolve executes one deduplicated solve and publishes its answer through
+// the result table, which keeps it for later requests only if it is whole
+// and no delta invalidated it mid-solve.
+func (s *Server) runSolve(ctx context.Context, res *result, ds *Dataset, rq *Request, q1, q2 *sqlparse.Select, mattr schemamap.Matching) {
+	// A panicking solve fails its own waiters with a 500, never kept,
 	// instead of taking the process down.
 	defer func() {
 		if p := recover(); p != nil {
-			s.flights.finish(key, f, nil, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p), 0)
+			s.results.finish(res, nil, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p), 0, false)
 		}
 	}()
-	// A prior flight may have finished between this request's cache miss
-	// and its flight registration; re-check before paying for a solve.
-	if body, ver, ok := s.cache.get(key); ok {
-		s.cacheHits.Add(1)
-		s.flights.finish(key, f, body, http.StatusOK, "", ver)
-		return
-	}
+	// The whole solve runs against one generation snapshot; a delta landing
+	// mid-solve does not disturb it.
+	dv := ds.current()
 	if s.SolveHook != nil {
 		s.SolveHook()
 	}
 	s.solves.Add(1)
-	// The whole solve runs against one generation snapshot; a delta landing
-	// mid-solve does not disturb it.
-	dv := ds.current()
-	body, status, errMsg, tags, timedOut := s.solve(ctx, ds, dv, rq, q1, q2, mattr)
-	// A budget-limited solve — the solver budget ran out, or its context
-	// was cancelled by the last waiter leaving or by Close — returns an
-	// incumbent, which answers its own waiters but must not be served to
-	// future requests. A completed solve whose last waiter left after it
-	// finished is whole and safe to cache. A solve whose generation was
-	// superseded mid-flight is stale: a delta's invalidation sweep already
-	// ran, so caching it could resurrect an answer the delta changed.
-	if errMsg == "" && !timedOut && !s.flights.wasAbandoned(f) && ds.current() == dv {
-		s.cache.put(key, body, ds.Name, tags, dv.version)
-	}
-	s.flights.finish(key, f, body, status, errMsg, dv.version)
+	body, status, errMsg, timedOut := s.solve(ctx, ds, dv, rq, q1, q2, mattr)
+	s.results.finish(res, body, status, errMsg, dv.version, timedOut)
 }
 
 // solve runs the explanation on one generation's cached Stage-1 prefix.
 // timedOut reports a budget-limited (incumbent) answer.
-func (s *Server) solve(ctx context.Context, ds *Dataset, dv *dataVersion, rq *Request, q1, q2 *sqlparse.Select, mattr schemamap.Matching) (body []byte, status int, errMsg string, tags []string, timedOut bool) {
+func (s *Server) solve(ctx context.Context, ds *Dataset, dv *dataVersion, rq *Request, q1, q2 *sqlparse.Select, mattr schemamap.Matching) (body []byte, status int, errMsg string, timedOut bool) {
 	popt := pairOptions(rq)
 	params, minProb := solveParams(rq)
 	pp, advanced, err := s.prefixFor(ds, dv, q1, q2, mattr, popt, params.Workers)
 	if errors.Is(err, errBuildPanicked) {
-		return nil, http.StatusInternalServerError, err.Error(), nil, false
+		return nil, http.StatusInternalServerError, err.Error(), false
 	}
 	if err != nil {
-		return nil, http.StatusUnprocessableEntity, err.Error(), nil, false
+		return nil, http.StatusUnprocessableEntity, err.Error(), false
 	}
 	res, err := core.ExplainPrefixContext(ctx, pp, nil, minProb, params, ds.solve)
 	if err != nil {
-		return nil, http.StatusUnprocessableEntity, err.Error(), nil, false
+		return nil, http.StatusUnprocessableEntity, err.Error(), false
 	}
 	if advanced {
 		s.dirtyPartitions.Add(int64(res.Stats.SolveCacheMisses))
@@ -505,78 +491,85 @@ func (s *Server) solve(ctx context.Context, ds *Dataset, dv *dataVersion, rq *Re
 	out := explain3d.ConvertResult(res, !rq.NoSummary)
 	b, err := json.Marshal(out)
 	if err != nil {
-		return nil, http.StatusInternalServerError, err.Error(), nil, false
+		return nil, http.StatusInternalServerError, err.Error(), false
 	}
-	return b, http.StatusOK, "", queryTags(q1, q2), res.Stats.TimedOut
+	return b, http.StatusOK, "", res.Stats.TimedOut
+}
+
+// pairEntry is a Stage-1 memo value: a pair prefix and the relations each
+// of its sides was built from.
+type pairEntry struct {
+	pp       *core.PairPrefix
+	in1, in2 []any
 }
 
 // prefixFor returns generation dv's pair prefix for the canonical (q1, q2,
-// matches, options) tuple through the dataset's Stage-1 memo. A side is
-// rebuilt only when a relation it reads changed; a prefix whose sides
-// changed advances from the memo's previous prefix (survivors keep their
-// similarities, the raw match list stays byte-identical to a fresh build),
-// and advanced reports that path. popt comes from pairOptions, so the memo
-// keys on resolved options.
+// matches, options) tuple through the dataset's Stage-1 memo, one entry per
+// tuple keyed on the relations both queries read. When a delta changed some
+// of them, the entry advances from the memo's previous prefix: a side whose
+// relations are unchanged is reused, the other is rebuilt, and survivors
+// keep their similarities (the raw match list stays byte-identical to a
+// fresh build); advanced reports that path. popt comes from pairOptions, so
+// the memo keys on resolved options.
 func (s *Server) prefixFor(ds *Dataset, dv *dataVersion, q1, q2 *sqlparse.Select, mattr schemamap.Matching, popt linkage.PairOptions, workers int) (*core.PairPrefix, bool, error) {
-	q1c, q2c, mc := q1.String(), q2.String(), matchingText(mattr)
-	poptSig := fmt.Sprintf("%g|%d", popt.MinSim, popt.MinSharedTokens)
-	side := func(tag, qc string, q *sqlparse.Select, db *relation.Database, attrs []string, name string) (*core.BuiltSide, error) {
-		var in []any
-		for _, t := range q.Tables() {
-			r, _ := db.Relation(t) // a missing relation fails BuildSide, and failures are not kept
-			in = append(in, r)
-		}
-		v, _, err := ds.memo.get(tag+"\x1f"+qc+"\x1f"+mc, dv.version, in, func(any) (any, bool, error) {
-			s.sideBuilds.Add(1)
-			bs, err := core.BuildSide(q, db, attrs, name)
-			return bs, false, err
-		})
-		bs, _ := v.(*core.BuiltSide)
-		return bs, err
-	}
-	side1, err := side("L", q1c, q1, dv.db1, mattr.LeftAttrs(), "Q1")
-	if err != nil {
-		return nil, false, err
-	}
-	side2, err := side("R", q2c, q2, dv.db2, mattr.RightAttrs(), "Q2")
-	if err != nil {
-		return nil, false, err
-	}
-	v, advanced, err := ds.memo.get(q1c+"\x1f"+q2c+"\x1f"+mc+"\x1f"+poptSig, dv.version, []any{side1, side2}, func(prev any) (any, bool, error) {
+	key := fmt.Sprintf("%s\x1f%s\x1f%s\x1f%g|%d", q1, q2, matchingText(mattr), popt.MinSim, popt.MinSharedTokens)
+	in1, in2 := readSet(q1, dv.db1), readSet(q2, dv.db2)
+	v, advanced, err := ds.memo.get(key, dv.version, append(slices.Clip(in1), in2...), func(prev any) (any, bool, error) {
+		var old *core.PairPrefix
+		var side1, side2 *core.BuiltSide
 		if prev != nil {
-			pp, _, err := prev.(*core.PairPrefix).Advance(side1, side2, workers)
-			if err == nil {
+			pe := prev.(*pairEntry)
+			old = pe.pp
+			if slices.Equal(pe.in1, in1) {
+				side1 = old.Side1
+			}
+			if slices.Equal(pe.in2, in2) {
+				side2 = old.Side2
+			}
+		}
+		var err error
+		if side1 == nil {
+			s.sideBuilds.Add(1)
+			if side1, err = core.BuildSide(q1, dv.db1, mattr.LeftAttrs(), "Q1"); err != nil {
+				return nil, false, err
+			}
+		}
+		if side2 == nil {
+			s.sideBuilds.Add(1)
+			if side2, err = core.BuildSide(q2, dv.db2, mattr.RightAttrs(), "Q2"); err != nil {
+				return nil, false, err
+			}
+		}
+		var pp *core.PairPrefix
+		if old != nil {
+			if pp, _, err = old.Advance(side1, side2, workers); err == nil {
 				s.prefixAdvances.Add(1)
 			}
-			return pp, true, err
-		}
-		ix, _, err := ds.memo.get(q2c+"\x1f"+mc+"\x1f"+poptSig, dv.version, []any{side2}, func(any) (any, bool, error) {
+		} else {
 			s.indexBuilds.Add(1)
-			ix, err := core.BuildPairIndex(side2.Canon, mattr, popt)
-			return ix, false, err
-		})
+			s.prefixBuilds.Add(1)
+			pp, err = core.BuildPairPrefix(side1, side2, mattr, popt, workers)
+		}
 		if err != nil {
 			return nil, false, err
 		}
-		s.prefixBuilds.Add(1)
-		pp, err := core.BuildPairPrefixFrom(side1, side2, mattr, ix.(*core.PairIndex), workers)
-		return pp, false, err
+		return &pairEntry{pp: pp, in1: in1, in2: in2}, old != nil, nil
 	})
-	pp, _ := v.(*core.PairPrefix)
-	return pp, advanced, err
+	if err != nil {
+		return nil, false, err
+	}
+	return v.(*pairEntry).pp, advanced, nil
 }
 
-// queryTags renders the relations the two queries read as side-prefixed
-// lowercase tags — the result cache's invalidation scope.
-func queryTags(q1, q2 *sqlparse.Select) []string {
-	var tags []string
-	for _, t := range q1.Tables() {
-		tags = append(tags, "1:"+lowerName(t))
+// readSet returns the relations q reads from db, in query order; a missing
+// relation appears as nil and fails BuildSide, and failures are not kept.
+func readSet(q *sqlparse.Select, db *relation.Database) []any {
+	var in []any
+	for _, t := range q.Tables() {
+		r, _ := db.Relation(t)
+		in = append(in, r)
 	}
-	for _, t := range q2.Tables() {
-		tags = append(tags, "2:"+lowerName(t))
-	}
-	return tags
+	return in
 }
 
 // writeResult writes a finished body with cache/timing/version metadata in

@@ -125,10 +125,11 @@ func oneShot(t *testing.T, rq serve.Request) []byte {
 
 // TestServerMatchesOneShot is the differential acceptance test: server
 // responses must be byte-identical to fresh one-shot Explain output for
-// the same inputs, at every worker count, cold and cached.
+// the same inputs, at every worker count, cold and cached. Worker counts
+// share one result entry, so each count gets a fresh server to start cold.
 func TestServerMatchesOneShot(t *testing.T) {
-	_, ts, pair := newTestServer(t, serve.Options{})
 	for _, workers := range []int{0, 1, 2} {
+		_, ts, pair := newTestServer(t, serve.Options{})
 		rq := baseRequest(pair)
 		rq.Workers = workers
 		want := oneShot(t, rq)
@@ -149,6 +150,33 @@ func TestServerMatchesOneShot(t *testing.T) {
 		if !bytes.Equal(again, want) {
 			t.Fatalf("workers=%d: cached body differs from one-shot Explain", workers)
 		}
+	}
+}
+
+// TestWorkersShareCacheEntry: a whole answer is byte-identical at any
+// worker count, so a Workers:1 request after the same request at Workers:2
+// is a hit on the Workers:2 body.
+func TestWorkersShareCacheEntry(t *testing.T) {
+	s, ts, pair := newTestServer(t, serve.Options{})
+	rq := baseRequest(pair)
+	rq.Workers = 2
+	resp, first := post(t, ts.URL, rq)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, first)
+	}
+	rq.Workers = 1
+	resp, got := post(t, ts.URL, rq)
+	if d := resp.Header.Get("X-Explaind-Cache"); d != "hit" {
+		t.Fatalf("workers:1 after workers:2: disposition %q, want hit", d)
+	}
+	if !bytes.Equal(got, first) {
+		t.Fatal("workers:1 body differs from the workers:2 body")
+	}
+	if !bytes.Equal(got, oneShot(t, rq)) {
+		t.Fatal("workers:1 body differs from one-shot Explain at one worker")
+	}
+	if m := s.Metrics(); m.Solves != 1 {
+		t.Fatalf("Solves = %d, want 1", m.Solves)
 	}
 }
 
