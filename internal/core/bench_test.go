@@ -94,12 +94,10 @@ func BenchmarkPairPrefixAdvance(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveInstanceScenario times Stage 2 alone at oneshot-stage1's
-// shape: a 20000-row scenario with one filler word per 50 rows, MinSim
-// 0.6, BatchSize 100, two workers. The instance is built once in setup, so
-// every iteration partitions, encodes and solves the same sub-problems;
-// allocations are reported because the solver's scratch is what it gates.
-func BenchmarkSolveInstanceScenario(b *testing.B) {
+// scenarioInstance builds oneshot-stage1's instance (a 20000-row scenario
+// with one filler word per 50 rows, MinSim 0.6) and its solve parameters
+// (BatchSize 100, two workers): 400 partitions, 19998 MILP blocks.
+func scenarioInstance(tb testing.TB) (*Instance, Params) {
 	const rows, workers = 20000, 2
 	sc := datagen.GenerateScenario(datagen.ScenarioSpec{
 		Rows: rows, Vocab: rows / 50, Disagree: 0.002, Noise: 0.02, Seed: 1,
@@ -111,11 +109,21 @@ func BenchmarkSolveInstanceScenario(b *testing.B) {
 		PairOpts: &popt, Workers: workers,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	p := DefaultParams()
 	p.BatchSize = 100
 	p.Workers = workers
+	return inst, p
+}
+
+// BenchmarkSolveInstanceScenario times Stage 2 alone at oneshot-stage1's
+// shape: a 20000-row scenario with one filler word per 50 rows, MinSim
+// 0.6, BatchSize 100, two workers. The instance is built once in setup, so
+// every iteration partitions, encodes and solves the same sub-problems;
+// allocations are reported because the solver's scratch is what it gates.
+func BenchmarkSolveInstanceScenario(b *testing.B) {
+	inst, p := scenarioInstance(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -48,7 +48,8 @@ func SolveInstanceContext(ctx context.Context, inst *Instance, p Params) (*Expla
 // optimal results are cached, the merged output is byte-identical to an
 // uncached run — unchanged partitions of an incrementally maintained
 // instance become free. cache may be nil (no caching) and may be shared
-// across calls and goroutines.
+// across calls and goroutines. Inside the call, the workers also share one
+// milp.Memo, so each distinct MILP block is searched once.
 func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *SolveCache) (*Explanations, *Stats, error) {
 	p = p.withDefaults()
 	if err := p.validate(); err != nil {
@@ -74,6 +75,9 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 	}
 	defer cancel()
 
+	// All workers share one block memo (see SolveInstanceCached); call
+	// tells the solution-cache entries this call stores from older ones.
+	memo, call := &milp.Memo{}, new(byte)
 	frags := make([]*Explanations, len(subs))
 	subStats := make([]Stats, len(subs))
 	var (
@@ -110,6 +114,13 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 				// stored stats (with the cache counters re-zeroed at store
 				// time) keep the merged totals content-deterministic.
 				*st = e.stats
+				if e.call == call {
+					// An equal sub-problem of this call stored it: count
+					// the replay as its blocks' memo hits would count.
+					*st = Stats{MILPVars: st.MILPVars, MILPRows: st.MILPRows,
+						SparseBlocks: st.SparseBlocks, DenseBlocks: st.DenseBlocks,
+						MemoHits: st.SparseBlocks + st.DenseBlocks}
+				}
 				st.SolveCacheHits = 1
 				*frag = *e.frag.globalize(sub)
 				return
@@ -123,7 +134,7 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 		enc := encode(m, inst, sub, p)
 		st.MILPVars = enc.model.NumVars()
 		st.MILPRows = enc.model.NumRows()
-		opt := milp.Options{WarmStart: warmStart(inst, enc)}
+		opt := milp.Options{WarmStart: warmStart(inst, enc), Memo: memo}
 		sol, err := milp.SolveContext(ctx, enc.model, opt)
 		if err != nil {
 			fail(fmt.Errorf("core: solving sub-problem: %w", err))
@@ -136,6 +147,7 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 		st.CertInfeas = sol.CertInfeas
 		st.SparseBlocks = sol.SparseBlocks
 		st.DenseBlocks = sol.DenseBlocks
+		st.MemoHits = sol.MemoHits
 		switch sol.Status {
 		case milp.StatusOptimal:
 		case milp.StatusLimit:
@@ -161,7 +173,7 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 		if cache != nil && sol.Status == milp.StatusOptimal {
 			stored := *st
 			stored.SolveCacheMisses = 0
-			cache.store(key, localFragOf(inst, enc, sol), stored)
+			cache.store(key, localFragOf(inst, enc, sol), stored, call)
 		}
 	}
 
@@ -222,6 +234,7 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 		stats.CertInfeas += subStats[si].CertInfeas
 		stats.SparseBlocks += subStats[si].SparseBlocks
 		stats.DenseBlocks += subStats[si].DenseBlocks
+		stats.MemoHits += subStats[si].MemoHits
 		stats.SolveCacheHits += subStats[si].SolveCacheHits
 		stats.SolveCacheMisses += subStats[si].SolveCacheMisses
 		if subStats[si].TimedOut {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -69,10 +70,48 @@ func TestSolveInstanceWorkersDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(seq.Evidence, par.Evidence) {
 			t.Errorf("Workers=%d: Evidence diverges:\nseq %v\npar %v", workers, seq.Evidence, par.Evidence)
 		}
-		if parStats.Partitions != seqStats.Partitions ||
-			parStats.MILPVars != seqStats.MILPVars ||
-			parStats.MILPRows != seqStats.MILPRows {
+		if !sameSolveCounts(seqStats, parStats) {
 			t.Errorf("Workers=%d: stats diverge: seq %+v par %+v", workers, seqStats, parStats)
+		}
+	}
+}
+
+// sameSolveCounts compares the counts of two solves that must repeat at
+// any worker count: sizes, searched work and replayed blocks.
+func sameSolveCounts(a, b *Stats) bool {
+	return a.Partitions == b.Partitions && a.MILPVars == b.MILPVars && a.MILPRows == b.MILPRows &&
+		a.Nodes == b.Nodes && a.Iters == b.Iters && a.DenseBlocks == b.DenseBlocks &&
+		a.SparseBlocks == b.SparseBlocks && a.MemoHits == b.MemoHits
+}
+
+// TestSolveInstanceScenarioWorkersDeterministic: at oneshot-stage1's shape
+// the explanations and counts of Workers 2 and 4 equal Workers 1's, and
+// the block memo replays every block but the first of each distinct one:
+// 19998 blocks, of which 1417 are distinct (counted by serializing every
+// block's sub-model).
+func TestSolveInstanceScenarioWorkersDeterministic(t *testing.T) {
+	inst, p := scenarioInstance(t)
+	p.Workers = 1
+	seq, seqStats, err := SolveInstance(inst, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blocks, distinct = 19998, 1417
+	if seqStats.TimedOut || seqStats.DenseBlocks+seqStats.SparseBlocks != blocks ||
+		seqStats.MemoHits != blocks-distinct {
+		t.Fatalf("stats %+v: want %d blocks and %d memo hits", *seqStats, blocks, blocks-distinct)
+	}
+	for _, workers := range []int{2, 4} {
+		p.Workers = workers
+		par, parStats, err := SolveInstance(inst, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq, par) {
+			t.Errorf("Workers=%d: explanations diverge from Workers=1", workers)
+		}
+		if !sameSolveCounts(seqStats, parStats) {
+			t.Errorf("Workers=%d: stats diverge: seq %+v par %+v", workers, *seqStats, *parStats)
 		}
 	}
 }
@@ -346,5 +385,33 @@ func TestSolveInstanceNodeCappedBudget(t *testing.T) {
 	}
 	if err := CheckComplete(inst, expl); err != nil {
 		t.Fatalf("budget-limited explanations incomplete: %v", err)
+	}
+
+	// The timed-out block leaves nothing in the memo: solving every
+	// sub-problem twice through one memo, the second pass searches the
+	// capped block again and times out again, where a stored incumbent
+	// would replay as optimal.
+	subs, err := splitInstance(inst, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo, m := &milp.Memo{}, milp.NewModel("exp3d", milp.Maximize)
+	for pass := 0; pass < 2; pass++ {
+		ctx, cancel := context.WithTimeout(context.Background(), p.SolverTimeLimit)
+		limited := 0
+		for _, sub := range subs {
+			enc := encode(m, inst, sub, p)
+			sol, err := milp.SolveContext(ctx, enc.model, milp.Options{WarmStart: warmStart(inst, enc), Memo: memo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.Status != milp.StatusOptimal {
+				limited++
+			}
+		}
+		cancel()
+		if limited == 0 {
+			t.Fatalf("pass %d: no sub-problem timed out", pass)
+		}
 	}
 }

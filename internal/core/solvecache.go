@@ -14,8 +14,8 @@ import (
 // partitions free under incremental maintenance.
 //
 // A sub-problem's MILP outcome is a pure function of its content: per-tuple
-// impacts and objective constants, the match list with probabilities,
-// cardinality flags, and the node budget. The cache keys on a SHA-256 over
+// impacts and objective constants, the match list with probabilities, and
+// the cardinality flags. The cache keys on a SHA-256 over
 // exactly that serialization — in LOCAL coordinates (positions within the
 // sub-problem), so the same partition content hits regardless of where its
 // canonical ids landed after a delta. Cached values store the decoded
@@ -46,6 +46,7 @@ type cachedSolution struct {
 	key   string
 	frag  localFrag
 	stats Stats
+	call  *byte // identifies the SolveInstanceCached call that stored it
 }
 
 // NewSolveCache creates a cache bounded to max entries (≤0 defaults to 4096).
@@ -82,15 +83,15 @@ func (c *SolveCache) lookup(key string) (*cachedSolution, bool) {
 	return nil, false
 }
 
-func (c *SolveCache) store(key string, frag localFrag, stats Stats) {
+func (c *SolveCache) store(key string, frag localFrag, stats Stats, call *byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value = &cachedSolution{key: key, frag: frag, stats: stats}
+		el.Value = &cachedSolution{key: key, frag: frag, stats: stats, call: call}
 		return
 	}
-	el := c.ll.PushFront(&cachedSolution{key: key, frag: frag, stats: stats})
+	el := c.ll.PushFront(&cachedSolution{key: key, frag: frag, stats: stats, call: call})
 	c.items[key] = el
 	for c.ll.Len() > c.max {
 		back := c.ll.Back()

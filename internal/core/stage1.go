@@ -13,9 +13,10 @@ import (
 
 // BuiltSide is one query's Stage-1 prefix: extracted provenance and the
 // canonical relation. It depends only on (database, query, matched
-// attributes), so a resident server computes it once per side and reuses it
-// across every request that pins that side — the interactive loop where a
-// user iterates on one query while the other stays fixed.
+// attributes), so it could be shared by every request that pins that side.
+// explaind does not share it: its Stage-1 memo builds both sides for each
+// new (query pair, matches, options) key, and reuses a side only when a
+// data delta leaves that side's relations unchanged.
 type BuiltSide struct {
 	Prov  *query.Provenance
 	Canon *Canonical

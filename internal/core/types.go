@@ -183,9 +183,11 @@ type Stats struct {
 	Partitions int
 	// MILPVars and MILPRows total over all sub-problems.
 	MILPVars, MILPRows int
-	// Nodes totals branch-and-bound nodes.
+	// Nodes totals branch-and-bound nodes of the searched blocks: a call
+	// searches each distinct MILP block once and replays its repeats
+	// (MemoHits), so within budget Nodes and Iters repeat at any Workers.
 	Nodes int
-	// Iters totals simplex iterations across all branch-and-bound nodes;
+	// Iters totals simplex iterations across the searched blocks' nodes;
 	// Iters/Nodes is the per-node solver effort the warm-started dual
 	// simplex drives down.
 	Iters int
@@ -201,6 +203,9 @@ type Stats struct {
 	// SparseBlocks/DenseBlocks total the per-block LP engine choices the
 	// solver's adaptive heuristic made across all sub-problems.
 	SparseBlocks, DenseBlocks int
+	// MemoHits counts blocks replayed from the call's block memo, or from
+	// the solution cache for a sub-problem equal to one the call solved.
+	MemoHits int
 	// SolveCacheHits/SolveCacheMisses count sub-problems served from (or
 	// missed in) the solution cache a SolveInstanceCached call consulted;
 	// both stay zero without a cache. Misses on an incrementally advanced

@@ -74,7 +74,8 @@ func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error)
 				warm = nil
 			}
 		}
-		res := branchAndBound(ctx, sub, opt, warm, deadline, sc)
+		res := solveBlock(ctx, sub, opt, warm, deadline, sc)
+		sol.MemoHits += res.hits
 		sol.Nodes += res.nodes
 		sol.Iters += res.iters
 		sol.Refactors += res.refactors
@@ -89,7 +90,7 @@ func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error)
 		case StatusInfeasible, StatusUnbounded, StatusNoSolution:
 			return &Solution{Status: res.status, Blocks: len(blocks), Nodes: sol.Nodes, Iters: sol.Iters,
 				Refactors: sol.Refactors, LUFill: sol.LUFill, CertInfeas: sol.CertInfeas,
-				SparseBlocks: sol.SparseBlocks, DenseBlocks: sol.DenseBlocks}, nil
+				SparseBlocks: sol.SparseBlocks, DenseBlocks: sol.DenseBlocks, MemoHits: sol.MemoHits}, nil
 		case StatusLimit:
 			sol.Status = StatusLimit
 		}
@@ -102,10 +103,11 @@ func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error)
 }
 
 // scratch is the memory one SolveContext call reuses from block to block:
-// the sub-model, branch-and-bound's per-variable arrays and the free list
-// of dropped dense simplexes.
+// the sub-model, its memo key, branch-and-bound's per-variable arrays and
+// the free list of dropped dense simplexes.
 type scratch struct {
 	sub                             Model
+	key                             []byte
 	local, intVars                  []int
 	warm, c, rootLB, rootUB, lb, ub []float64
 	seen                            []bool
@@ -252,6 +254,7 @@ type bbResult struct {
 	luFill     int  // total L+U nonzeros across factorizations
 	certInfeas int  // Farkas-certified dual-infeasible verdicts
 	dense      bool // which LP engine solved the block
+	hits       int  // 1 when replayed from a Memo
 }
 
 // Adaptive engine thresholds (chooseDense), tuned on three models the

@@ -253,6 +253,8 @@ type Options struct {
 	// WarmStart optionally provides a feasible assignment used as the
 	// initial incumbent (length must equal NumVars).
 	WarmStart []float64
+	// Memo, when set, replays blocks solved before through it (see Memo).
+	Memo *Memo
 
 	// The fields below are differential and measurement hooks, set only by
 	// this package's tests and benchmarks (like disableDevex). Every setting
@@ -306,6 +308,9 @@ type Solution struct {
 	// the per-block choices the shape heuristic made.
 	SparseBlocks int
 	DenseBlocks  int
+	// MemoHits counts the blocks replayed from Options.Memo; they add no
+	// nodes or iterations, but still count in SparseBlocks/DenseBlocks.
+	MemoHits int
 }
 
 // Value returns the solved value of v.

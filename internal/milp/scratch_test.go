@@ -9,17 +9,45 @@ import (
 // sub-model, branch-and-bound's arrays and the dense tableaus of a block
 // reuse memory the call already holds, so a many-block solve allocates a
 // small constant per block (about 20 here; about 101 when every block
-// built its own).
+// built its own). With a memo, a model of identical blocks searches one
+// and replays the rest, each replay building its key in the same scratch.
 func TestSolveAllocsPerBlock(t *testing.T) {
 	const nBlocks, maxPerBlock = 200, 30
 	m := manyBlocksModel(nBlocks, 1)
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := Solve(m, Options{}); err != nil {
-			t.Fatal(err)
+	one := manyBlocksModel(1, 3)
+	same := NewModel("same", Maximize)
+	for b := 0; b < nBlocks; b++ {
+		appendModel(same, one)
+	}
+	alone, err := Solve(one, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		model *Model
+		memo  bool
+	}{{"distinct blocks", m, false}, {"identical blocks with a memo", same, true}} {
+		var sol *Solution
+		allocs := testing.AllocsPerRun(3, func() {
+			opt := Options{}
+			if c.memo {
+				opt.Memo = &Memo{}
+			}
+			var err error
+			if sol, err = Solve(c.model, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		per := allocs / nBlocks
+		if per > maxPerBlock {
+			t.Fatalf("%s: %.1f allocations per block, want at most %d", c.name, per, maxPerBlock)
 		}
-	})
-	if per := allocs / nBlocks; per > maxPerBlock {
-		t.Fatalf("%.1f allocations per block, want at most %d", per, maxPerBlock)
+		t.Logf("%s: %.1f allocations per block", c.name, per)
+		if c.memo && (sol.MemoHits != nBlocks-1 || sol.Nodes != alone.Nodes) {
+			t.Fatalf("%s: %d hits, %d nodes; want %d hits and the %d nodes of one block",
+				c.name, sol.MemoHits, sol.Nodes, nBlocks-1, alone.Nodes)
+		}
 	}
 }
 
