@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"explain3d/internal/linkage"
@@ -121,30 +122,55 @@ func BuildInstance(in Input) (*Instance, *Result, error) {
 // candidate scan (0 defaults to GOMAXPROCS; output is identical at any
 // count).
 func RawSimilarities(t1, t2 *Canonical, mattr schemamap.Matching, popt linkage.PairOptions, workers int) ([]linkage.Match, error) {
-	// One dictionary spans both comparison relations, so the two sides'
-	// token ids live in the same code space and the linkage stage's joint
-	// translation is a cached array lookup. It is a fresh per-call
+	// Concatenated comparison strings intern into a fresh per-call
 	// dictionary, not the databases' long-lived ones (VirtualColumns):
-	// those would keep every concatenated comparison string and its token
-	// list alive after the call returns.
+	// those would keep every concatenated string alive after the call
+	// returns. Single-attribute matches scan the canonical columns in
+	// place and intern nothing.
 	shared := relation.NewDict()
-	v1, err := virtualColumns(t1, mattr, true, shared)
+	r1, idx1, err := comparisonColumns(t1, mattr, true, shared)
 	if err != nil {
 		return nil, err
 	}
-	v2, err := virtualColumns(t2, mattr, false, shared)
+	r2, idx2, err := comparisonColumns(t2, mattr, false, shared)
 	if err != nil {
 		return nil, err
 	}
+	ix, err := linkage.BuildIndex(r2, idx2, popt)
+	if err != nil {
+		return nil, err
+	}
+	return ix.Similarities(r1, idx1, workers)
+}
+
+// comparisonColumns returns the relation and column indexes Stage 1
+// compares on one side, one column per attribute match. When every match
+// covers a single attribute on each side, they are the canonical
+// relation's own columns, tokenized in place; otherwise they are a
+// virtual relation of comparison columns interned into d.
+func comparisonColumns(c *Canonical, mattr schemamap.Matching, left bool, d *relation.Dict) (*relation.Relation, []int, error) {
 	idx := make([]int, len(mattr))
-	for i := range idx {
-		idx[i] = i
+	if slices.ContainsFunc(mattr, func(am schemamap.AttributeMatch) bool {
+		return len(am.Left) != 1 || len(am.Right) != 1
+	}) {
+		for i := range idx {
+			idx[i] = i
+		}
+		v, err := virtualColumns(c, mattr, left, d)
+		return v, idx, err
 	}
-	ix, err := linkage.BuildIndex(v2, idx, popt)
-	if err != nil {
-		return nil, err
+	for i, am := range mattr {
+		a := am.Right[0]
+		if left {
+			a = am.Left[0]
+		}
+		j, err := c.Rel.Schema.Index(a)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: attribute match references %q missing from canonical relation: %w", a, err)
+		}
+		idx[i] = j
 	}
-	return ix.Similarities(v1, idx, workers)
+	return c.Rel, idx, nil
 }
 
 // VirtualColumns builds one comparison column per attribute match: the

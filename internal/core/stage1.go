@@ -58,15 +58,11 @@ func (pi *PairIndex) Options() linkage.PairOptions { return pi.popt }
 // BuildPairIndex prebuilds the candidate index over side 2's comparison
 // columns for the given attribute matches and options.
 func BuildPairIndex(t2 *Canonical, mattr schemamap.Matching, popt linkage.PairOptions) (*PairIndex, error) {
-	v2, err := VirtualColumns(t2, mattr, false)
+	r2, idx, err := comparisonColumns(t2, mattr, false, t2.Rel.Dict())
 	if err != nil {
 		return nil, err
 	}
-	idx := make([]int, len(mattr))
-	for i := range idx {
-		idx[i] = i
-	}
-	ix, err := linkage.BuildIndex(v2, idx, popt)
+	ix, err := linkage.BuildIndex(r2, idx, popt)
 	if err != nil {
 		return nil, err
 	}
@@ -78,15 +74,11 @@ func (pi *PairIndex) match(t1 *Canonical, mattr schemamap.Matching, workers int)
 	if len(mattr) != pi.nm {
 		return nil, fmt.Errorf("core: PairIndex built for %d attribute matches, request has %d", pi.nm, len(mattr))
 	}
-	v1, err := VirtualColumns(t1, mattr, true)
+	r1, idx, err := comparisonColumns(t1, mattr, true, t1.Rel.Dict())
 	if err != nil {
 		return nil, err
 	}
-	idx := make([]int, len(mattr))
-	for i := range idx {
-		idx[i] = i
-	}
-	return pi.ix.Similarities(v1, idx, workers)
+	return pi.ix.Similarities(r1, idx, workers)
 }
 
 // Stage1 is the reusable prefix of an explanation run: both sides'

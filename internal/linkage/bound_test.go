@@ -187,7 +187,7 @@ func TestSimilarityBoundAboveScore(t *testing.T) {
 		ps := pairScorer{ix: ix, lv: lv}
 		for i := 0; i < lv.n; i++ {
 			for j := 0; j < ix.nRight; j++ {
-				ub := ps.bound(i, j, sharedCount(lv.block[i], ix.rBlock[j]))
+				ub := ps.bound(i, ix.rShape[j], sharedCount(lv.block[i], ix.rBlock[j]))
 				if !(ub >= 0) {
 					t.Fatalf("trial %d pair (%d, %d): bound %v is not a non-negative number", trial, i, j, ub)
 				}
@@ -200,5 +200,160 @@ func TestSimilarityBoundAboveScore(t *testing.T) {
 	}
 	if pairs == 0 {
 		t.Fatal("no pairs checked")
+	}
+}
+
+// pairBound is the per-pair similarity bound the scan used before right
+// rows were grouped by shape: bound read off right row j's own cells. It
+// is the oracle for the shape table and the integer thresholds.
+func pairBound(ps pairScorer, i, j, shared int) float64 {
+	lv, ix := ps.lv, ps.ix
+	total := 0.0
+	for k := range lv.cols {
+		lc, rc := &lv.cols[k], &ix.rCols[k]
+		if lc.null[i] || rc.null[j] {
+			continue
+		}
+		switch {
+		case lc.num[i] && rc.num[j]:
+			total++
+		case lv.tok[k] != nil && ix.rTok[k] != nil:
+			a, b := len(lv.tok[k][i]), len(ix.rTok[k][j])
+			if a == 0 || b == 0 {
+				continue
+			}
+			m := min(shared, a, b)
+			total += float64(m) / float64(a+b-m)
+		default:
+			total++
+		}
+	}
+	return total / float64(len(lv.cols))
+}
+
+// checkThresholds checks, for every left row, every right shape and every
+// shared count s in 0..len(block)+1, that s reaches the row's threshold
+// for the shape exactly when pairBound passes MinSim for each right row of
+// that shape. It returns the number of shapes.
+func checkThresholds(t *testing.T, label string, left, right *relation.Relation, opt PairOptions) int {
+	t.Helper()
+	idx := make([]int, len(left.Schema.Columns))
+	for k := range idx {
+		idx[k] = k
+	}
+	ix, err := BuildIndex(right, idx, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv := ix.buildLeftView(left, idx)
+	lv.block = unionRows(lv.tok, lv.n)
+	ps := pairScorer{ix: ix, lv: lv}
+	nShapes := len(ix.shapes) / len(idx)
+	byShape := make([][]int, nShapes)
+	for j, q := range ix.rShape {
+		byShape[q] = append(byShape[q], j)
+	}
+	for q, rows := range byShape {
+		if len(rows) == 0 {
+			t.Fatalf("%s: shape %d has no right row", label, q)
+		}
+	}
+	for i := 0; i < lv.n; i++ {
+		n := len(lv.block[i])
+		for q, rows := range byShape {
+			thr := int(ps.threshold(i, int32(q), n))
+			for s := 0; s <= n+1; s++ {
+				for _, j := range rows {
+					ub := pairBound(ps, i, j, s)
+					if pass := !(ub < opt.MinSim || ub <= 0); pass != (s >= thr) {
+						t.Fatalf("%s: row %d, right row %d (shape %d), shared %d: bound %v passes=%v, threshold %d", label, i, j, q, s, ub, pass, thr)
+					}
+				}
+			}
+		}
+	}
+	return nShapes
+}
+
+// TestBoundThresholdsMatchPairwise pins the integer rejection test of
+// the scan: over random relations with token, numeric and mixed-kind
+// columns and NULLs, comparing the shared count with the per-(row, shape)
+// threshold decides exactly what the per-pair float bound decides.
+func TestBoundThresholdsMatchPairwise(t *testing.T) {
+	kinds := [][]string{
+		{"tok"}, {"num"}, {"mixed"}, {"tok", "num"}, {"tok", "tok"},
+		{"num", "tok", "mixed"}, {"mixed", "tok"},
+	}
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 40; trial++ {
+		lk := kinds[rng.Intn(len(kinds))]
+		rk := make([]string, len(lk))
+		for k := range rk {
+			rk[k] = []string{"tok", "num", "mixed"}[rng.Intn(3)]
+		}
+		cells := func(kinds []string) []any {
+			row := make([]any, len(kinds))
+			for k, kind := range kinds {
+				if kind == "num" {
+					row[k] = int64(1)
+				} else {
+					row[k] = "the of a b"
+				}
+			}
+			return row
+		}
+		left := boundRelation(rng, "L", lk, cells(lk), 25)
+		right := boundRelation(rng, "R", rk, cells(rk), 30)
+		for mst := 1; mst <= 3; mst++ {
+			opt := PairOptions{MinSim: minSimGrid[rng.Intn(len(minSimGrid))], MinSharedTokens: mst}
+			checkThresholds(t, fmt.Sprintf("trial %d %v/%v mst=%d minSim=%v", trial, lk, rk, mst, opt.MinSim), left, right, opt)
+		}
+	}
+}
+
+// TestBoundThresholdsOneShapePerRow gives every right row a shape of its
+// own (a distinct pair of token counts over two token columns), so the
+// per-shape threshold memo degenerates to one entry per right row: the
+// thresholds must still match the per-pair bound and the scan the pairwise
+// reference.
+func TestBoundThresholdsOneShapePerRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	words := func(n int) string {
+		s := "the"
+		for w := 1; w < n; w++ {
+			s += fmt.Sprintf(" %c%d", 'a'+rng.Intn(3), w) // distinct per position
+		}
+		return s
+	}
+	right := relation.New("R", "c0", "c1")
+	for a := 1; a <= 5; a++ {
+		for b := 1; b <= 5; b++ {
+			right.Append(words(a), words(b))
+		}
+	}
+	left := relation.New("L", "c0", "c1")
+	for i := 0; i < 30; i++ {
+		left.Append(words(1+rng.Intn(5)), words(1+rng.Intn(5)))
+	}
+	idx := []int{0, 1}
+	for mst := 1; mst <= 3; mst++ {
+		for _, minSim := range []float64{0.05, 0.3, 0.5, 2.0 / 3} {
+			opt := PairOptions{MinSim: minSim, MinSharedTokens: mst}
+			label := fmt.Sprintf("mst=%d minSim=%v", mst, minSim)
+			if n := checkThresholds(t, label, left, right, opt); n != right.Len() {
+				t.Fatalf("%s: %d shapes over %d right rows, want one per row", label, n, right.Len())
+			}
+			want, err := SimilaritiesPairwise(left, right, idx, idx, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 3} {
+				got, err := similarities(left, right, idx, idx, opt, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				matchesEqual(t, fmt.Sprintf("%s workers=%d", label, workers), got, want)
+			}
+		}
 	}
 }

@@ -2,9 +2,12 @@ package linkage
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -12,13 +15,12 @@ import (
 )
 
 // Index is the candidate-generation index over one fixed right-side
-// relation: the joint token space, the right rows' token lists and typed
-// match columns, and the inverted posting lists (token id → right row ids)
-// with the global stop-word prune already applied. It is Stage 1's one
-// index: a one-shot linkage run builds it and scans once, and the serving
-// pattern — one query of an explanation pair stays fixed while the user
-// iterates on the other — scans one Index with any number of left
-// relations.
+// relation: the joint token space, the right rows' token lists, typed
+// match columns and shapes, and the inverted posting lists (token id →
+// right row ids) with the global stop-word prune already applied. It is
+// Stage 1's one index: a linkage run builds it and scans one left
+// relation, and an incremental Stage-1 prefix (core.PairPrefix.Advance)
+// scans it again with the left rows a data delta dirtied.
 //
 // An Index is immutable after BuildIndex returns except for the joint token
 // intern map, which is mutex-guarded; concurrent Similarities calls against
@@ -35,6 +37,11 @@ type Index struct {
 	post     [][]int32
 	skipped  []bool
 	anySkip  bool
+	// rShape numbers each right row's shape, everything the similarity
+	// bound reads of the row; shapes holds shape q's per-column codes at
+	// shapes[q*len(rightIdx):] (see rightShapes).
+	rShape []int32
+	shapes []int32
 }
 
 // Posting lists shorter than skipFloor are not worth a verify pass:
@@ -57,6 +64,7 @@ func BuildIndex(right *relation.Relation, rightIdx []int, opt PairOptions) (*Ind
 	ix.rTok = ix.ts.tokenColumns(right, rightIdx)
 	ix.rCols = matchColumns(right, rightIdx)
 	ix.rBlock = unionRows(ix.rTok, ix.nRight)
+	ix.rShape, ix.shapes = rightShapes(ix.rTok, ix.rCols, ix.nRight)
 	ix.post = make([][]int32, ix.ts.size())
 	for j, toks := range ix.rBlock {
 		for _, t := range toks {
@@ -65,6 +73,42 @@ func BuildIndex(right *relation.Relation, rightIdx []int, opt PairOptions) (*Ind
 	}
 	ix.prune()
 	return ix, nil
+}
+
+// rightShapes numbers the distinct shapes of the right rows. A row's shape
+// is, per matched column, its cell's NULL flag, numeric flag and token
+// count b, coded as -1 for NULL and b<<1|numeric otherwise (b is 0 in a
+// column without token lists): exactly what bound reads of a right row.
+func rightShapes(rTok [][][]uint32, rCols []matchCol, n int) (rShape, shapes []int32) {
+	rShape = make([]int32, n)
+	ids := make(map[string]int32)
+	code := make([]int32, len(rCols))
+	key := make([]byte, 0, 4*len(rCols))
+	for j := 0; j < n; j++ {
+		key = key[:0]
+		for k := range rCols {
+			c := int32(-1)
+			if !rCols[k].null[j] {
+				c = 0
+				if rTok[k] != nil {
+					c = int32(len(rTok[k][j])) << 1
+				}
+				if rCols[k].num[j] {
+					c |= 1
+				}
+			}
+			code[k] = c
+			key = binary.LittleEndian.AppendUint32(key, uint32(c))
+		}
+		q, ok := ids[string(key)]
+		if !ok {
+			q = int32(len(ids))
+			ids[string(key)] = q
+			shapes = append(shapes, code...)
+		}
+		rShape[j] = q
+	}
+	return rShape, shapes
 }
 
 // prune applies the global stop-word prune: a single token cannot satisfy
@@ -134,14 +178,14 @@ func (ix *Index) buildLeftView(left *relation.Relation, leftIdx []int) *leftView
 // (leftIdx[k] ↔ the index's rightIdx[k]), under the PairOptions the index
 // was built with.
 //
-// The left side's dictionary-encoded string columns are translated into
-// the index's joint token-id space (tokenization once per distinct string,
-// cached in each Dict), and each left row merges the posting lists of its
-// tokens with a shared-token counter. A pair is scored when it shares at
-// least MinSharedTokens distinct tokens — the exact match set of a pairwise
-// scan of every blocking candidate, at O(Σ posting-list products) instead
-// of O(|L|·|R|) blocking probes. Each row skips the posting lists MinSim
-// and MinSharedTokens prove it can do without (see scan). Jaccard runs on
+// The left side's dictionary-encoded string columns are tokenized into the
+// index's joint token-id space (once per distinct string per call), and
+// each left row merges the posting lists of its tokens with a shared-token
+// counter. A pair is scored when it shares at least MinSharedTokens
+// distinct tokens — the exact match set of a pairwise scan of every
+// blocking candidate, at O(Σ posting-list products) instead of O(|L|·|R|)
+// blocking probes. Each row skips the posting lists MinSim and
+// MinSharedTokens prove it can do without (see scan). Jaccard runs on
 // sorted token-id slices instead of string-keyed maps.
 //
 // workers splits the scan into contiguous left-row ranges (0 defaults to
@@ -191,28 +235,30 @@ func (ps pairScorer) score(i, j int, out []Match) []Match {
 	return out
 }
 
-// bound returns an upper bound on score's similarity for (i, j) when the
-// two rows' blocking token lists share at most shared tokens. It follows
-// score's case split column by column; a token column's Jaccard m/(a+b−m)
-// is bounded with m = min(shared, a, b), since every column's intersection
-// is a subset of the union rows' intersection. The bound holds bit for bit
-// in floating point: each term's numerator is no smaller and its
-// denominator no larger than score's (correctly rounded division is
-// monotone), and the sum and the division by the column count run in
-// score's order, where rounding is monotone too.
-func (ps pairScorer) bound(i, j, shared int) float64 {
+// bound returns an upper bound on score's similarity for left row i and
+// any right row of shape q when the two rows' blocking token lists share
+// at most shared tokens. It follows score's case split column by column; a
+// token column's Jaccard m/(a+b−m) is bounded with m = min(shared, a, b),
+// since every column's intersection is a subset of the union rows'
+// intersection. The bound holds bit for bit in floating point: each term's
+// numerator is no smaller and its denominator no larger than score's
+// (correctly rounded division is monotone), and the sum and the division
+// by the column count run in score's order, where rounding is monotone
+// too. For the same reasons it is non-decreasing in shared, bit for bit.
+func (ps pairScorer) bound(i int, q int32, shared int) float64 {
 	lv, ix := ps.lv, ps.ix
+	shape := ix.shapes[int(q)*len(lv.cols):]
 	total := 0.0
 	for k := range lv.cols {
-		lc, rc := &lv.cols[k], &ix.rCols[k]
-		if lc.null[i] || rc.null[j] {
+		lc, rs := &lv.cols[k], shape[k]
+		if lc.null[i] || rs < 0 {
 			continue
 		}
 		switch {
-		case lc.num[i] && rc.num[j]:
+		case lc.num[i] && rs&1 != 0:
 			total++
 		case lv.tok[k] != nil && ix.rTok[k] != nil:
-			a, b := len(lv.tok[k][i]), len(ix.rTok[k][j])
+			a, b := len(lv.tok[k][i]), int(rs>>1)
 			if a == 0 || b == 0 {
 				continue
 			}
@@ -225,11 +271,51 @@ func (ps pairScorer) bound(i, j, shared int) float64 {
 	return total / float64(len(lv.cols))
 }
 
-// rowBound is an upper bound on bound(i, j, shared) over every right row
-// j, taken from left row i's columns alone: a NULL left cell adds 0, a
+// threshold returns the fewest shared blocking tokens at which bound(i, q,
+// ·) reaches MinSim and is positive, found by binary search (bound is
+// non-decreasing in the shared count), or MaxInt32 when n — the row's
+// number of blocking tokens — does not suffice: bound stops growing at n,
+// since no token column of the row has more than n tokens. Either way a
+// count passes the bound check exactly when it is at least the threshold.
+func (ps pairScorer) threshold(i int, q int32, n int) int32 {
+	minSim := ps.ix.opt.MinSim
+	s := sort.Search(n+1, func(s int) bool {
+		ub := ps.bound(i, q, s)
+		return !(ub < minSim || ub <= 0)
+	})
+	if s > n {
+		return math.MaxInt32
+	}
+	return int32(s)
+}
+
+// scanScratch is one scan worker's reusable candidate state: a dense
+// shared-token counter indexed by right row id plus the list of touched
+// rows, reset between rows — no per-row map allocation; order, the current
+// row's tokens by descending posting length; and the per-shape threshold
+// memo, where thr[q] holds for left row stamp[q]−1 only, so moving to the
+// next row needs no clearing.
+type scanScratch struct {
+	cnt, touched []int32
+	order        []uint32
+	thr, stamp   []int32
+}
+
+func (ix *Index) newScanScratch() *scanScratch {
+	nShapes := len(ix.shapes) / len(ix.rightIdx)
+	return &scanScratch{
+		cnt:     make([]int32, ix.nRight),
+		touched: make([]int32, 0, 64),
+		thr:     make([]int32, nShapes),
+		stamp:   make([]int32, nShapes),
+	}
+}
+
+// rowBound is an upper bound on bound(i, q, shared) over every right shape
+// q, taken from left row i's columns alone: a NULL left cell adds 0, a
 // token column whose left cell has a tokens adds min(shared, a)/a (0 when
 // a is 0), and a numeric left cell or a column without token lists on both
-// sides adds 1. Each term is at least bound's for any j — its numerator
+// sides adds 1. Each term is at least bound's for any q — its numerator
 // min(shared, a) is no smaller than min(shared, a, b) and its denominator a
 // no larger than a+b−min(shared, a, b) — and the sum runs in bound's column
 // order, so the bound holds bit for bit.
@@ -270,20 +356,27 @@ func (ps pairScorer) need(i, n int) int {
 // count with right row j over the posting lists it merged, and skippedHere
 // the number of its tokens whose lists it did not merge, so the true shared
 // count is at most cnt[j]+skippedHere. Each candidate passes three checks,
-// cheapest first: the similarity upper bound against MinSim, the blocking
-// threshold (counts in the uncertain band prove their real shared count
-// against the two full token lists), and the exact score. Only the accepted
-// matches are sorted. accept resets cnt[j] for every touched j.
-func (ps pairScorer) accept(i int, touched, cnt []int32, skippedHere int, out []Match) []Match {
+// cheapest first: the similarity upper bound against MinSim, as an integer
+// comparison with the threshold of the candidate's shape (computed once per
+// row and shape the row touches), the blocking threshold (counts in the
+// uncertain band prove their real shared count against the two full token
+// lists), and the exact score. Only the accepted matches are sorted. accept
+// resets sc.cnt[j] for every touched j.
+func (ps pairScorer) accept(i, skippedHere int, sc *scanScratch, out []Match) []Match {
 	ix := ps.ix
-	minSim := ix.opt.MinSim
+	n := len(ps.lv.block[i])
+	stamp := int32(i + 1)
 	minShared := int32(ix.opt.MinSharedTokens)
 	thresh := max(minShared-int32(skippedHere), 1)
 	start := len(out)
-	for _, j := range touched {
-		c := cnt[j]
-		cnt[j] = 0
-		if ub := ps.bound(i, int(j), int(c)+skippedHere); ub < minSim || ub <= 0 {
+	for _, j := range sc.touched {
+		c := sc.cnt[j]
+		sc.cnt[j] = 0
+		q := ix.rShape[j]
+		if sc.stamp[q] != stamp {
+			sc.thr[q], sc.stamp[q] = ps.threshold(i, q, n), stamp
+		}
+		if c+int32(skippedHere) < sc.thr[q] {
 			continue
 		}
 		if c < thresh || (c < minShared && !sharedAtLeast(ps.lv.block[i], ix.rBlock[j], int(minShared))) {
@@ -318,11 +411,8 @@ func (ix *Index) scan(lv *leftView, workers int) []Match {
 	if blocked {
 		lv.block = unionRows(lv.tok, n)
 	}
-	// scoreRange scans rows [lo, hi) with worker-local candidate state: a
-	// dense shared-token counter indexed by right row id plus the list of
-	// touched rows, reset between rows — no per-row map allocation. order
-	// holds the current row's tokens by descending posting length.
-	scoreRange := func(lo, hi int, cnt, touched []int32, order []uint32, out []Match) ([]Match, []int32, []uint32) {
+	// scoreRange scans rows [lo, hi) with worker-local candidate state.
+	scoreRange := func(lo, hi int, sc *scanScratch, out []Match) []Match {
 		for i := lo; i < hi; i++ {
 			if !blocked {
 				for j := 0; j < nRight; j++ {
@@ -353,29 +443,29 @@ func (ix *Index) scan(lv *leftView, workers int) []Match {
 				}
 			}
 			if budget > 0 {
-				order = append(order[:0], toks...)
-				slices.SortFunc(order, func(a, b uint32) int {
+				sc.order = append(sc.order[:0], toks...)
+				slices.SortFunc(sc.order, func(a, b uint32) int {
 					return cmp.Compare(len(ix.postings(b)), len(ix.postings(a)))
 				})
 				skip := 0
-				for skip < budget && skip < len(order) && len(ix.postings(order[skip])) >= skipFloor {
+				for skip < budget && skip < len(sc.order) && len(ix.postings(sc.order[skip])) >= skipFloor {
 					skip++
 				}
 				skippedHere += skip
-				toks = order[skip:]
+				toks = sc.order[skip:]
 			}
-			touched = touched[:0]
+			sc.touched = sc.touched[:0]
 			for _, tok := range toks {
 				for _, j := range ix.postings(tok) {
-					if cnt[j] == 0 {
-						touched = append(touched, j)
+					if sc.cnt[j] == 0 {
+						sc.touched = append(sc.touched, j)
 					}
-					cnt[j]++
+					sc.cnt[j]++
 				}
 			}
-			out = ps.accept(i, touched, cnt, skippedHere, out)
+			out = ps.accept(i, skippedHere, sc, out)
 		}
-		return out, touched, order
+		return out
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -384,9 +474,7 @@ func (ix *Index) scan(lv *leftView, workers int) []Match {
 		workers = n
 	}
 	if workers <= 1 {
-		var out []Match
-		out, _, _ = scoreRange(0, n, make([]int32, nRight), make([]int32, 0, 64), nil, out)
-		return out
+		return scoreRange(0, n, ix.newScanScratch(), nil)
 	}
 	// Contiguous row-range chunks scored in parallel: each chunk's matches
 	// come out in the same (i, j) order the sequential scan produces, so
@@ -407,9 +495,7 @@ func (ix *Index) scan(lv *leftView, workers int) []Match {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cnt := make([]int32, nRight)
-			touched := make([]int32, 0, 64)
-			var order []uint32
+			sc := ix.newScanScratch()
 			for {
 				c := int(next.Add(1)) - 1
 				if c >= nChunks {
@@ -419,9 +505,7 @@ func (ix *Index) scan(lv *leftView, workers int) []Match {
 				if hi > n {
 					hi = n
 				}
-				var out []Match
-				out, touched, order = scoreRange(lo, hi, cnt, touched, order, out)
-				blocks[c] = out
+				blocks[c] = scoreRange(lo, hi, sc, nil)
 			}
 		}()
 	}

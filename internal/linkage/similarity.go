@@ -8,13 +8,19 @@
 package linkage
 
 import (
+	"strings"
+	"unicode"
+
 	"explain3d/internal/relation"
 )
 
-// Tokenize lower-cases and splits a string on non-alphanumeric runes. The
-// implementation lives in the relation package so interned strings can
-// cache their token ids; this re-export keeps the linkage API stable.
-func Tokenize(s string) []string { return relation.Tokenize(s) }
+// Tokenize lower-cases and splits a string on non-alphanumeric runes. It is
+// the canonical tokenizer of the record-linkage stage.
+func Tokenize(s string) []string {
+	return strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
+		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
+	})
+}
 
 // TokenSet builds the token set of a string.
 func TokenSet(s string) map[string]bool {

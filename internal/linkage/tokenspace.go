@@ -1,18 +1,18 @@
 package linkage
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
 	"explain3d/internal/relation"
 )
 
-// tokenSpace maps token strings — possibly interned in different
-// dictionaries on the two sides of a linkage run — into one dense joint id
-// space, so posting lists and Jaccard merges work on plain integers. When
-// both relations share a dictionary (the common case: core builds its two
-// virtual-column relations against one Dict), translation degenerates to a
-// cached array lookup per distinct string.
+// tokenSpace maps token strings into one dense joint id space shared by
+// both sides of a linkage run, so posting lists and Jaccard merges work on
+// plain integers. Each distinct cell string is tokenized once per token-
+// column build and its words interned straight into the joint space; no
+// dictionary, per-call or long-lived, stores token lists.
 //
 // Joint-id interning is mutex-guarded so concurrent scans against one Index
 // can intern their left sides' tokens; the numeric ids then depend on
@@ -25,12 +25,12 @@ type tokenSpace struct {
 	n   uint32            // guarded by mu
 }
 
-// dictCache holds per-dictionary translation state. Each token-column build
-// owns its own cache — even when several share a Dict — so concurrent scans
-// never contend on anything but the joint intern map.
+// dictCache holds one token-column build's translation state. Each build
+// owns its own cache — even when several share a Dict — so concurrent
+// scans never contend on anything but the joint intern map.
 type dictCache struct {
 	d       *relation.Dict
-	tokMap  []uint32   // dict token code → joint id + 1 (0 = unset)
+	strs    []string   // snapshot of d's string table
 	rowToks [][]uint32 // dict string code → sorted joint token ids (nil = unset)
 }
 
@@ -45,46 +45,44 @@ func (ts *tokenSpace) size() int {
 	return int(ts.n)
 }
 
-func (ts *tokenSpace) intern(s string) uint32 {
+// internWords returns the sorted distinct joint ids of a string's words,
+// interning new words under one lock acquisition for the whole string. The
+// result is never nil, so an empty list caches as computed.
+func (ts *tokenSpace) internWords(words []string) []uint32 {
+	out := make([]uint32, len(words))
 	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if id, ok := ts.ids[s]; ok {
-		return id
+	for i, w := range words {
+		id, ok := ts.ids[w]
+		if !ok {
+			id = ts.n
+			ts.ids[w] = id
+			ts.n++
+		}
+		out[i] = id
 	}
-	id := ts.n
-	ts.ids[s] = id
-	ts.n++
-	return id
+	ts.mu.Unlock()
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// translate returns the sorted joint token ids of the dict string behind
-// code. Tokenization runs once per distinct string (cached in the Dict);
-// the joint-space translation is also cached per distinct string.
+// translate returns the sorted joint token ids of the dictionary string
+// behind code, tokenizing it once per distinct code per cache.
 //
 //lint:view
 func (ts *tokenSpace) translate(dc *dictCache, code uint32) []uint32 {
-	for int(code) >= len(dc.rowToks) {
-		dc.rowToks = append(dc.rowToks, nil)
+	if int(code) >= len(dc.strs) {
+		//lint:ignore viewalias the dictionary is append-only, so a snapshot's entries never change, and the cache lives for one token-column build
+		dc.strs = dc.d.Strings()
+	}
+	if int(code) >= len(dc.rowToks) {
+		dc.rowToks = append(dc.rowToks, make([][]uint32, len(dc.strs)-len(dc.rowToks))...)
 	}
 	if t := dc.rowToks[code]; t != nil {
 		return t
 	}
-	dictToks := dc.d.Tokens(code)
-	out := make([]uint32, len(dictToks))
-	for i, t := range dictToks {
-		for int(t) >= len(dc.tokMap) {
-			dc.tokMap = append(dc.tokMap, 0)
-		}
-		j := dc.tokMap[t]
-		if j == 0 {
-			j = ts.intern(dc.d.String(t)) + 1
-			dc.tokMap[t] = j
-		}
-		out[i] = j - 1
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	dc.rowToks[code] = out
-	return out
+	t := ts.internWords(Tokenize(dc.strs[code]))
+	dc.rowToks[code] = t
+	return t
 }
 
 // tokenColumns builds the per-row sorted token-id lists of every matched
@@ -99,13 +97,26 @@ func (ts *tokenSpace) tokenColumns(r *relation.Relation, idx []int) [][][]uint32
 			continue
 		}
 		rows := make([][]uint32, r.Len())
-		for i := 0; i < r.Len(); i++ {
-			code, ok := r.CellCode(i, c)
-			if !ok {
-				continue // NULL
+		if segs, nullSegs, ok := r.StringSegments(c); ok {
+			base := 0
+			for s, codes := range segs {
+				for i, code := range codes {
+					if !relation.NullAt(nullSegs[s], i) {
+						//lint:ignore viewalias blocking lists are shared read-only by design: every consumer merges them without mutating
+						rows[base+i] = ts.translate(dc, code)
+					}
+				}
+				base += len(codes)
 			}
-			//lint:ignore viewalias blocking lists are shared read-only by design: every consumer merges them without mutating, and the cache outlives them all
-			rows[i] = ts.translate(dc, code)
+		} else {
+			// Bool and mixed-kind columns tokenize each cell's rendering,
+			// which has no dictionary code to cache under; the relation's
+			// dictionary is not written to.
+			for i := range rows {
+				if v := r.At(i, c); !v.IsNull() {
+					rows[i] = ts.internWords(Tokenize(v.String()))
+				}
+			}
 		}
 		out[k] = rows
 	}

@@ -1,27 +1,15 @@
 package relation
 
 import (
-	"sort"
 	"strings"
 	"sync"
-	"unicode"
 )
-
-// Tokenize lower-cases and splits a string on non-alphanumeric runes. It is
-// the canonical tokenizer of the record-linkage stage; it lives in this
-// package so the interned-string dictionary can cache token ids per distinct
-// string (the linkage package re-exports it).
-func Tokenize(s string) []string {
-	return strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
-}
 
 // Dict is an interned string dictionary shared across a dataset: every
 // distinct string is stored once and represented by a dense uint32 code, so
-// string equality is integer comparison, repeated CSV cells parse once, and
-// tokenization runs once per distinct string instead of once per row. Token
-// ids are dict codes of the token strings themselves.
+// string equality is integer comparison and repeated CSV cells parse once.
+// It stores strings and parsed cells only; record linkage tokenizes the
+// strings behind a scan's codes itself, into its own token space.
 //
 // A Dict is append-only — codes are never invalidated — and safe for
 // concurrent use.
@@ -31,9 +19,6 @@ type Dict struct {
 	ids map[string]uint32
 	// guarded by mu
 	strs []string
-	// guarded by mu
-	// toks[code]: sorted distinct token codes (nil = not yet computed)
-	toks [][]uint32
 	// guarded by mu
 	// parsed: raw CSV cell → parsed value cache
 	parsed map[string]Value
@@ -65,7 +50,6 @@ func (d *Dict) internLocked(s string) uint32 {
 	id := uint32(len(d.strs))
 	d.ids[s] = id
 	d.strs = append(d.strs, s)
-	d.toks = append(d.toks, nil)
 	return id
 }
 
@@ -101,55 +85,6 @@ func (d *Dict) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return len(d.strs)
-}
-
-// noTokens is the cached token list of strings with no tokens, so they are
-// not re-tokenized on every Tokens call (nil means "not computed yet").
-var noTokens = []uint32{}
-
-// Tokens returns the sorted distinct token codes of the string behind code,
-// computing and caching them on first use. Token strings are interned into
-// the same dictionary, so two strings share a token iff their token lists
-// share a code.
-//
-//lint:view
-func (d *Dict) Tokens(code uint32) []uint32 {
-	d.mu.RLock()
-	t := d.toks[code]
-	d.mu.RUnlock()
-	if t != nil {
-		return t
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.tokensLocked(code)
-}
-
-// tokensLocked computes and caches the token list of code under the write
-// lock.
-func (d *Dict) tokensLocked(code uint32) []uint32 {
-	if t := d.toks[code]; t != nil {
-		return t
-	}
-	words := Tokenize(d.strs[code])
-	if len(words) == 0 {
-		d.toks[code] = noTokens
-		return noTokens
-	}
-	out := make([]uint32, 0, len(words))
-	for _, w := range words {
-		out = append(out, d.internLocked(w))
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	// Dedupe in place (a string can repeat a token).
-	uniq := out[:1]
-	for _, t := range out[1:] {
-		if t != uniq[len(uniq)-1] {
-			uniq = append(uniq, t)
-		}
-	}
-	d.toks[code] = uniq
-	return uniq
 }
 
 // ParseValue parses a raw CSV cell like the package-level ParseValue,

@@ -253,24 +253,6 @@ func (r *Relation) NumericOnly(j int) bool {
 	}
 }
 
-// CellCode returns the dictionary code of the cell's display string and
-// whether the cell is non-NULL. String cells of homogeneous columns return
-// their stored code without materializing; other kinds intern their
-// rendering (deduplicated by the dictionary).
-func (r *Relation) CellCode(i, j int) (uint32, bool) {
-	c := r.cols[j]
-	if c.mixed == nil && c.kind == KindString {
-		if s, off := c.seg(i); !bitGet(s.nulls, off) {
-			return s.codes[off], true
-		}
-	}
-	v := c.get(r.dict, i)
-	if v.IsNull() {
-		return 0, false
-	}
-	return r.dict.Intern(v.String()), true
-}
-
 // String renders a small ASCII table (up to 25 rows) for debugging and
 // example output.
 func (r *Relation) String() string {
