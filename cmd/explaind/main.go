@@ -32,10 +32,11 @@
 // every generation, so each dataset keeps one Stage-1 memo entry per query
 // pair, reused while the relations both queries read are unchanged. A
 // re-explain after a delta rebuilds only the sides whose read set the delta
-// touched, advances the pair prefix over the dirty rows, and reuses cached
-// block solutions whose instance hashes are unchanged. Result-table
-// entries, finished or in flight, are dropped only if their queries read a
-// touched relation.
+// touched, advances the pair prefix (sharing the candidate index and raw
+// match list where the matched cells are unchanged, rescanning otherwise),
+// and reuses cached block solutions whose instance hashes are unchanged.
+// Result-table entries, finished or in flight, are dropped only if their
+// queries read a touched relation.
 package main
 
 import (

@@ -159,18 +159,34 @@ func comparisonColumns(c *Canonical, mattr schemamap.Matching, left bool, d *rel
 		v, err := virtualColumns(c, mattr, left, d)
 		return v, idx, err
 	}
-	for i, am := range mattr {
-		a := am.Right[0]
-		if left {
-			a = am.Left[0]
-		}
-		j, err := c.Rel.Schema.Index(a)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: attribute match references %q missing from canonical relation: %w", a, err)
-		}
-		idx[i] = j
+	cols, err := matchColumns(c, mattr, left)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, cs := range cols {
+		idx[i] = cs[0]
 	}
 	return c.Rel, idx, nil
+}
+
+// matchColumns resolves one side's attributes of each attribute match to
+// column indexes of the canonical relation, in match order.
+func matchColumns(c *Canonical, mattr schemamap.Matching, left bool) ([][]int, error) {
+	cols := make([][]int, len(mattr))
+	for i, am := range mattr {
+		attrs := am.Right
+		if left {
+			attrs = am.Left
+		}
+		for _, a := range attrs {
+			j, err := c.Rel.Schema.Index(a)
+			if err != nil {
+				return nil, fmt.Errorf("core: attribute match references %q missing from canonical relation: %w", a, err)
+			}
+			cols[i] = append(cols[i], j)
+		}
+	}
+	return cols, nil
 }
 
 // VirtualColumns builds one comparison column per attribute match: the
@@ -184,25 +200,15 @@ func VirtualColumns(c *Canonical, mattr schemamap.Matching, left bool) (*relatio
 // virtualColumns is the implementation of VirtualColumns; d is the string
 // dictionary the comparison relation interns into.
 func virtualColumns(c *Canonical, mattr schemamap.Matching, left bool, d *relation.Dict) (*relation.Relation, error) {
+	colIdx, err := matchColumns(c, mattr, left)
+	if err != nil {
+		return nil, err
+	}
 	names := make([]string, len(mattr))
 	for i := range mattr {
 		names[i] = fmt.Sprintf("m%d", i)
 	}
 	out := relation.NewWithDict(d, "", names...)
-	colIdx := make([][]int, len(mattr))
-	for i, am := range mattr {
-		attrs := am.Right
-		if left {
-			attrs = am.Left
-		}
-		for _, a := range attrs {
-			j, err := c.Rel.Schema.Index(a)
-			if err != nil {
-				return nil, fmt.Errorf("core: attribute match references %q missing from canonical relation: %w", a, err)
-			}
-			colIdx[i] = append(colIdx[i], j)
-		}
-	}
 	var row relation.Tuple
 	rec := make(relation.Tuple, len(mattr))
 	for r := 0; r < c.Rel.Len(); r++ {

@@ -140,8 +140,8 @@ func TestPairPrefixAdvanceDifferential(t *testing.T) {
 			case step == 9:
 				// Deletes only on side 2, next to side-1 appends that copy
 				// keys of side-2 rows past the deleted ones: side 2's
-				// index is rebuilt without dirty rows, and side 1's dirty
-				// rows must find their partners at the shifted ids.
+				// index is rebuilt, and side 1's appended rows must find
+				// their partners at the shifted ids.
 				rel2 := sc.Spec.Name + "2"
 				r2, err := db2.Relation(rel2)
 				if err != nil {
@@ -224,6 +224,16 @@ func TestPairPrefixAdvanceDifferential(t *testing.T) {
 			if !reflect.DeepEqual(npp.Raw, fresh.Raw) {
 				t.Fatalf("step %d (%+v): advanced raw matches diverge from fresh build: %d vs %d",
 					step, diff, len(npp.Raw), len(fresh.Raw))
+			}
+			// Impact-only steps leave every matched cell in place, so the
+			// raw list is shared, not rescanned; every other step deletes
+			// or appends rows and rescans.
+			if impactOnly := step >= 5 && step <= 8; impactOnly {
+				if diff.FullRescan || len(pp.Raw) == 0 || &npp.Raw[0] != &pp.Raw[0] {
+					t.Fatalf("step %d (%+v): impact-only delta must share the raw list", step, diff)
+				}
+			} else if !diff.FullRescan {
+				t.Fatalf("step %d (%+v): structural delta must rescan", step, diff)
 			}
 			// Side 2's index is reused when side 2 is unchanged or took
 			// impact-only updates, and rebuilt after the random deltas,
@@ -339,6 +349,97 @@ func TestPairPrefixAdvanceSide2SniffFlip(t *testing.T) {
 			t.Fatalf("flip to tokenized should add candidates: %d -> %d", len(pp.Raw), len(fresh.Raw))
 		}
 		pp, db2 = npp, ndb2
+	}
+}
+
+// TestPairPrefixAdvanceKindChange: a delta that rewrites a matched cell to
+// another numeric kind of equal value (Int(3) ↔ Float(3.0)) changes the
+// cell's rendering in a mixed-kind column ("3" vs "3.0"), and with it the
+// pair's similarity, so Advance must rescore it. Sides are compared by
+// kind and payload, not by CellKey, which folds the two into one key.
+func TestPairPrefixAdvanceKindChange(t *testing.T) {
+	cases := []struct {
+		name         string
+		left, right  []relation.Value
+		side         int
+		row          int
+		rewrittenVal relation.Value
+	}{
+		{
+			name:  "side1-int-to-float",
+			left:  []relation.Value{relation.String("x 3"), relation.Int(3)},
+			right: []relation.Value{relation.String("3"), relation.String("x")},
+			side:  1, row: 1, rewrittenVal: relation.Float(3),
+		},
+		{
+			name:  "side2-float-to-int",
+			left:  []relation.Value{relation.String("3"), relation.String("x")},
+			right: []relation.Value{relation.String("x 3"), relation.Float(3)},
+			side:  2, row: 1, rewrittenVal: relation.Int(3),
+		},
+	}
+	mattr, err := schemamap.ParseAll("A.k == B.k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q1 := sqlparse.MustParse("SELECT SUM(v) FROM A")
+	q2 := sqlparse.MustParse("SELECT SUM(v) FROM B")
+	popt := linkage.DefaultPairOptions()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db := func(name, rel string, keys []relation.Value) *relation.Database {
+				r := relation.New(rel, "k", "v")
+				for i, k := range keys {
+					r.AppendRow(relation.Tuple{k, relation.Int(int64(i + 1))})
+				}
+				return relation.NewDatabase(name).Add(r)
+			}
+			db1, db2 := db("d1", "A", tc.left), db("d2", "B", tc.right)
+			s1, err := BuildSide(q1, db1, mattr.LeftAttrs(), "Q1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s2, err := BuildSide(q2, db2, mattr.RightAttrs(), "Q2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pp, err := BuildPairPrefix(s1, s2, mattr, popt, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := relation.Delta{Updates: []relation.RowUpdate{{
+				Row: tc.row, Values: relation.Tuple{tc.rewrittenVal, relation.Int(int64(tc.row + 1))},
+			}}}
+			ns1, ns2 := s1, s2
+			if tc.side == 1 {
+				if db1, _, err = db1.ApplyDelta(relation.DBDelta{"A": d}); err != nil {
+					t.Fatal(err)
+				}
+				ns1, err = BuildSide(q1, db1, mattr.LeftAttrs(), "Q1")
+			} else {
+				if db2, _, err = db2.ApplyDelta(relation.DBDelta{"B": d}); err != nil {
+					t.Fatal(err)
+				}
+				ns2, err = BuildSide(q2, db2, mattr.RightAttrs(), "Q2")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			npp, diff, err := pp.Advance(ns1, ns2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := BuildPairPrefix(ns1, ns2, mattr, popt, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reflect.DeepEqual(fresh.Raw, pp.Raw) {
+				t.Fatalf("the kind change must move a similarity: %v", fresh.Raw)
+			}
+			if !reflect.DeepEqual(npp.Raw, fresh.Raw) {
+				t.Fatalf("%+v: advanced raw list %v, fresh build %v", diff, npp.Raw, fresh.Raw)
+			}
+		})
 	}
 }
 

@@ -21,7 +21,9 @@ import (
 	"explain3d/internal/datagen"
 	"explain3d/internal/linkage"
 	"explain3d/internal/relation"
+	"explain3d/internal/schemamap"
 	"explain3d/internal/serve"
+	"explain3d/internal/sqlparse"
 )
 
 // TestRegisterConflict pins the structured conflict error: a duplicate name
@@ -442,6 +444,70 @@ func TestDeltaSide2(t *testing.T) {
 	}
 	if m := s.Metrics(); m.PrefixBuilds != 1 || m.PrefixAdvances != 3 {
 		t.Fatalf("PrefixBuilds/Advances = %d/%d, want 1/3", m.PrefixBuilds, m.PrefixAdvances)
+	}
+}
+
+// TestDeltaKindChange: delta JSON carries 3.0 as a float and 3 as an int.
+// Rewriting a matched cell between the two in a mixed-kind column changes
+// its rendering ("3.0" vs "3"), and so a similarity; each answer after the
+// delta must equal a fresh one-shot Explain, side 1 first, then side 2.
+func TestDeltaKindChange(t *testing.T) {
+	a := relation.New("A", "k", "v")
+	a.AppendRow(relation.Tuple{relation.String("x 3"), relation.Int(1)})
+	a.AppendRow(relation.Tuple{relation.Int(3), relation.Int(2)})
+	b := relation.New("B", "k", "v")
+	b.AppendRow(relation.Tuple{relation.String("3"), relation.Int(1)})
+	b.AppendRow(relation.Tuple{relation.String("x"), relation.Int(2)})
+	b.AppendRow(relation.Tuple{relation.Float(3), relation.Int(4)})
+	db1, db2 := relation.NewDatabase("d1").Add(a), relation.NewDatabase("d2").Add(b)
+	s := serve.New(serve.Options{})
+	if err := s.Register("kind", db1, db2); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	sc := &datagen.Scenario{
+		Q1: sqlparse.MustParse("SELECT SUM(v) FROM A"), Q2: sqlparse.MustParse("SELECT SUM(v) FROM B"),
+	}
+	var err error
+	if sc.Mattr, err = schemamap.ParseAll("A.k == B.k"); err != nil {
+		t.Fatal(err)
+	}
+	rq := serve.Request{Dataset: "kind", Q1: sc.Q1.String(), Q2: sc.Q2.String(), Matches: matchText(sc.Mattr)}
+	if resp, body := post(t, ts.URL, rq); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold status %d: %s", resp.StatusCode, body)
+	}
+	steps := []struct {
+		db1   bool
+		rel   string
+		row   int
+		wire  json.Number
+		local relation.Value
+		v     int64
+	}{
+		{db1: true, rel: "A", row: 1, wire: "3.0", local: relation.Float(3), v: 2},
+		{rel: "B", row: 2, wire: "3", local: relation.Int(3), v: 4},
+	}
+	for i, st := range steps {
+		wire := map[string]serve.RelationDelta{st.rel: {Updates: []serve.RowUpdate{{Row: st.row, Values: []any{st.wire, st.v}}}}}
+		local := relation.DBDelta{st.rel: {Updates: []relation.RowUpdate{{Row: st.row, Values: relation.Tuple{st.local, relation.Int(st.v)}}}}}
+		dr, db := serve.DeltaRequest{DB2: wire}, &db2
+		if st.db1 {
+			dr, db = serve.DeltaRequest{DB1: wire}, &db1
+		}
+		if resp, _, raw := postDelta(t, ts.URL, "kind", dr); resp.StatusCode != http.StatusOK {
+			t.Fatalf("step %d: delta status %d: %s", i, resp.StatusCode, raw)
+		}
+		if *db, _, err = (*db).ApplyDelta(local); err != nil {
+			t.Fatal(err)
+		}
+		resp, got := post(t, ts.URL, rq)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("step %d: status %d: %s", i, resp.StatusCode, got)
+		}
+		if want := scenarioOneShot(t, db1, db2, sc, rq); !bytes.Equal(got, want) {
+			t.Fatalf("step %d: body differs from a fresh one-shot Explain on the post-delta data:\n got %s\nwant %s", i, got, want)
+		}
 	}
 }
 

@@ -507,10 +507,11 @@ type pairEntry struct {
 // matches, options) tuple through the dataset's Stage-1 memo, one entry per
 // tuple keyed on the relations both queries read. When a delta changed some
 // of them, the entry advances from the memo's previous prefix: a side whose
-// relations are unchanged is reused, the other is rebuilt, and survivors
-// keep their similarities (the raw match list stays byte-identical to a
-// fresh build); advanced reports that path. popt comes from pairOptions, so
-// the memo keys on resolved options.
+// relations are unchanged is reused, the other is rebuilt, and
+// core.(*PairPrefix).Advance keeps the index and raw match list where the
+// rebuilt side's matched cells are unchanged and rescans otherwise (the raw
+// list stays byte-identical to a fresh build); advanced reports that path.
+// popt comes from pairOptions, so the memo keys on resolved options.
 func (s *Server) prefixFor(ds *Dataset, dv *dataVersion, q1, q2 *sqlparse.Select, mattr schemamap.Matching, popt linkage.PairOptions, workers int) (*core.PairPrefix, bool, error) {
 	key := fmt.Sprintf("%s\x1f%s\x1f%s\x1f%g|%d", q1, q2, matchingText(mattr), popt.MinSim, popt.MinSharedTokens)
 	in1, in2 := readSet(q1, dv.db1), readSet(q2, dv.db2)
