@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"explain3d/internal/linkage"
-	"explain3d/internal/milp"
 )
 
 // ambiguousInstance has one left tuple with two equally probable partners
@@ -114,9 +113,9 @@ func TestWarmStartAlwaysFeasible(t *testing.T) {
 		for j := 0; j < nr; j++ {
 			sub.right = append(sub.right, j)
 		}
-		enc := encode(milp.NewModel("exp3d", milp.Maximize), inst, sub, DefaultParams())
-		warm := warmStart(inst, enc)
-		if err := enc.model.CheckFeasible(warm, 1e-6); err != nil {
+		w := newWorker(inst, DefaultParams())
+		warm := w.warmStart(encodeAll(w, sub))
+		if err := w.m.CheckFeasible(warm, 1e-6); err != nil {
 			t.Fatalf("trial %d (card %+v): warm start infeasible: %v", trial, card, err)
 		}
 	}
@@ -207,5 +206,3 @@ func TestUniformPerTuplePriorsMatchGlobal(t *testing.T) {
 		t.Fatalf("uniform overrides changed the optimum: %v vs %v", e1, e2)
 	}
 }
-
-var _ = milp.StatusOptimal // keep milp imported for future assertions

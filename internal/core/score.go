@@ -22,10 +22,10 @@ func logConstsOf(alpha, beta float64) (a, b, c float64) {
 	return a, b, c
 }
 
-// tupleConsts resolves the per-tuple constants, honoring the optional
-// per-tuple prior overrides of footnote 5.
-func (p Params) tupleConsts(side Side, tuple int) (a, b, c float64) {
-	alpha, beta := p.Alpha, p.Beta
+// tuplePriors resolves a tuple's priors (α, β), honoring the optional
+// per-tuple overrides of footnote 5.
+func (p Params) tuplePriors(side Side, tuple int) (alpha, beta float64) {
+	alpha, beta = p.Alpha, p.Beta
 	if p.AlphaOf != nil {
 		if v := p.AlphaOf(side, tuple); v > 0.5 && v <= 1 {
 			alpha = v
@@ -36,7 +36,32 @@ func (p Params) tupleConsts(side Side, tuple int) (a, b, c float64) {
 			beta = v
 		}
 	}
-	return logConstsOf(alpha, beta)
+	return alpha, beta
+}
+
+// tupleConsts resolves the per-tuple constants of Equation 3.
+func (p Params) tupleConsts(side Side, tuple int) (a, b, c float64) {
+	return logConstsOf(p.tuplePriors(side, tuple))
+}
+
+// priors resolves tuple priors and constants for one solve. Without
+// per-tuple overrides every tuple has the call-wide priors, so their
+// constants are computed once.
+type priors struct {
+	p       Params
+	a, b, c float64
+}
+
+func newPriors(p Params) priors {
+	a, b, c := logConsts(p)
+	return priors{p: p, a: a, b: b, c: c}
+}
+
+func (pr *priors) consts(side Side, tuple int) (a, b, c float64) {
+	if pr.p.AlphaOf == nil && pr.p.BetaOf == nil {
+		return pr.a, pr.b, pr.c
+	}
+	return pr.p.tupleConsts(side, tuple)
 }
 
 // Score evaluates log Pr(E | T1, T2, Mtuple) per Equation 13 for an

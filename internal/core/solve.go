@@ -48,8 +48,14 @@ func SolveInstanceContext(ctx context.Context, inst *Instance, p Params) (*Expla
 // optimal results are cached, the merged output is byte-identical to an
 // uncached run — unchanged partitions of an incrementally maintained
 // instance become free. cache may be nil (no caching) and may be shared
-// across calls and goroutines. Inside the call, the workers also share one
-// milp.Memo, so each distinct MILP block is searched once.
+// across calls and goroutines.
+//
+// Inside the call, each sub-problem is split into its match-connected
+// components, each exactly one MILP block, and the workers share one
+// component memo keyed above encode: a component equal to one the call
+// has solved replays that solution (and its counts) without being encoded,
+// one another worker is searching is waited for, and a worker encodes the
+// components it claims into one model and solves them in one batch.
 func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *SolveCache) (*Explanations, *Stats, error) {
 	p = p.withDefaults()
 	if err := p.validate(); err != nil {
@@ -75,9 +81,9 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 	}
 	defer cancel()
 
-	// All workers share one block memo (see SolveInstanceCached); call
+	// All workers share one component memo (see SolveInstanceCached); call
 	// tells the solution-cache entries this call stores from older ones.
-	memo, call := &milp.Memo{}, new(byte)
+	memo, call := &compMemo{}, new(byte)
 	frags := make([]*Explanations, len(subs))
 	subStats := make([]Stats, len(subs))
 	var (
@@ -92,9 +98,7 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 			cancel() // stop in-flight workers; their results are discarded
 		})
 	}
-	// solveSub encodes into m, the calling worker's model (encode resets
-	// it), so a worker's sub-problems reuse one model's storage.
-	solveSub := func(m *milp.Model, si int) {
+	solveSub := func(w *worker, si int) {
 		if failed.Load() {
 			// A sub-problem already failed; skip the (expensive) encode of
 			// the rest. Note this guards on the error flag, not ctx.Err():
@@ -106,9 +110,10 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 		frag := &Explanations{}
 		frags[si] = frag
 		st := &subStats[si]
+		w.place(sub)
 		var key string
 		if cache != nil {
-			key = subKey(inst, sub, p)
+			key = w.subKey()
 			if e, ok := cache.lookup(key); ok {
 				// Replay the stored fragment against this sub-problem's ids;
 				// stored stats (with the cache counters re-zeroed at store
@@ -116,7 +121,7 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 				*st = e.stats
 				if e.call == call {
 					// An equal sub-problem of this call stored it: count
-					// the replay as its blocks' memo hits would count.
+					// the replay as its components' memo hits would count.
 					*st = Stats{MILPVars: st.MILPVars, MILPRows: st.MILPRows,
 						SparseBlocks: st.SparseBlocks, DenseBlocks: st.DenseBlocks,
 						MemoHits: st.SparseBlocks + st.DenseBlocks}
@@ -131,28 +136,12 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 		// pays off because the solver returns the warm-start (greedy)
 		// incumbent as StatusLimit, so budgets degrade to greedy-quality
 		// solutions rather than delete-everything fallbacks.
-		enc := encode(m, inst, sub, p)
-		st.MILPVars = enc.model.NumVars()
-		st.MILPRows = enc.model.NumRows()
-		opt := milp.Options{WarmStart: warmStart(inst, enc), Memo: memo}
-		sol, err := milp.SolveContext(ctx, enc.model, opt)
+		sols, ok, err := w.solve(ctx, memo, st)
 		if err != nil {
-			fail(fmt.Errorf("core: solving sub-problem: %w", err))
+			fail(err)
 			return
 		}
-		st.Nodes = sol.Nodes
-		st.Iters = sol.Iters
-		st.Refactors = sol.Refactors
-		st.LUFill = sol.LUFill
-		st.CertInfeas = sol.CertInfeas
-		st.SparseBlocks = sol.SparseBlocks
-		st.DenseBlocks = sol.DenseBlocks
-		st.MemoHits = sol.MemoHits
-		switch sol.Status {
-		case milp.StatusOptimal:
-		case milp.StatusLimit:
-			st.TimedOut = true
-		case milp.StatusNoSolution:
+		if !ok {
 			// Budget expired before any feasible point: fall back to
 			// deleting everything in this sub-problem (always complete).
 			st.TimedOut = true
@@ -163,17 +152,13 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 				frag.Prov = append(frag.Prov, ProvExpl{Side: Right, Tuple: id})
 			}
 			return
-		default:
-			// The encoding always admits the all-deleted solution, so an
-			// infeasible or unbounded status signals an encoding bug.
-			fail(fmt.Errorf("core: sub-problem unexpectedly %v (%s)", sol.Status, enc.model))
-			return
 		}
-		*frag = *decode(inst, enc, sol)
-		if cache != nil && sol.Status == milp.StatusOptimal {
+		lf := w.assemble(sols)
+		*frag = *lf.globalize(sub)
+		if cache != nil && !st.TimedOut {
 			stored := *st
 			stored.SolveCacheMisses = 0
-			cache.store(key, localFragOf(inst, enc, sol), stored, call)
+			cache.store(key, lf, stored, call)
 		}
 	}
 
@@ -185,9 +170,9 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 		workers = len(subs)
 	}
 	if workers <= 1 {
-		m := milp.NewModel("exp3d", milp.Maximize)
+		w := newWorker(inst, p)
 		for si := range subs {
-			solveSub(m, si)
+			solveSub(w, si)
 			if failed.Load() {
 				break
 			}
@@ -199,9 +184,9 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				m := milp.NewModel("exp3d", milp.Maximize)
+				w := newWorker(inst, p)
 				for si := range work {
-					solveSub(m, si)
+					solveSub(w, si)
 				}
 			}()
 		}
@@ -244,6 +229,115 @@ func SolveInstanceCached(ctx context.Context, inst *Instance, p Params, cache *S
 	sortExplanations(result)
 	stats.SolveTime = time.Since(start)
 	return result, stats, nil
+}
+
+// solve solves every component of the placed sub-problem and returns
+// their solutions, indexed by component. It claims each component in memo
+// and replays those another worker has solved, searches its own claims in
+// one batch, then waits for the components another worker is searching;
+// one whose search there was cut short it searches itself. It returns
+// false when a search found no feasible point within the budget.
+func (w *worker) solve(ctx context.Context, memo *compMemo, st *Stats) ([]*compSol, bool, error) {
+	w.splitSub()
+	lo, hi := w.impactBounds()
+	nc := int(w.nc)
+	sols, ents := grow(&w.sols, nc), grow(&w.ents, nc)
+	claimed, joined := w.claimed[:0], w.joined[:0]
+	for c := int32(0); c < int32(nc); c++ {
+		w.key = w.appendCompKey(w.key[:0], c, lo, hi)
+		e, created := memo.claim(w.key)
+		ents[c] = e
+		if created {
+			claimed = append(claimed, c)
+		} else {
+			joined = append(joined, c)
+		}
+	}
+	w.claimed, w.joined = claimed, joined
+	if ok, err := w.search(ctx, claimed, lo, hi, st, memo); !ok || err != nil {
+		return nil, ok, err
+	}
+	retry := w.retry[:0]
+	for _, c := range joined {
+		e := ents[c]
+		<-e.done
+		if e.sol == nil {
+			retry = append(retry, c)
+			continue
+		}
+		sols[c] = e.sol
+		st.MemoHits++
+		st.MILPVars += e.sol.vars
+		st.MILPRows += e.sol.rows
+		if e.sol.dense {
+			st.DenseBlocks++
+		} else {
+			st.SparseBlocks++
+		}
+	}
+	w.retry = retry
+	ok, err := w.search(ctx, retry, lo, hi, st, nil)
+	return sols, ok, err
+}
+
+// search encodes the components batch into the worker's model, solves
+// them in one SolveContext call and reads each into w.sols. With memo,
+// batch holds the worker's claims: each is published when the solve is
+// optimal and released otherwise (SolveContext reports one status for the
+// whole batch). It returns false on StatusNoSolution.
+func (w *worker) search(ctx context.Context, batch []int32, lo, hi float64, st *Stats, memo *compMemo) (bool, error) {
+	if len(batch) == 0 {
+		return true, nil
+	}
+	w.encode(batch, lo, hi)
+	sol, err := milp.SolveContext(ctx, w.m, milp.Options{WarmStart: w.warmStart(batch)})
+	if err == nil {
+		for k := range batch {
+			st.MILPVars += w.vars[k]
+			st.MILPRows += w.rows[k]
+		}
+		st.Nodes += sol.Nodes
+		st.Iters += sol.Iters
+		st.Refactors += sol.Refactors
+		st.LUFill += sol.LUFill
+		st.CertInfeas += sol.CertInfeas
+		st.SparseBlocks += sol.SparseBlocks
+		st.DenseBlocks += sol.DenseBlocks
+		switch sol.Status {
+		case milp.StatusOptimal, milp.StatusLimit:
+			if sol.Blocks != len(batch) {
+				err = fmt.Errorf("core: %d components encoded into %d blocks", len(batch), sol.Blocks)
+			}
+		case milp.StatusNoSolution:
+		default:
+			// The encoding always admits the all-deleted solution, so an
+			// infeasible or unbounded status signals an encoding bug.
+			err = fmt.Errorf("core: sub-problem unexpectedly %v (%s)", sol.Status, w.m)
+		}
+	} else {
+		err = fmt.Errorf("core: solving sub-problem: %w", err)
+	}
+	found := err == nil && sol.Status != milp.StatusNoSolution
+	for k, c := range batch {
+		var cs *compSol
+		if found {
+			cs = w.read(sol, k, c)
+			w.sols[c] = cs
+		}
+		if memo != nil {
+			if sol == nil || sol.Status != milp.StatusOptimal {
+				cs = nil
+			}
+			memo.finish(w.ents[c], cs)
+		}
+	}
+	if err != nil {
+		return false, err
+	}
+	if sol.Status != milp.StatusOptimal {
+		st.TimedOut = true
+	}
+	return found, nil
 }
 
 // splitInstance prepares the optimization units. Matches whose probability

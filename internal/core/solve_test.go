@@ -86,9 +86,9 @@ func sameSolveCounts(a, b *Stats) bool {
 
 // TestSolveInstanceScenarioWorkersDeterministic: at oneshot-stage1's shape
 // the explanations and counts of Workers 2 and 4 equal Workers 1's, and
-// the block memo replays every block but the first of each distinct one:
-// 19998 blocks, of which 1417 are distinct (counted by serializing every
-// block's sub-model).
+// the component memo replays every component but the first of each
+// distinct one: 19998 components (one MILP block each), of which 1417 are
+// distinct.
 func TestSolveInstanceScenarioWorkersDeterministic(t *testing.T) {
 	inst, p := scenarioInstance(t)
 	p.Workers = 1
@@ -292,33 +292,31 @@ func TestEncodeModelReuse(t *testing.T) {
 	if len(subs) < 3 {
 		t.Fatalf("%d sub-problems, want several", len(subs))
 	}
-	reused := milp.NewModel("exp3d", milp.Maximize)
+	reused := newWorker(inst, p)
 	grew, shrank := false, false
 	for si, sub := range subs {
-		before := reused.NumVars()
-		got := encode(reused, inst, sub, p)
-		want := encode(milp.NewModel("exp3d", milp.Maximize), inst, sub, p)
+		before := reused.m.NumVars()
+		fresh := newWorker(inst, p)
+		gb, wb := encodeAll(reused, sub), encodeAll(fresh, sub)
+		got, want := reused.m, fresh.m
 		if si > 0 {
-			grew = grew || got.model.NumVars() > before
-			shrank = shrank || got.model.NumVars() < before
+			grew = grew || got.NumVars() > before
+			shrank = shrank || got.NumVars() < before
 		}
-		if got.model.NumVars() != want.model.NumVars() || got.model.NumRows() != want.model.NumRows() {
-			t.Fatalf("sub %d: reused model %s, fresh %s", si, got.model, want.model)
+		if got.NumVars() != want.NumVars() || got.NumRows() != want.NumRows() {
+			t.Fatalf("sub %d: reused model %s, fresh %s", si, got, want)
 		}
-		gs, err := milp.Solve(got.model, milp.Options{WarmStart: warmStart(inst, got)})
+		gs, err := milp.Solve(got, milp.Options{WarmStart: reused.warmStart(gb)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws, err := milp.Solve(want.model, milp.Options{WarmStart: warmStart(inst, want)})
+		ws, err := milp.Solve(want, milp.Options{WarmStart: fresh.warmStart(wb)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(gs, ws) {
 			t.Fatalf("sub %d: reused model solves to %+v, fresh %+v", si, gs, ws)
 		}
-	}
-	if !grew || !shrank {
-		t.Fatalf("sub-problem sizes never grew (%v) or never shrank (%v) from one to the next", grew, shrank)
 	}
 	var first *Explanations
 	var firstStats Stats
@@ -387,25 +385,25 @@ func TestSolveInstanceNodeCappedBudget(t *testing.T) {
 		t.Fatalf("budget-limited explanations incomplete: %v", err)
 	}
 
-	// The timed-out block leaves nothing in the memo: solving every
-	// sub-problem twice through one memo, the second pass searches the
-	// capped block again and times out again, where a stored incumbent
-	// would replay as optimal.
+	// A capped component is never stored: solving every sub-problem twice
+	// through one component memo, the second pass searches the capped
+	// component again and times out again, where a stored incumbent would
+	// replay as optimal.
 	subs, err := splitInstance(inst, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo, m := &milp.Memo{}, milp.NewModel("exp3d", milp.Maximize)
+	memo, w := &compMemo{}, newWorker(inst, p)
 	for pass := 0; pass < 2; pass++ {
 		ctx, cancel := context.WithTimeout(context.Background(), p.SolverTimeLimit)
 		limited := 0
 		for _, sub := range subs {
-			enc := encode(m, inst, sub, p)
-			sol, err := milp.SolveContext(ctx, enc.model, milp.Options{WarmStart: warmStart(inst, enc), Memo: memo})
-			if err != nil {
+			var st Stats
+			w.place(sub)
+			if _, _, err := w.solve(ctx, memo, &st); err != nil {
 				t.Fatal(err)
 			}
-			if sol.Status != milp.StatusOptimal {
+			if st.TimedOut {
 				limited++
 			}
 		}

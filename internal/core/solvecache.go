@@ -5,23 +5,26 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
-
-	"explain3d/internal/milp"
 	"sync"
 )
 
-// solvecache.go — the instance-hash → solution cache that makes unchanged
-// partitions free under incremental maintenance.
+// solvecache.go — Stage 2's two reuse keys, both in local coordinates
+// (positions within a sub-problem or a component), so equal content hits
+// wherever its canonical ids landed.
 //
-// A sub-problem's MILP outcome is a pure function of its content: per-tuple
-// impacts and objective constants, the match list with probabilities, and
-// the cardinality flags. The cache keys on a SHA-256 over
-// exactly that serialization — in LOCAL coordinates (positions within the
-// sub-problem), so the same partition content hits regardless of where its
-// canonical ids landed after a delta. Cached values store the decoded
-// explanation fragment in local coordinates too, remapped to global ids on
-// every hit; only solves proven optimal are cached (budget-limited
-// incumbents are timing-dependent and must not be replayed).
+// The partition key (subKey) covers a whole sub-problem: per-tuple impacts
+// and priors, the match list with probabilities, and the cardinality
+// flags, hashed with SHA-256. It keys SolveCache, which may outlive a call:
+// unchanged partitions of an incrementally maintained instance replay their
+// decoded fragment instead of being solved again.
+//
+// The component key (appendCompKey) covers one match-connected component
+// of a sub-problem, exactly the bytes encode and warmStart read, and keys
+// compMemo, which lives for one call: each distinct component is encoded
+// and searched once, however many sub-problems repeat it.
+//
+// Both store only solves proven optimal: budget-limited incumbents are
+// timing-dependent and must not be replayed.
 
 // SolveCache is an LRU of proven-optimal sub-problem solutions, safe for
 // concurrent use by the solve worker pool.
@@ -120,34 +123,6 @@ type localVal struct {
 	newImpact float64
 }
 
-// localFragOf mirrors decode but records local positions, so the fragment
-// can be replayed against any sub-problem with identical content.
-func localFragOf(inst *Instance, enc *encoded, sol *milp.Solution) localFrag {
-	var f localFrag
-	readSide := func(side Side, ids []int, xs, ys, ivs []milp.Var, impacts []float64) {
-		for k, id := range ids {
-			if sol.BoolValue(xs[k]) {
-				f.prov = append(f.prov, localProv{side: side, pos: int32(k)})
-				continue
-			}
-			if !sol.BoolValue(ys[k]) {
-				refined := sol.Value(ivs[k])
-				if math.Abs(refined-impacts[id]) > impactTol {
-					f.val = append(f.val, localVal{side: side, pos: int32(k), newImpact: refined})
-				}
-			}
-		}
-	}
-	readSide(Left, enc.sub.left, enc.xL, enc.yL, enc.iL, inst.T1.Impacts)
-	readSide(Right, enc.sub.right, enc.xR, enc.yR, enc.iR, inst.T2.Impacts)
-	for mi, z := range enc.z {
-		if sol.BoolValue(z) {
-			f.evid = append(f.evid, int32(mi))
-		}
-	}
-	return f
-}
-
 // globalize replays the fragment against a sub-problem, producing the exact
 // Explanations decode would have returned for an identical solve.
 func (f localFrag) globalize(sub *subProblem) *Explanations {
@@ -171,12 +146,13 @@ func (f localFrag) globalize(sub *subProblem) *Explanations {
 	return out
 }
 
-// subKey hashes everything the sub-problem's solve outcome depends on, in
-// local coordinates: per-tuple impact and objective constants on each side
-// (in sub order), the match list with local endpoints and probability bits,
+// subKey hashes everything the placed sub-problem's solve outcome depends
+// on, in local coordinates: per-tuple impact and priors on each side (in
+// sub order), the match list with local endpoints and probability bits,
 // and the cardinality flags. Iteration runs over slices only — fully
 // deterministic.
-func subKey(inst *Instance, sub *subProblem, p Params) string {
+func (w *worker) subKey() string {
+	inst, sub := w.inst, w.sub
 	h := sha256.New()
 	var buf [8]byte
 	wInt := func(v int64) {
@@ -190,36 +166,114 @@ func subKey(inst *Instance, sub *subProblem, p Params) string {
 	wSide := func(side Side, ids []int, impacts []float64) {
 		wInt(int64(len(ids)))
 		for _, id := range ids {
-			a, b, c := p.tupleConsts(side, id)
+			alpha, beta := w.pri.p.tuplePriors(side, id)
 			wFloat(impacts[id])
-			wFloat(a)
-			wFloat(b)
-			wFloat(c)
+			wFloat(alpha)
+			wFloat(beta)
 		}
 	}
 	wSide(Left, sub.left, inst.T1.Impacts)
 	wSide(Right, sub.right, inst.T2.Impacts)
-	posL := make(map[int]int32, len(sub.left))
-	for k, id := range sub.left {
-		posL[id] = int32(k)
-	}
-	posR := make(map[int]int32, len(sub.right))
-	for k, id := range sub.right {
-		posR[id] = int32(k)
-	}
 	wInt(int64(len(sub.matches)))
 	for _, m := range sub.matches {
-		wInt(int64(posL[m.L]))
-		wInt(int64(posR[m.R]))
+		wInt(int64(w.posL[m.L]))
+		wInt(int64(w.posR[m.R]))
 		wFloat(m.P)
 	}
-	flags := int64(0)
-	if inst.Card.LeftAtMostOne {
+	wInt(int64(cardFlags(inst.Card)))
+	return string(h.Sum(nil))
+}
+
+func cardFlags(c Cardinality) byte {
+	flags := byte(0)
+	if c.LeftAtMostOne {
 		flags |= 1
 	}
-	if inst.Card.RightAtMostOne {
+	if c.RightAtMostOne {
 		flags |= 2
 	}
-	wInt(flags)
-	return string(h.Sum(nil))
+	return flags
+}
+
+// appendCompKey appends component c's key to k: the sub-problem's impact
+// bounds, the cardinality flags, each tuple's impact and resolved priors
+// (left tuples, then right, in sub order), and each match's
+// component-local endpoints and probability. Floats enter as bits and
+// lists with their lengths, so two keys are equal exactly when encode and
+// warmStart read the same values.
+func (w *worker) appendCompKey(k []byte, c int32, lo, hi float64) []byte {
+	s, inst := &w.split, w.inst
+	k = appendBits(appendBits(k, lo), hi)
+	k = append(k, cardFlags(inst.Card))
+	k = binary.AppendUvarint(k, uint64(s.leftAt[c+1]-s.leftAt[c]))
+	k = binary.AppendUvarint(k, uint64(s.rightAt[c+1]-s.rightAt[c]))
+	k = binary.AppendUvarint(k, uint64(s.matchAt[c+1]-s.matchAt[c]))
+	tuple := func(side Side, id int, impact float64) {
+		alpha, beta := w.pri.p.tuplePriors(side, id)
+		k = appendBits(appendBits(appendBits(k, impact), alpha), beta)
+	}
+	for _, id := range s.left[s.leftAt[c]:s.leftAt[c+1]] {
+		tuple(Left, id, inst.T1.Impacts[id])
+	}
+	for _, id := range s.right[s.rightAt[c]:s.rightAt[c+1]] {
+		tuple(Right, id, inst.T2.Impacts[id])
+	}
+	for ms := s.matchAt[c]; ms < s.matchAt[c+1]; ms++ {
+		k = binary.AppendUvarint(k, uint64(s.lslot[ms]-s.leftAt[c]))
+		k = binary.AppendUvarint(k, uint64(s.rslot[ms]-s.rightAt[c]))
+		k = appendBits(k, w.sub.matches[s.match[ms]].P)
+	}
+	return k
+}
+
+func appendBits(k []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(k, math.Float64bits(f))
+}
+
+// compMemo lets one call's solve workers share solved components: a
+// component whose key equals one solved before replays that solve instead
+// of being encoded and searched again, and one another worker is searching
+// right now is waited for, so each distinct component is searched once.
+// Keys are compared whole. Only optimal results are kept; the zero value
+// is ready for concurrent use.
+type compMemo struct {
+	mu sync.Mutex
+	// guarded by mu
+	entries map[string]*compEntry
+}
+
+// compEntry is one distinct component. Its creator sets sol (nil unless
+// the search proved it optimal), then closes done.
+type compEntry struct {
+	key  string
+	done chan struct{}
+	sol  *compSol
+}
+
+// claim returns key's entry and whether the caller created it; a creator
+// must search the component and hand the result to finish.
+func (cm *compMemo) claim(key []byte) (*compEntry, bool) {
+	cm.mu.Lock()
+	defer cm.mu.Unlock()
+	if e, ok := cm.entries[string(key)]; ok {
+		return e, false
+	}
+	if cm.entries == nil {
+		cm.entries = make(map[string]*compEntry)
+	}
+	e := &compEntry{key: string(key), done: make(chan struct{})}
+	cm.entries[e.key] = e
+	return e, true
+}
+
+// finish publishes the creator's result; a nil sol (a search cut short)
+// leaves the memo, so its waiters and the next claim search again.
+func (cm *compMemo) finish(e *compEntry, sol *compSol) {
+	if sol == nil {
+		cm.mu.Lock()
+		delete(cm.entries, e.key)
+		cm.mu.Unlock()
+	}
+	e.sol = sol
+	close(e.done)
 }

@@ -184,8 +184,9 @@ type Stats struct {
 	// MILPVars and MILPRows total over all sub-problems.
 	MILPVars, MILPRows int
 	// Nodes totals branch-and-bound nodes of the searched blocks: a call
-	// searches each distinct MILP block once and replays its repeats
-	// (MemoHits), so within budget Nodes and Iters repeat at any Workers.
+	// searches each distinct component (one MILP block) once and replays
+	// its repeats (MemoHits), so within budget Nodes and Iters repeat at
+	// any Workers.
 	Nodes int
 	// Iters totals simplex iterations across the searched blocks' nodes;
 	// Iters/Nodes is the per-node solver effort the warm-started dual
@@ -203,8 +204,11 @@ type Stats struct {
 	// SparseBlocks/DenseBlocks total the per-block LP engine choices the
 	// solver's adaptive heuristic made across all sub-problems.
 	SparseBlocks, DenseBlocks int
-	// MemoHits counts blocks replayed from the call's block memo, or from
+	// MemoHits counts components (one MILP block each) replayed from the
+	// call's component memo without being encoded or searched, or from
 	// the solution cache for a sub-problem equal to one the call solved.
+	// A replay adds its component's MILPVars, MILPRows and engine count,
+	// but no nodes or iterations.
 	MemoHits int
 	// SolveCacheHits/SolveCacheMisses count sub-problems served from (or
 	// missed in) the solution cache a SolveInstanceCached call consulted;

@@ -58,11 +58,12 @@ func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error)
 	}
 
 	blocks := m.blocks(opt.disableBlocks)
-	sol := &Solution{X: make([]float64, len(m.vars)), Blocks: len(blocks), Status: StatusOptimal}
+	sol := &Solution{X: make([]float64, len(m.vars)), Blocks: len(blocks), Status: StatusOptimal,
+		DenseBlock: make([]bool, len(blocks))}
 	sol.Objective = m.objConst
 
 	sc := &scratch{local: make([]int, len(m.vars))}
-	for _, blk := range blocks {
+	for bi, blk := range blocks {
 		sub := m.subModel(blk, sc.local, &sc.sub)
 		var warm []float64
 		if opt.WarmStart != nil {
@@ -74,13 +75,13 @@ func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error)
 				warm = nil
 			}
 		}
-		res := solveBlock(ctx, sub, opt, warm, deadline, sc)
-		sol.MemoHits += res.hits
+		res := branchAndBound(ctx, sub, opt, warm, deadline, sc)
 		sol.Nodes += res.nodes
 		sol.Iters += res.iters
 		sol.Refactors += res.refactors
 		sol.LUFill += res.luFill
 		sol.CertInfeas += res.certInfeas
+		sol.DenseBlock[bi] = res.dense
 		if res.dense {
 			sol.DenseBlocks++
 		} else {
@@ -90,7 +91,7 @@ func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error)
 		case StatusInfeasible, StatusUnbounded, StatusNoSolution:
 			return &Solution{Status: res.status, Blocks: len(blocks), Nodes: sol.Nodes, Iters: sol.Iters,
 				Refactors: sol.Refactors, LUFill: sol.LUFill, CertInfeas: sol.CertInfeas,
-				SparseBlocks: sol.SparseBlocks, DenseBlocks: sol.DenseBlocks, MemoHits: sol.MemoHits}, nil
+				SparseBlocks: sol.SparseBlocks, DenseBlocks: sol.DenseBlocks}, nil
 		case StatusLimit:
 			sol.Status = StatusLimit
 		}
@@ -103,11 +104,10 @@ func SolveContext(ctx context.Context, m *Model, opt Options) (*Solution, error)
 }
 
 // scratch is the memory one SolveContext call reuses from block to block:
-// the sub-model, its memo key, branch-and-bound's per-variable arrays and
-// the free list of dropped dense simplexes.
+// the sub-model, branch-and-bound's per-variable arrays and the free list
+// of dropped dense simplexes.
 type scratch struct {
 	sub                             Model
-	key                             []byte
 	local, intVars                  []int
 	warm, c, rootLB, rootUB, lb, ub []float64
 	seen                            []bool
@@ -254,7 +254,6 @@ type bbResult struct {
 	luFill     int  // total L+U nonzeros across factorizations
 	certInfeas int  // Farkas-certified dual-infeasible verdicts
 	dense      bool // which LP engine solved the block
-	hits       int  // 1 when replayed from a Memo
 }
 
 // Adaptive engine thresholds (chooseDense), tuned on three models the

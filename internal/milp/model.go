@@ -253,8 +253,6 @@ type Options struct {
 	// WarmStart optionally provides a feasible assignment used as the
 	// initial incumbent (length must equal NumVars).
 	WarmStart []float64
-	// Memo, when set, replays blocks solved before through it (see Memo).
-	Memo *Memo
 
 	// The fields below are differential and measurement hooks, set only by
 	// this package's tests and benchmarks (like disableDevex). Every setting
@@ -308,9 +306,10 @@ type Solution struct {
 	// the per-block choices the shape heuristic made.
 	SparseBlocks int
 	DenseBlocks  int
-	// MemoHits counts the blocks replayed from Options.Memo; they add no
-	// nodes or iterations, but still count in SparseBlocks/DenseBlocks.
-	MemoHits int
+	// DenseBlock[k] reports whether the dense tableau solved block k, the
+	// blocks numbered in order of their smallest variable (set whenever
+	// every block was solved).
+	DenseBlock []bool
 }
 
 // Value returns the solved value of v.

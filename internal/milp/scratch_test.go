@@ -9,46 +9,20 @@ import (
 // sub-model, branch-and-bound's arrays and the dense tableaus of a block
 // reuse memory the call already holds, so a many-block solve allocates a
 // small constant per block (about 20 here; about 101 when every block
-// built its own). With a memo, a model of identical blocks searches one
-// and replays the rest, each replay building its key in the same scratch.
+// built its own).
 func TestSolveAllocsPerBlock(t *testing.T) {
 	const nBlocks, maxPerBlock = 200, 30
 	m := manyBlocksModel(nBlocks, 1)
-	one := manyBlocksModel(1, 3)
-	same := NewModel("same", Maximize)
-	for b := 0; b < nBlocks; b++ {
-		appendModel(same, one)
-	}
-	alone, err := Solve(one, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name  string
-		model *Model
-		memo  bool
-	}{{"distinct blocks", m, false}, {"identical blocks with a memo", same, true}} {
-		var sol *Solution
-		allocs := testing.AllocsPerRun(3, func() {
-			opt := Options{}
-			if c.memo {
-				opt.Memo = &Memo{}
-			}
-			var err error
-			if sol, err = Solve(c.model, opt); err != nil {
-				t.Fatal(err)
-			}
-		})
-		per := allocs / nBlocks
-		if per > maxPerBlock {
-			t.Fatalf("%s: %.1f allocations per block, want at most %d", c.name, per, maxPerBlock)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Solve(m, Options{}); err != nil {
+			t.Fatal(err)
 		}
-		t.Logf("%s: %.1f allocations per block", c.name, per)
-		if c.memo && (sol.MemoHits != nBlocks-1 || sol.Nodes != alone.Nodes) {
-			t.Fatalf("%s: %d hits, %d nodes; want %d hits and the %d nodes of one block",
-				c.name, sol.MemoHits, sol.Nodes, nBlocks-1, alone.Nodes)
-		}
+	})
+	per := allocs / nBlocks
+	if per > maxPerBlock {
+		t.Fatalf("%.1f allocations per block, want at most %d", per, maxPerBlock)
 	}
+	t.Logf("%.1f allocations per block", per)
 }
 
 // appendModel copies src's variables and rows after dst's own, so src
@@ -110,10 +84,11 @@ func scratchReuseParts() []*Model {
 // (tiny, GE/EQ rows with artificials, branching knapsacks whose far
 // children carry snapshots, a sparse-engine block, growing and shrinking
 // tableaus) and checks that each block ends exactly as when solved alone
-// as its own model: same X, objective, nodes and iterations. A block that
-// sees memory a previous block left behind in the reused scratch or in a
-// recycled tableau diverges. Each block's numbers are read as the
-// difference between solving the first k and the first k-1 blocks.
+// as its own model: same X, objective, nodes, iterations and LP engine
+// (Solution.DenseBlock, by block order). A block that sees memory a
+// previous block left behind in the reused scratch or in a recycled
+// tableau diverges. Each block's numbers are read as the difference
+// between solving the first k and the first k-1 blocks.
 func TestSolveScratchReuse(t *testing.T) {
 	parts := scratchReuseParts()
 	for _, order := range []string{"forward", "reverse"} {
@@ -157,6 +132,10 @@ func TestSolveScratchReuse(t *testing.T) {
 			}
 			if nodes != alone.Nodes || iters != alone.Iters {
 				t.Fatalf("%s: %d nodes %d iters, alone %d nodes %d iters", where, nodes, iters, alone.Nodes, alone.Iters)
+			}
+			// The part appended last has the largest variables: block k.
+			if len(sol.DenseBlock) != k+1 || sol.DenseBlock[k] != (alone.DenseBlocks == 1) {
+				t.Fatalf("%s: DenseBlock %v, alone %+v", where, sol.DenseBlock, alone)
 			}
 			prev = sol
 		}
