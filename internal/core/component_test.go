@@ -349,3 +349,57 @@ func TestComponentMemoJoinsInFlight(t *testing.T) {
 		t.Fatal("a cut-short component left its entry")
 	}
 }
+
+// TestComponentMemoSkipsCutShortComponents: components whose search is cut
+// short by a cancelled context or an expired deadline (the warm start's
+// incumbent kept, TimedOut set) are never stored, and the next solve
+// through the same memo searches them again and matches a fresh solve.
+func TestComponentMemoSkipsCutShortComponents(t *testing.T) {
+	inst := clusteredInstance(3)
+	sub := &subProblem{matches: inst.Matches}
+	for i := 0; i < inst.T1.Len(); i++ {
+		sub.left = append(sub.left, i)
+	}
+	for j := 0; j < inst.T2.Len(); j++ {
+		sub.right = append(sub.right, j)
+	}
+	p := DefaultParams()
+	solveWith := func(ctx context.Context, memo *compMemo) (*Explanations, Stats) {
+		w := newWorker(inst, p)
+		w.place(sub)
+		var st Stats
+		sols, ok, err := w.solve(ctx, memo, &st)
+		if err != nil || !ok {
+			t.Fatalf("solve: %v, ok %v", err, ok)
+		}
+		return w.assemble(sols).globalize(sub), st
+	}
+	want, alone := solveWith(context.Background(), &compMemo{})
+	if alone.TimedOut || alone.Nodes == 0 {
+		t.Fatalf("alone: %+v", alone)
+	}
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, stop := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer stop()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{{"canceled", canceled}, {"deadline", expired}} {
+		memo := &compMemo{}
+		if _, st := solveWith(c.ctx, memo); !st.TimedOut || st.MemoHits != 0 {
+			t.Fatalf("%s: %+v, want TimedOut", c.name, st)
+		}
+		memo.mu.Lock()
+		n := len(memo.entries)
+		memo.mu.Unlock()
+		if n != 0 {
+			t.Fatalf("%s: %d entries stored", c.name, n)
+		}
+		got, st := solveWith(context.Background(), memo)
+		if st.TimedOut || st.MemoHits != 0 || st.Nodes != alone.Nodes || !sameExplanations(got, want) {
+			t.Fatalf("%s: re-solve %+v, want %+v", c.name, st, alone)
+		}
+	}
+}
