@@ -21,9 +21,13 @@ type subProblem struct {
 // sub-problem; split, encode, warmStart and read then work on it.
 type worker struct {
 	inst *Instance
-	pri  priors
-	m    *milp.Model
-	sub  *subProblem
+	p    Params
+	// a, b, c are the call-wide constants of Equation 3; without
+	// per-tuple overrides every tuple has them, so they are computed once.
+	a, b, c   float64
+	overrides bool
+	m         *milp.Model
+	sub       *subProblem
 	// posL/posR map a tuple id to its position in sub.left/sub.right;
 	// only the placed sub-problem's entries are current.
 	posL, posR []int32
@@ -41,10 +45,13 @@ type worker struct {
 // newWorker returns a worker for inst with an empty model and position
 // arrays sized to inst's canonical relations.
 func newWorker(inst *Instance, p Params) *worker {
-	return &worker{
-		inst: inst, pri: newPriors(p), m: milp.NewModel("exp3d", milp.Maximize),
+	w := &worker{
+		inst: inst, p: p, overrides: p.AlphaOf != nil || p.BetaOf != nil,
+		m:    milp.NewModel("exp3d", milp.Maximize),
 		posL: make([]int32, inst.T1.Len()), posR: make([]int32, inst.T2.Len()),
 	}
+	w.a, w.b, w.c = logConsts(p)
+	return w
 }
 
 // place makes sub the worker's current sub-problem: one position pass
@@ -228,7 +235,10 @@ func (w *worker) encode(batch []int32, lo, hi float64) {
 	// copies (and merges) what it is given, so one buffer serves every row.
 	terms := w.terms[:0]
 	addTuple := func(t int32, side Side, id int, impact float64) {
-		a, b, c := w.pri.consts(side, id)
+		a, b, c := w.a, w.b, w.c
+		if w.overrides {
+			a, b, c = w.p.tupleConsts(side, id)
+		}
 		x := m.AddVar(0, 1, milp.Binary, "")
 		y := m.AddVar(0, 1, milp.Binary, "")
 		iv := m.AddVar(lo, hi, milp.Continuous, "")

@@ -44,26 +44,6 @@ func (p Params) tupleConsts(side Side, tuple int) (a, b, c float64) {
 	return logConstsOf(p.tuplePriors(side, tuple))
 }
 
-// priors resolves tuple priors and constants for one solve. Without
-// per-tuple overrides every tuple has the call-wide priors, so their
-// constants are computed once.
-type priors struct {
-	p       Params
-	a, b, c float64
-}
-
-func newPriors(p Params) priors {
-	a, b, c := logConsts(p)
-	return priors{p: p, a: a, b: b, c: c}
-}
-
-func (pr *priors) consts(side Side, tuple int) (a, b, c float64) {
-	if pr.p.AlphaOf == nil && pr.p.BetaOf == nil {
-		return pr.a, pr.b, pr.c
-	}
-	return pr.p.tupleConsts(side, tuple)
-}
-
 // Score evaluates log Pr(E | T1, T2, Mtuple) per Equation 13 for an
 // explanation set over the instance. It does not verify completeness; pair
 // it with CheckComplete when the prior Pr(E) matters.

@@ -255,6 +255,15 @@ func (w *worker) solve(ctx context.Context, memo *compMemo, st *Stats) ([]*compS
 	}
 	w.claimed, w.joined = claimed, joined
 	if ok, err := w.search(ctx, claimed, lo, hi, st, memo); !ok || err != nil {
+		if err == nil {
+			// The sub-problem falls back to deleting everything, but its
+			// MILPVars and MILPRows still cover every component.
+			w.encode(joined, lo, hi)
+			for k := range joined {
+				st.MILPVars += w.vars[k]
+				st.MILPRows += w.rows[k]
+			}
+		}
 		return nil, ok, err
 	}
 	retry := w.retry[:0]

@@ -318,6 +318,9 @@ func TestEncodeModelReuse(t *testing.T) {
 			t.Fatalf("sub %d: reused model solves to %+v, fresh %+v", si, gs, ws)
 		}
 	}
+	if !grew || !shrank {
+		t.Fatalf("sub-problem sizes never grew (%v) or never shrank (%v) from one to the next", grew, shrank)
+	}
 	var first *Explanations
 	var firstStats Stats
 	for _, workers := range []int{1, 3} {

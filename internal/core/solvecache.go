@@ -166,7 +166,7 @@ func (w *worker) subKey() string {
 	wSide := func(side Side, ids []int, impacts []float64) {
 		wInt(int64(len(ids)))
 		for _, id := range ids {
-			alpha, beta := w.pri.p.tuplePriors(side, id)
+			alpha, beta := w.p.tuplePriors(side, id)
 			wFloat(impacts[id])
 			wFloat(alpha)
 			wFloat(beta)
@@ -209,7 +209,7 @@ func (w *worker) appendCompKey(k []byte, c int32, lo, hi float64) []byte {
 	k = binary.AppendUvarint(k, uint64(s.rightAt[c+1]-s.rightAt[c]))
 	k = binary.AppendUvarint(k, uint64(s.matchAt[c+1]-s.matchAt[c]))
 	tuple := func(side Side, id int, impact float64) {
-		alpha, beta := w.pri.p.tuplePriors(side, id)
+		alpha, beta := w.p.tuplePriors(side, id)
 		k = appendBits(appendBits(appendBits(k, impact), alpha), beta)
 	}
 	for _, id := range s.left[s.leftAt[c]:s.leftAt[c+1]] {

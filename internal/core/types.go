@@ -202,7 +202,11 @@ type Stats struct {
 	// certificate check instead of a cold phase-1 re-proof.
 	CertInfeas int
 	// SparseBlocks/DenseBlocks total the per-block LP engine choices the
-	// solver's adaptive heuristic made across all sub-problems.
+	// solver's adaptive heuristic made across all sub-problems. On a
+	// sub-problem that found no feasible point within the budget (and so
+	// deletes everything), they, Nodes and Iters cover only the blocks
+	// searched before the search gave up; MILPVars and MILPRows still
+	// cover the whole sub-problem.
 	SparseBlocks, DenseBlocks int
 	// MemoHits counts components (one MILP block each) replayed from the
 	// call's component memo without being encoded or searched, or from
