@@ -54,6 +54,9 @@ func strictAggregate(agg sqlparse.AggFunc) bool {
 
 // Canonicalize derives the canonical relation of a provenance relation
 // over the given matching attributes (T = π_{A,I}(γ_{A, SUM(I)}(P))).
+// Rows group on their packed matching-attribute cell keys in the query
+// engine's key table; each group's first row represents it, so Rel is the
+// matching columns gathered at those rows plus the summed impact column.
 func Canonicalize(p *query.Provenance, attrs []string) (*Canonical, error) {
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("core: canonicalization requires at least one matching attribute (queries not comparable)")
@@ -71,94 +74,89 @@ func Canonicalize(p *query.Provenance, attrs []string) (*Canonical, error) {
 		return nil, fmt.Errorf("core: provenance relation lacks impact column: %w", err)
 	}
 
-	cols := make([]string, 0, len(attrs)+1)
-	for _, a := range attrs {
-		cols = append(cols, a)
-	}
-	cols = append(cols, query.ImpactColumn)
-	// The canonical relation shares the provenance relation's dictionary:
-	// matching-attribute strings keep their codes, so no re-interning.
-	out := &Canonical{Rel: relation.NewWithDict(p.Rel.Dict(), "T", cols...)}
-	for i := range attrs {
-		out.MatchIdx = append(out.MatchIdx, i)
-	}
-
-	// Grouping keys on packed (kind, code/bits) cell keys extracted once per
-	// matching-attribute column — no canonical key strings, no Tuple
-	// materialization. Display Keys render from the row values exactly as
-	// before.
-	strict := strictAggregate(p.Agg)
 	keys := make([][]relation.CellKey, len(idx))
 	for c, j := range idx {
 		keys[c] = p.Rel.ColumnCellKeys(nil, j, p.Rel.Dict())
 	}
-	accs := make([]func(int) relation.Value, len(idx))
-	for c, j := range idx {
-		accs[c] = p.Rel.Accessor(j)
-	}
+	// Strict aggregates keep every provenance tuple distinct.
+	strict := strictAggregate(p.Agg)
+	groups := relation.NewGroupTable(p.Rel.Len())
 	impactAcc := p.Rel.Accessor(impactIdx)
-	// buckets maps a key hash to group ids; candidates verify their packed
-	// keys exactly against the group's first source row.
-	var buckets map[uint64][]int32
-	if !strict {
-		hint := p.Rel.Len()
-		if hint > 256 {
-			hint = 256 // canonical groups are usually far fewer than rows
-		}
-		buckets = make(map[uint64][]int32, hint)
-	}
+	out := &Canonical{}
 	var firstRows []int32
-	rec := make(relation.Tuple, 0, len(idx)+1)
-	for rowID := 0; rowID < p.Rel.Len(); rowID++ {
-		iv := impactAcc(rowID)
+	gid := make([]int32, p.Rel.Len())
+	for row := range gid {
+		iv := impactAcc(row)
 		impact, ok := iv.AsFloat()
 		if !ok {
-			return nil, fmt.Errorf("core: non-numeric impact %v in provenance row %d", iv, rowID)
+			return nil, fmt.Errorf("core: non-numeric impact %v in provenance row %d", iv, row)
 		}
 		// A NaN or infinite impact (a "NaN"/"Inf" cell, or a string that
 		// parses to one) would reach the solver as a non-finite coefficient.
 		if math.IsNaN(impact) || math.IsInf(impact, 0) {
-			return nil, fmt.Errorf("core: non-finite impact %v in provenance row %d", impact, rowID)
+			return nil, fmt.Errorf("core: non-finite impact %v in provenance row %d", impact, row)
 		}
-		gi := -1
-		var h uint64
+		g, fresh := int32(row), true
 		if !strict {
-			// Strict aggregates keep every provenance tuple distinct and
-			// skip the map entirely.
-			h = relation.HashRow(keys, rowID)
-			for _, cand := range buckets[h] {
-				if relation.RowKeysEqual(keys, rowID, keys, int(firstRows[cand])) {
-					gi = int(cand)
-					break
-				}
-			}
+			g, fresh = groups.At(keys, row)
 		}
-		if gi < 0 {
-			gi = out.Len()
-			if !strict {
-				buckets[h] = append(buckets[h], int32(gi))
-			}
-			firstRows = append(firstRows, int32(rowID))
-			rec = rec[:0]
-			var keyParts []string
-			for c := range idx {
-				v := accs[c](rowID)
-				rec = append(rec, v)
-				keyParts = append(keyParts, v.String())
-			}
-			rec = append(rec, relation.Float(impact))
-			out.Rel.AppendRow(rec)
+		gid[row] = g
+		if fresh {
+			firstRows = append(firstRows, int32(row))
 			out.Impacts = append(out.Impacts, impact)
-			out.Keys = append(out.Keys, strings.Join(keyParts, " / "))
-			out.SourceRows = append(out.SourceRows, []int{rowID})
 			continue
 		}
-		out.Impacts[gi] += impact
-		if math.IsInf(out.Impacts[gi], 0) {
-			return nil, fmt.Errorf("core: canonical impact sum overflows to %v at provenance row %d", out.Impacts[gi], rowID)
+		out.Impacts[g] += impact
+		if math.IsInf(out.Impacts[g], 0) {
+			return nil, fmt.Errorf("core: canonical impact sum overflows to %v at provenance row %d", out.Impacts[g], row)
 		}
-		out.Rel.Set(gi, len(idx), relation.Float(out.Impacts[gi]))
-		out.SourceRows[gi] = append(out.SourceRows[gi], rowID)
+	}
+
+	// The canonical relation shares the provenance relation's dictionary:
+	// matching-attribute strings keep their codes, so no re-interning. Its
+	// schema is the one NewWithDict gives relation "T" (bare names
+	// qualified as T.name).
+	cols := append(append([]string(nil), attrs...), query.ImpactColumn)
+	sch := relation.NewWithDict(p.Rel.Dict(), "T", cols...).Schema
+	match := &relation.Schema{Columns: sch.Columns[:len(attrs)]}
+	impacts := make([]relation.Value, len(out.Impacts))
+	for g, v := range out.Impacts {
+		impacts[g] = relation.Float(v)
+	}
+	out.Rel = p.Rel.ProjectColumns("T", match, idx).Gather(firstRows).AppendValueColumn("T", sch, impacts)
+	for i := range attrs {
+		out.MatchIdx = append(out.MatchIdx, i)
+	}
+
+	// Display keys render from the gathered matching columns.
+	accs := make([]func(int) relation.Value, len(attrs))
+	for c := range accs {
+		accs[c] = out.Rel.Accessor(c)
+	}
+	parts := make([]string, len(attrs))
+	out.Keys = make([]string, len(firstRows))
+	for g := range out.Keys {
+		for c, acc := range accs {
+			parts[c] = acc(g).String()
+		}
+		out.Keys[g] = strings.Join(parts, " / ")
+	}
+
+	// SourceRows carve one backing array, group by group in row order.
+	start := make([]int, len(firstRows)+1)
+	for _, g := range gid {
+		start[g+1]++
+	}
+	for g := range firstRows {
+		start[g+1] += start[g]
+	}
+	backing := make([]int, len(gid))
+	out.SourceRows = make([][]int, len(firstRows))
+	for g := range out.SourceRows {
+		out.SourceRows[g] = backing[start[g]:start[g]:start[g+1]]
+	}
+	for row, g := range gid {
+		out.SourceRows[g] = append(out.SourceRows[g], row)
 	}
 	return out, nil
 }

@@ -11,18 +11,16 @@ import (
 	"explain3d/internal/sqlparse"
 )
 
-// virtualSimilarities scores the two sides the way RawSimilarities did for
-// every attribute match before single-attribute matches were scanned in
-// place: both sides' comparison columns copied into virtual relations over
-// one per-call dictionary.
+// virtualSimilarities scores the two sides the way the one-shot path did
+// for every attribute match before single-attribute matches were scanned
+// in place: both sides' comparison columns copied into virtual relations.
 func virtualSimilarities(t *testing.T, t1, t2 *Canonical, mattr schemamap.Matching, popt linkage.PairOptions, workers int) []linkage.Match {
 	t.Helper()
-	d := relation.NewDict()
-	v1, err := virtualColumns(t1, mattr, true, d)
+	v1, err := VirtualColumns(t1, mattr, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := virtualColumns(t2, mattr, false, d)
+	v2, err := VirtualColumns(t2, mattr, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +39,11 @@ func virtualSimilarities(t *testing.T, t1, t2 *Canonical, mattr schemamap.Matchi
 	return ms
 }
 
-// checkComparisonColumns builds both sides of in and checks that
-// RawSimilarities and the PairIndex path return exactly the virtual-column
-// path's matches at several worker counts, that they scan the canonical
-// relations in place exactly when inPlace is set, and that RawSimilarities
-// (and the PairIndex path, when in place) leaves the databases'
-// dictionaries as they were.
+// checkComparisonColumns builds both sides of in and checks that the
+// one-shot path (BuildStage1) and BuildPairPrefix return exactly the
+// virtual-column path's matches at several worker counts, that they scan
+// the canonical relations in place exactly when inPlace is set, and that
+// neither grows the databases' dictionaries.
 func checkComparisonColumns(t *testing.T, label string, in Input, popt linkage.PairOptions, inPlace bool) {
 	t.Helper()
 	s1, err := BuildSide(in.Q1, in.DB1, in.Mattr.LeftAttrs(), "Q1")
@@ -61,7 +58,7 @@ func checkComparisonColumns(t *testing.T, label string, in Input, popt linkage.P
 		t.Fatalf("%s: empty canonical relation (%d, %d rows)", label, s1.Canon.Len(), s2.Canon.Len())
 	}
 	for side, c := range []*Canonical{s1.Canon, s2.Canon} {
-		r, _, err := comparisonColumns(c, in.Mattr, side == 0, relation.NewDict())
+		r, _, err := comparisonColumns(c, in.Mattr, side == 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,25 +79,19 @@ func checkComparisonColumns(t *testing.T, label string, in Input, popt linkage.P
 		t.Fatalf("%s: no matches to compare", label)
 	}
 	for _, workers := range []int{1, 2, 4} {
-		got, err := RawSimilarities(s1.Canon, s2.Canon, in.Mattr, popt, workers)
+		in.PairOpts, in.Workers = &popt, workers
+		st, err := BuildStage1(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		matchListsEqual(t, fmt.Sprintf("%s RawSimilarities workers=%d", label, workers), got, want)
-	}
-	unchanged("RawSimilarities")
-	for _, workers := range []int{1, 2, 4} {
+		matchListsEqual(t, fmt.Sprintf("%s BuildStage1 workers=%d", label, workers), st.RawMatches, want)
 		pp, err := BuildPairPrefix(s1, s2, in.Mattr, popt, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		matchListsEqual(t, fmt.Sprintf("%s PairIndex workers=%d", label, workers), pp.Raw, want)
+		matchListsEqual(t, fmt.Sprintf("%s BuildPairPrefix workers=%d", label, workers), pp.Raw, want)
 	}
-	if inPlace {
-		// Concatenations on the PairIndex path intern into the database
-		// dictionary (VirtualColumns); in-place scans intern nothing.
-		unchanged("the PairIndex path")
-	}
+	unchanged("Stage 1")
 }
 
 func matchListsEqual(t *testing.T, label string, got, want []linkage.Match) {
@@ -198,4 +189,91 @@ func TestComparisonColumnsConcatenated(t *testing.T) {
 		Mattr: mustMatching(t, "A.name,A.code == B.name"),
 	}
 	checkComparisonColumns(t, "concatenated", in, linkage.DefaultPairOptions(), false)
+}
+
+// dictSizes returns the string count of every relation's dictionary in db,
+// in registration order.
+func dictSizes(db *relation.Database) []int {
+	var out []int
+	for _, r := range db.Relations() {
+		out = append(out, r.Dict().Len())
+	}
+	return out
+}
+
+// TestStage1LeavesDictionariesIMDbQ1 runs IMDb Q1, whose first attribute
+// match concatenates firstname and lastname, through BuildPairPrefix and a
+// rescanning Advance: neither may grow a database dictionary, and each raw
+// list must equal the virtual-column scan of the same sides.
+func TestStage1LeavesDictionariesIMDbQ1(t *testing.T) {
+	g, err := datagen.GenerateIMDb(datagen.IMDbSpec{Movies: 600, ErrorRate: 0.1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpl := datagen.Templates()[0]
+	q1, q2, mattr, err := tpl.Instantiate(fmt.Sprint(g.Spec.StartYear + 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	popt := linkage.DefaultPairOptions()
+	build := func(db *relation.Database, q *sqlparse.Select, attrs []string) *BuiltSide {
+		s, err := BuildSide(q, db, attrs, "Q")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	unchanged := func(what string, db1, db2 *relation.Database, want1, want2 []int) {
+		t.Helper()
+		if got1, got2 := dictSizes(db1), dictSizes(db2); fmt.Sprint(got1, got2) != fmt.Sprint(want1, want2) {
+			t.Fatalf("%s grew the dictionaries: db1 %v → %v, db2 %v → %v", what, want1, got1, want2, got2)
+		}
+	}
+	s1, s2 := build(g.DB1, q1, mattr.LeftAttrs()), build(g.DB2, q2, mattr.RightAttrs())
+	if r, _, err := comparisonColumns(s1.Canon, mattr, true); err != nil || r == s1.Canon.Rel {
+		t.Fatalf("side 1 scanned in place (err %v); Q1 should concatenate", err)
+	}
+	n1, n2 := dictSizes(g.DB1), dictSizes(g.DB2)
+	pp, err := BuildPairPrefix(s1, s2, mattr, popt, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged("BuildPairPrefix", g.DB1, g.DB2, n1, n2)
+	want := virtualSimilarities(t, s1.Canon, s2.Canon, mattr, popt, 1)
+	if len(want) == 0 {
+		t.Fatal("no matches to compare")
+	}
+	matchListsEqual(t, "BuildPairPrefix", pp.Raw, want)
+
+	// Rename every actor: side 1's concatenated cells change, so Advance
+	// rescans side 1 in full.
+	actors, err := g.DB1.Relation("Actor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn, err := actors.Schema.Index("firstname")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d relation.Delta
+	for i := 0; i < actors.Len(); i++ {
+		row := actors.Row(i)
+		row[fn] = relation.String(row[fn].String() + "x")
+		d.Updates = append(d.Updates, relation.RowUpdate{Row: i, Values: row})
+	}
+	db1, _, err := g.DB1.ApplyDelta(relation.DBDelta{"Actor": d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 = build(db1, q1, mattr.LeftAttrs())
+	n1 = dictSizes(db1)
+	next, diff, err := pp.Advance(s1, s2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !diff.FullRescan {
+		t.Fatalf("Advance = %+v, want a full rescan", diff)
+	}
+	unchanged("Advance", db1, g.DB2, n1, n2)
+	matchListsEqual(t, "Advance", next.Raw, virtualSimilarities(t, s1.Canon, s2.Canon, mattr, popt, 1))
 }

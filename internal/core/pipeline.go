@@ -113,42 +113,12 @@ func BuildInstance(in Input) (*Instance, *Result, error) {
 	return inst, res, nil
 }
 
-// RawSimilarities scores candidate tuple matches between two canonical
-// relations using the matching attributes (one comparison column per
-// attribute match; multi-attribute sides are concatenated) and returns them
-// uncalibrated (Sim set, P unset) — the cacheable half of the initial
-// mapping: calibration and probability filtering are cheap and
-// parameter-dependent, so they run per request. workers splits the
-// candidate scan (0 defaults to GOMAXPROCS; output is identical at any
-// count).
-func RawSimilarities(t1, t2 *Canonical, mattr schemamap.Matching, popt linkage.PairOptions, workers int) ([]linkage.Match, error) {
-	// Concatenated comparison strings intern into a fresh per-call
-	// dictionary, not the databases' long-lived ones (VirtualColumns):
-	// those would keep every concatenated string alive after the call
-	// returns. Single-attribute matches scan the canonical columns in
-	// place and intern nothing.
-	shared := relation.NewDict()
-	r1, idx1, err := comparisonColumns(t1, mattr, true, shared)
-	if err != nil {
-		return nil, err
-	}
-	r2, idx2, err := comparisonColumns(t2, mattr, false, shared)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := linkage.BuildIndex(r2, idx2, popt)
-	if err != nil {
-		return nil, err
-	}
-	return ix.Similarities(r1, idx1, workers)
-}
-
 // comparisonColumns returns the relation and column indexes Stage 1
 // compares on one side, one column per attribute match. When every match
 // covers a single attribute on each side, they are the canonical
 // relation's own columns, tokenized in place; otherwise they are a
-// virtual relation of comparison columns interned into d.
-func comparisonColumns(c *Canonical, mattr schemamap.Matching, left bool, d *relation.Dict) (*relation.Relation, []int, error) {
+// virtual relation of comparison columns (VirtualColumns).
+func comparisonColumns(c *Canonical, mattr schemamap.Matching, left bool) (*relation.Relation, []int, error) {
 	idx := make([]int, len(mattr))
 	if slices.ContainsFunc(mattr, func(am schemamap.AttributeMatch) bool {
 		return len(am.Left) != 1 || len(am.Right) != 1
@@ -156,7 +126,7 @@ func comparisonColumns(c *Canonical, mattr schemamap.Matching, left bool, d *rel
 		for i := range idx {
 			idx[i] = i
 		}
-		v, err := virtualColumns(c, mattr, left, d)
+		v, err := VirtualColumns(c, mattr, left)
 		return v, idx, err
 	}
 	cols, err := matchColumns(c, mattr, left)
@@ -191,15 +161,11 @@ func matchColumns(c *Canonical, mattr schemamap.Matching, left bool) ([][]int, e
 
 // VirtualColumns builds one comparison column per attribute match: the
 // side's attribute value (preserving numerics) or the concatenation when
-// the match covers several attributes. Exposed for baselines (R-Swoosh)
-// that score the same columns the initial mapping uses.
+// the match covers several attributes. Its strings intern into a fresh
+// dictionary of its own, never the database's append-only one, which
+// would keep every concatenated string alive for the dataset's lifetime.
+// Baselines (R-Swoosh) score the same columns the initial mapping uses.
 func VirtualColumns(c *Canonical, mattr schemamap.Matching, left bool) (*relation.Relation, error) {
-	return virtualColumns(c, mattr, left, c.Rel.Dict())
-}
-
-// virtualColumns is the implementation of VirtualColumns; d is the string
-// dictionary the comparison relation interns into.
-func virtualColumns(c *Canonical, mattr schemamap.Matching, left bool, d *relation.Dict) (*relation.Relation, error) {
 	colIdx, err := matchColumns(c, mattr, left)
 	if err != nil {
 		return nil, err
@@ -208,7 +174,7 @@ func virtualColumns(c *Canonical, mattr schemamap.Matching, left bool, d *relati
 	for i := range mattr {
 		names[i] = fmt.Sprintf("m%d", i)
 	}
-	out := relation.NewWithDict(d, "", names...)
+	out := relation.New("", names...)
 	var row relation.Tuple
 	rec := make(relation.Tuple, len(mattr))
 	for r := 0; r < c.Rel.Len(); r++ {

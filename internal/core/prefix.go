@@ -42,7 +42,7 @@ type PairPrefix struct {
 	// Index is the candidate index over side 2's comparison columns.
 	Index *PairIndex
 	// Raw is the uncalibrated candidate similarity list, sorted by (L, R) —
-	// exactly what RawSimilarities produces for the same generation.
+	// the RawMatches BuildStage1 produces for the same generation.
 	Raw []linkage.Match
 }
 

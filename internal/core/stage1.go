@@ -39,11 +39,10 @@ func BuildSide(q *sqlparse.Select, db *relation.Database, attrs []string, name s
 
 // PairIndex is the right side's half of initial-mapping candidate
 // generation — comparison columns plus the inverted token index — prebuilt
-// once and scanned by any number of left sides. The output of matching
-// through a PairIndex is identical to the one-shot path: candidate
-// discovery verifies exact shared-token counts and scoring is
-// per-pair-deterministic, so the match list does not depend on which side
-// carried the shared dictionary or on token-id assignment order.
+// once and scanned by any number of left sides. A reused index answers
+// exactly as a fresh one: candidate discovery verifies exact shared-token
+// counts and scoring is per-pair-deterministic, so the match list does not
+// depend on token-id assignment order.
 type PairIndex struct {
 	ix   *linkage.Index
 	popt linkage.PairOptions
@@ -58,7 +57,7 @@ func (pi *PairIndex) Options() linkage.PairOptions { return pi.popt }
 // BuildPairIndex prebuilds the candidate index over side 2's comparison
 // columns for the given attribute matches and options.
 func BuildPairIndex(t2 *Canonical, mattr schemamap.Matching, popt linkage.PairOptions) (*PairIndex, error) {
-	r2, idx, err := comparisonColumns(t2, mattr, false, t2.Rel.Dict())
+	r2, idx, err := comparisonColumns(t2, mattr, false)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +73,7 @@ func (pi *PairIndex) match(t1 *Canonical, mattr schemamap.Matching, workers int)
 	if len(mattr) != pi.nm {
 		return nil, fmt.Errorf("core: PairIndex built for %d attribute matches, request has %d", pi.nm, len(mattr))
 	}
-	r1, idx, err := comparisonColumns(t1, mattr, true, t1.Rel.Dict())
+	r1, idx, err := comparisonColumns(t1, mattr, true)
 	if err != nil {
 		return nil, err
 	}
@@ -95,9 +94,10 @@ type Stage1 struct {
 	RawMatches []linkage.Match
 }
 
-// BuildStage1 runs the Stage-1 prefix: extract provenance, canonicalize,
-// and score raw candidate similarities, with the two sides running
-// concurrently unless Workers == 1.
+// BuildStage1 runs the Stage-1 prefix: extract provenance and
+// canonicalize, with the two sides running concurrently unless
+// Workers == 1, then score raw candidate similarities through
+// BuildPairPrefix, the path explaind takes.
 func BuildStage1(in Input) (*Stage1, error) {
 	var s1, s2 *BuiltSide
 	build1 := func() (err error) {
@@ -129,17 +129,15 @@ func BuildStage1(in Input) (*Stage1, error) {
 	if err2 != nil {
 		return nil, err2
 	}
-	st := &Stage1{Prov1: s1.Prov, Prov2: s2.Prov, T1: s1.Canon, T2: s2.Canon, Mattr: in.Mattr}
 	popt := linkage.DefaultPairOptions()
 	if in.PairOpts != nil {
 		popt = *in.PairOpts
 	}
-	var err error
-	st.RawMatches, err = RawSimilarities(st.T1, st.T2, in.Mattr, popt, in.Workers)
+	pp, err := BuildPairPrefix(s1, s2, in.Mattr, popt, in.Workers)
 	if err != nil {
 		return nil, err
 	}
-	return st, nil
+	return &Stage1{Prov1: s1.Prov, Prov2: s2.Prov, T1: s1.Canon, T2: s2.Canon, Mattr: in.Mattr, RawMatches: pp.Raw}, nil
 }
 
 // resolveMinProb applies the default probability floor: 0 means 0.02.

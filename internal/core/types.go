@@ -115,7 +115,7 @@ type Params struct {
 
 // DefaultParams returns the parameters used throughout the evaluation:
 // α = β = 0.9 (the partitioner always uses the paper's θl = 0.1, θh = 0.9,
-// R = 100; see graph.DefaultSmartOptions).
+// R = 100, which package graph fixes as constants).
 func DefaultParams() Params {
 	return Params{Alpha: 0.9, Beta: 0.9}
 }

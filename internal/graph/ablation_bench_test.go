@@ -41,7 +41,7 @@ func BenchmarkSmartPartitionWithPrePartition(b *testing.B) {
 func BenchmarkPartitionWithoutPrePartition(b *testing.B) {
 	bip := ablationGraph(5000, 1)
 	opt := DefaultSmartOptions(1000)
-	g := bip.ToGraph(opt.AdjustedWeight)
+	g := bip.ToGraph(adjustedWeight)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Partition(g, PartitionOptions{LMax: opt.BatchSize, K: (bip.Size() + opt.BatchSize - 1) / opt.BatchSize}); err != nil {
@@ -68,7 +68,7 @@ func TestPrePartitionAblationQuality(t *testing.T) {
 	}
 	cutHigh := 0
 	for _, e := range bip.Edges {
-		if e.P >= opt.ThetaHigh && partOf[e.L] != partOf[bip.RightID(e.R)] {
+		if e.P >= thetaHigh && partOf[e.L] != partOf[bip.RightID(e.R)] {
 			cutHigh++
 		}
 	}

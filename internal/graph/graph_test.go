@@ -194,14 +194,13 @@ func TestBipartiteComponents(t *testing.T) {
 }
 
 func TestAdjustedWeight(t *testing.T) {
-	opt := DefaultSmartOptions(100)
-	if w := opt.AdjustedWeight(0.95); w != 95 {
+	if w := adjustedWeight(0.95); w != 95 {
 		t.Fatalf("high weight = %v, want 95", w)
 	}
-	if w := opt.AdjustedWeight(0.05); w != 0.0005 {
+	if w := adjustedWeight(0.05); w != 0.0005 {
 		t.Fatalf("low weight = %v, want 0.0005", w)
 	}
-	if w := opt.AdjustedWeight(0.5); w != 0.5 {
+	if w := adjustedWeight(0.5); w != 0.5 {
 		t.Fatalf("mid weight = %v, want 0.5", w)
 	}
 }
@@ -212,8 +211,7 @@ func TestPrePartitionMergesHighProbability(t *testing.T) {
 	b.AddMatch(1, 0, 0.95) // merged (chains 1 into {0, R0})
 	b.AddMatch(1, 1, 0.4)  // kept as edge
 	b.AddMatch(2, 2, 0.05) // kept, penalized
-	opt := DefaultSmartOptions(10)
-	pre := PrePartition(b, opt)
+	pre := PrePartition(b)
 	// Super node containing 0, 1, R0.
 	if pre.NodeMap[0] != pre.NodeMap[1] || pre.NodeMap[0] != pre.NodeMap[b.RightID(0)] {
 		t.Fatalf("high-probability chain not merged: %v", pre.NodeMap)
@@ -266,7 +264,7 @@ func TestSmartPartitionCoversAndBounds(t *testing.T) {
 		}
 		// Parts exceed the batch size only when forced by a merged
 		// high-probability bundle.
-		pre := PrePartition(b, DefaultSmartOptions(batch))
+		pre := PrePartition(b)
 		maxBundle := 0
 		for _, m := range pre.Members {
 			if len(m) > maxBundle {

@@ -57,33 +57,37 @@ func (b *Bipartite) ConnectedComponents() [][]int {
 	return b.ToGraph(nil).ConnectedComponents()
 }
 
-// SmartOptions configures Algorithms 2 and 3. The defaults are the paper's
-// settings: θl = 0.1, θh = 0.9, R = 100.
+// The paper's fixed partitioning parameters: matches with p ≥ thetaHigh
+// are merged before partitioning, and edge weights are scaled by weightR
+// above thetaHigh and below thetaLow.
+const (
+	thetaLow  = 0.1
+	thetaHigh = 0.9
+	weightR   = 100
+)
+
+// SmartOptions configures Algorithms 2 and 3.
 type SmartOptions struct {
-	ThetaLow  float64
-	ThetaHigh float64
-	R         float64
 	// BatchSize is the maximum partition size Lmax; the number of parts is
 	// k = ceil((|T1|+|T2|)/BatchSize) as in Section 5.3.
 	BatchSize int
 }
 
-// DefaultSmartOptions returns the paper's parameter settings with the given
-// batch size.
+// DefaultSmartOptions returns the options for the given batch size.
 func DefaultSmartOptions(batchSize int) SmartOptions {
-	return SmartOptions{ThetaLow: 0.1, ThetaHigh: 0.9, R: 100, BatchSize: batchSize}
+	return SmartOptions{BatchSize: batchSize}
 }
 
-// AdjustedWeight implements the paper's edge re-weighting: high-probability
+// adjustedWeight implements the paper's edge re-weighting: high-probability
 // matches are rewarded by R, low-probability matches penalized by R, so the
 // partitioner avoids cutting edges that almost surely belong to the
 // evidence mapping.
-func (o SmartOptions) AdjustedWeight(p float64) float64 {
+func adjustedWeight(p float64) float64 {
 	switch {
-	case p >= o.ThetaHigh:
-		return p * o.R
-	case p <= o.ThetaLow:
-		return p / o.R
+	case p >= thetaHigh:
+		return p * weightR
+	case p <= thetaLow:
+		return p / weightR
 	default:
 		return p
 	}
@@ -105,12 +109,12 @@ type PrePartitionResult struct {
 // p ≥ θh are merged into super-nodes via DFS over high-probability edges;
 // the remaining matches become edges between super-nodes with adjusted
 // weights.
-func PrePartition(b *Bipartite, opt SmartOptions) *PrePartitionResult {
+func PrePartition(b *Bipartite) *PrePartitionResult {
 	n := b.Size()
 	// High-probability adjacency only.
 	high := make([][]int, n)
 	for _, e := range b.Edges {
-		if e.P >= opt.ThetaHigh {
+		if e.P >= thetaHigh {
 			u, v := e.L, b.RightID(e.R)
 			high[u] = append(high[u], v)
 			high[v] = append(high[v], u)
@@ -153,7 +157,7 @@ func PrePartition(b *Bipartite, opt SmartOptions) *PrePartitionResult {
 		if cu == cv {
 			continue
 		}
-		coarse.AddEdge(cu, cv, opt.AdjustedWeight(e.P))
+		coarse.AddEdge(cu, cv, adjustedWeight(e.P))
 	}
 	return &PrePartitionResult{Coarse: coarse, NodeMap: nodeMap, Members: members}
 }
@@ -174,7 +178,7 @@ func SmartPartition(b *Bipartite, opt SmartOptions) ([][]int, error) {
 	if opt.BatchSize < 1 {
 		return nil, fmt.Errorf("graph: SmartPartition requires BatchSize ≥ 1, got %d", opt.BatchSize)
 	}
-	pre := PrePartition(b, opt)
+	pre := PrePartition(b)
 	coarse := pre.Coarse
 
 	// A packing unit is a set of coarse nodes no batch boundary may cut,

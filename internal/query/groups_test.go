@@ -9,10 +9,36 @@ import (
 	"explain3d/internal/sqlparse"
 )
 
+// mapGroups is the retired map-backed key table (the pre-flat structure of
+// rowDeduper and groupProject's buckets), kept as the differential
+// reference for relation.GroupTable.
+type mapGroups struct {
+	buckets map[uint64][]int32 // hash → ids of its chain, in creation order
+	reps    []int32
+}
+
+func newMapGroups(rows int) *mapGroups {
+	return &mapGroups{buckets: make(map[uint64][]int32, min(rows, 256))}
+}
+
+func (g *mapGroups) At(keys [][]relation.CellKey, i int) (int32, bool) {
+	h := relation.HashRow(keys, i)
+	for _, id := range g.buckets[h] {
+		if relation.RowKeysEqual(keys, i, keys, int(g.reps[id])) {
+			return id, false
+		}
+	}
+	id := int32(len(g.reps))
+	g.reps = append(g.reps, int32(i))
+	g.buckets[h] = append(g.buckets[h], id)
+	return id, true
+}
+
 // runWithMapGrouping evaluates sql with the retired map-backed key table.
 func runWithMapGrouping(sel *sqlparse.Select, db *relation.Database) (*relation.Relation, error) {
-	useMapGrouping = true
-	defer func() { useMapGrouping = false }()
+	flat := newGrouper
+	newGrouper = func(rows int) grouper { return newMapGroups(rows) }
+	defer func() { newGrouper = flat }()
 	return Run(sel, db)
 }
 
@@ -80,10 +106,10 @@ func TestFlatGroupsGrowth(t *testing.T) {
 		}
 	}
 	keys := keyColumns(r, []int{0}, r.Dict())
-	g := newFlatGroups(r.Len())
+	g := relation.NewGroupTable(r.Len())
 	next := int32(0)
 	for i := 0; i < r.Len(); i++ {
-		id, fresh := g.at(keys, i)
+		id, fresh := g.At(keys, i)
 		v := r.At(i, 0).IntVal()
 		if fresh {
 			if id != next {
@@ -113,15 +139,15 @@ func TestDistinctBuildSideAllocs(t *testing.T) {
 	}
 	keys := keyColumns(r, []int{0}, r.Dict())
 	flat := testing.AllocsPerRun(10, func() {
-		g := newFlatGroups(rows)
+		g := relation.NewGroupTable(rows)
 		for i := 0; i < rows; i++ {
-			g.at(keys, i)
+			g.At(keys, i)
 		}
 	})
 	mapped := testing.AllocsPerRun(10, func() {
 		g := newMapGroups(rows)
 		for i := 0; i < rows; i++ {
-			g.at(keys, i)
+			g.At(keys, i)
 		}
 	})
 	t.Logf("distinct build allocations over %d distinct keys: flat %.0f, map %.0f", rows, flat, mapped)

@@ -456,16 +456,6 @@ func itemName(it *sqlparse.SelectItem, i int) string {
 	return fmt.Sprintf("col%d", i+1)
 }
 
-// groupSizeHint caps the initial hash-table size for group-like operators:
-// distinct keys are usually far fewer than rows, and the table grows on
-// demand anyway.
-func groupSizeHint(rows int) int {
-	if rows > 256 {
-		return 256
-	}
-	return rows
-}
-
 // distinctSel dedupes r's rows on the packed keys of the given columns and
 // returns the selection vector of first occurrences, in order.
 func distinctSel(r *relation.Relation, cols []int) []int32 {
@@ -473,7 +463,7 @@ func distinctSel(r *relation.Relation, cols []int) []int32 {
 	g := newGrouper(r.Len())
 	var sel32 []int32
 	for i := 0; i < r.Len(); i++ {
-		if _, fresh := g.at(keys, i); fresh {
+		if _, fresh := g.At(keys, i); fresh {
 			sel32 = append(sel32, int32(i))
 		}
 	}
@@ -837,7 +827,7 @@ func groupProject(ev *evaluator, sel *sqlparse.Select, src *relation.Relation) (
 	var firsts []int32
 	table := newGrouper(src.Len())
 	for r := 0; r < src.Len(); r++ {
-		gi, fresh := table.at(keys, r)
+		gi, fresh := table.At(keys, r)
 		if fresh {
 			firsts = append(firsts, int32(r))
 			for _, a := range aggs {

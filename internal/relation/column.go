@@ -196,28 +196,45 @@ func (c *column) clone() *column {
 	return out
 }
 
-// gather builds a new column holding the given row positions, in order.
-// Typed payloads and dict codes copy directly — no Value boxing and no
-// re-interning.
-func (c *column) gather(rows []int) *column { return gatherColumn(c, rows) }
+// gather builds a new column holding the given row positions, in order,
+// stored exactly as AppendRow would store those cells. Typed payloads and
+// dict codes copy directly — no Value boxing and no re-interning; a typed
+// column whose gathered cells are all NULL comes back untyped. A boxed
+// column re-appends its gathered cells (interning strings into d), so it
+// comes back typed when they share one kind.
+func (c *column) gather(d *Dict, rows []int) *column { return gatherColumn(c, d, rows) }
 
 // gather32 is gather for the query engine's selection vectors.
-func (c *column) gather32(rows []int32) *column { return gatherColumn(c, rows) }
+func (c *column) gather32(d *Dict, rows []int32) *column { return gatherColumn(c, d, rows) }
 
-func gatherColumn[T int | int32](c *column, rows []T) *column {
+func gatherColumn[T int | int32](c *column, d *Dict, rows []T) *column {
 	if c.mixed != nil {
-		out := &column{mixed: make([]Value, len(rows))}
+		out := &column{}
 		for k, i := range rows {
-			out.mixed[k] = c.mixed[i]
+			out.append(d, k, c.mixed[i])
 		}
 		return out
 	}
+	out, filled := gatherSegs(c, rows)
+	if !filled {
+		out.kind = KindNull
+		for _, seg := range out.segs {
+			seg.ints, seg.floats, seg.bools, seg.codes = nil, nil, nil, nil
+		}
+	}
+	return out
+}
+
+// gatherSegs copies a typed column's cells at rows into fresh segments of
+// the same kind and segment length, and reports whether any was non-NULL.
+func gatherSegs[T int | int32](c *column, rows []T) (*column, bool) {
 	srcLen := c.segLen
 	if srcLen == 0 {
 		srcLen = segmentRows
 	}
 	out := &column{kind: c.kind, segLen: srcLen}
 	n := len(rows)
+	filled := false
 	// Output segments are assembled one at a time, reading source cells
 	// through the directory; the common single-segment source skips the
 	// per-row division.
@@ -251,6 +268,7 @@ func gatherColumn[T int | int32](c *column, rows []T) *column {
 				bitSet(seg.nulls, k)
 				continue
 			}
+			filled = true
 			switch c.kind {
 			case KindInt:
 				seg.ints[k] = src.ints[off]
@@ -264,5 +282,5 @@ func gatherColumn[T int | int32](c *column, rows []T) *column {
 		}
 		out.segs = append(out.segs, seg)
 	}
-	return out
+	return out, filled
 }

@@ -116,6 +116,45 @@ func TestColumnMixedKinds(t *testing.T) {
 	}
 }
 
+// TestGatherStoresLikeAppendRow pins that Gather, Select and ConcatGather
+// store each column exactly as AppendRow would store the gathered cells: a
+// boxed column whose gathered cells share one kind comes back typed, and a
+// typed column whose gathered cells are all NULL comes back untyped.
+func TestGatherStoresLikeAppendRow(t *testing.T) {
+	r := New("t", "mixed", "text")
+	r.Append(int64(1), "a")
+	r.Append("x", nil)
+	r.Append(int64(3), nil)
+	r.Append(nil, "b")
+	storage := func(r *Relation, j int) string {
+		_, _, isInt := r.IntSegments(j)
+		_, _, isString := r.StringSegments(j)
+		return fmt.Sprintf("int=%v string=%v numericOnly=%v", isInt, isString, r.NumericOnly(j))
+	}
+	for _, sel := range [][]int32{{0, 2, 3}, {1, 2}, {0, 1}, {}, {3, 3, 0}} {
+		want := New("t", "mixed", "text")
+		rows := make([]int, len(sel))
+		for k, i := range sel {
+			want.AppendRow(r.Row(int(i)))
+			rows[k] = int(i)
+		}
+		joined := ConcatGather("j", r.Schema.Concat(r.Schema), r, sel, r, sel)
+		for label, got := range map[string]*Relation{"Gather": r.Gather(sel), "Select": r.Select(rows), "ConcatGather": joined} {
+			for j := 0; j < got.Schema.Len(); j++ {
+				w := j % 2
+				if g, ws := storage(got, j), storage(want, w); g != ws {
+					t.Fatalf("%s%v column %d: %s, AppendRow gives %s", label, sel, j, g, ws)
+				}
+				for i := 0; i < got.Len(); i++ {
+					if g, wv := got.At(i, j), want.At(i, w); g.Kind() != wv.Kind() || g.Key() != wv.Key() {
+						t.Fatalf("%s%v cell (%d,%d) = %v, want %v", label, sel, i, j, g, wv)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestColumnAllNullPrefix covers kind establishment after a NULL run and
 // NULL overwrites of typed cells.
 func TestColumnAllNullPrefix(t *testing.T) {

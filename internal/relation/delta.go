@@ -215,7 +215,7 @@ func cowFrom(c *column, rowMap []int, firstDel, nSurv int) cowColumn {
 		}
 	}
 	if len(suffix) > 0 {
-		g := gatherColumn(c, suffix)
+		g, _ := gatherSegs(c, suffix)
 		out.segs = append(out.segs, g.segs...)
 		for range g.segs {
 			shared = append(shared, false)

@@ -6,12 +6,13 @@ package relation
 
 // Gather builds a new relation holding the given row positions, in order —
 // Select for the query engine's []int32 selection vectors. It shares the
-// schema and dictionary and copies typed column segments directly.
+// schema and dictionary, copies typed column segments directly, and stores
+// each column as AppendRow would store the gathered cells.
 func (r *Relation) Gather(sel []int32) *Relation {
 	out := &Relation{Name: r.Name, Schema: r.Schema, dict: r.dict, nrows: len(sel)}
 	out.cols = make([]*column, len(r.cols))
 	for j, c := range r.cols {
-		out.cols[j] = c.gather32(sel)
+		out.cols[j] = c.gather32(r.dict, sel)
 	}
 	return out
 }
@@ -75,11 +76,11 @@ func ConcatGather(name string, sch *Schema, left *Relation, selL []int32, right 
 	out := &Relation{Name: name, Schema: sch, dict: left.dict, nrows: len(selL)}
 	out.cols = make([]*column, 0, len(left.cols)+len(right.cols))
 	for _, c := range left.cols {
-		out.cols = append(out.cols, c.gather32(selL))
+		out.cols = append(out.cols, c.gather32(left.dict, selL))
 	}
 	foreign := right.dict != left.dict
 	for _, c := range right.cols {
-		g := c.gather32(selR)
+		g := c.gather32(right.dict, selR)
 		if foreign && g.mixed == nil && g.kind == KindString {
 			translateCodes(g, right.dict, left.dict)
 		}

@@ -98,6 +98,104 @@ func RowKeysEqual(ka [][]CellKey, a int, kb [][]CellKey, b int) bool {
 	return true
 }
 
+// GroupTable numbers distinct key rows: At(keys, i) returns the dense id
+// (0, 1, 2, … in first-appearance order) of row i's key and whether this
+// call created it. Row i becomes the new id's representative, so keys must
+// keep position i valid for the table's lifetime. DISTINCT, GROUP BY and
+// canonicalization share it.
+//
+// It is a flat open-addressing table keyed on the 64-bit row-key hash:
+// slots hold the hash of their chain (heads[s] < 0 = empty, linear probing,
+// at most 50% load), and ids chain through next in most-recent-first order
+// — chain order is irrelevant to correctness because at most one entry of a
+// chain can compare equal to any probe row. It grows by rehashing.
+type GroupTable struct {
+	mask  uint64
+	slotH []uint64 // slot → hash of its chain
+	heads []int32  // slot → first id of the chain, -1 empty
+	next  []int32  // id → next id with the same hash, -1 end
+	idH   []uint64 // id → hash (for rehash on grow)
+	reps  []int32  // id → representative row
+}
+
+// NewGroupTable sizes a table for a rows-row input. The initial size caps
+// at 256 groups' worth of slots: distinct keys are usually far fewer than
+// rows, and the table grows on demand anyway.
+func NewGroupTable(rows int) *GroupTable {
+	size := 8
+	for size < 2*min(rows, 256) {
+		size <<= 1
+	}
+	g := &GroupTable{
+		mask:  uint64(size - 1),
+		slotH: make([]uint64, size),
+		heads: make([]int32, size),
+	}
+	for s := range g.heads {
+		g.heads[s] = -1
+	}
+	return g
+}
+
+// At returns the id of row i's key, creating it when the key is new.
+func (g *GroupTable) At(keys [][]CellKey, i int) (int32, bool) {
+	h := HashRow(keys, i)
+	s := h & g.mask
+	for g.heads[s] >= 0 {
+		if g.slotH[s] == h {
+			for id := g.heads[s]; id >= 0; id = g.next[id] {
+				if RowKeysEqual(keys, i, keys, int(g.reps[id])) {
+					return id, false
+				}
+			}
+			break
+		}
+		s = (s + 1) & g.mask
+	}
+	id := int32(len(g.reps))
+	g.reps = append(g.reps, int32(i))
+	g.idH = append(g.idH, h)
+	g.next = append(g.next, -1)
+	if 2*len(g.reps) > len(g.heads) {
+		g.grow() // re-slots every id, including the new one
+		return id, true
+	}
+	// The probe above may have stopped mid-chain; re-locate the slot for h
+	// (first empty or hash-matching slot — the same one the probe visited).
+	s = h & g.mask
+	for g.heads[s] >= 0 && g.slotH[s] != h {
+		s = (s + 1) & g.mask
+	}
+	g.slotH[s] = h
+	g.next[id] = g.heads[s]
+	g.heads[s] = id
+	return id, true
+}
+
+// grow doubles the slot array and re-chains every id from its stored hash.
+func (g *GroupTable) grow() {
+	size := 2 * len(g.heads)
+	for size < 2*len(g.reps) {
+		size <<= 1
+	}
+	g.mask = uint64(size - 1)
+	g.slotH = make([]uint64, size)
+	g.heads = make([]int32, size)
+	for s := range g.heads {
+		g.heads[s] = -1
+	}
+	for id := len(g.reps) - 1; id >= 0; id-- {
+		h := g.idH[id]
+		s := h & g.mask
+		for g.heads[s] >= 0 && g.slotH[s] != h {
+			s = (s + 1) & g.mask
+		}
+		g.slotH[s] = h
+		g.next[id] = g.heads[s]
+		g.heads[s] = int32(id)
+	}
+}
+
 // ColumnCellKeys appends one CellKey per row of column j to dst, encoding
 // strings against target. Homogeneous typed columns encode straight off
 // their arrays — string columns sharing the target dictionary copy codes

@@ -154,12 +154,13 @@ func (r *Relation) Set(i, j int, v Value) {
 
 // Select builds a new relation holding the given row positions, in order.
 // It shares the schema and dictionary, and copies typed column segments
-// directly — no Value boxing, no re-interning.
+// directly — no Value boxing, no re-interning — storing each column as
+// AppendRow would store the selected cells.
 func (r *Relation) Select(rows []int) *Relation {
 	out := &Relation{Name: r.Name, Schema: r.Schema, dict: r.dict, nrows: len(rows)}
 	out.cols = make([]*column, len(r.cols))
 	for j, c := range r.cols {
-		out.cols[j] = c.gather(rows)
+		out.cols[j] = c.gather(r.dict, rows)
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"explain3d/internal/core"
 	"explain3d/internal/datagen"
 	"explain3d/internal/linkage"
+	"explain3d/internal/query"
 	"explain3d/internal/relation"
 	"explain3d/internal/schemamap"
 	"explain3d/internal/serve"
@@ -657,5 +659,73 @@ func TestAuxEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
+	}
+}
+
+// TestExplainLeavesDictionariesIMDbQ1 posts IMDb Q1, whose first attribute
+// match concatenates firstname and lastname, to a fresh server: the answer
+// must equal one-shot Explain on an identical copy of the data, and Stage 1
+// may not grow any relation's dictionary in either database. Provenance
+// extraction runs once before the sizes are taken: the query engine's joins
+// intern the right side's strings into the left relation's dictionary, once
+// per distinct string.
+func TestExplainLeavesDictionariesIMDbQ1(t *testing.T) {
+	spec := datagen.IMDbSpec{Movies: 600, ErrorRate: 0.1, Seed: 1}
+	g, err := datagen.GenerateIMDb(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q1, q2, mattr, err := datagen.Templates()[0].Instantiate(fmt.Sprint(g.Spec.StartYear + 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := func() string {
+		var b strings.Builder
+		for _, db := range []*relation.Database{g.DB1, g.DB2} {
+			for _, r := range db.Relations() {
+				fmt.Fprintf(&b, "%s.%s=%d ", db.Name, r.Name, r.Dict().Len())
+			}
+		}
+		return b.String()
+	}
+	s := serve.New(serve.Options{})
+	if err := s.Register("imdb", g.DB1, g.DB2); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	for _, side := range []struct {
+		q  *sqlparse.Select
+		db *relation.Database
+	}{{q1, g.DB1}, {q2, g.DB2}} {
+		if _, err := query.Extract(side.q, side.db); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := sizes()
+	rq := serve.Request{Dataset: "imdb", Q1: q1.String(), Q2: q2.String(), Matches: matchText(mattr), BatchSize: 50, Workers: 2}
+	resp, body := post(t, ts.URL, rq)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if after := sizes(); after != before {
+		t.Fatalf("/explain grew the dictionaries:\n%s\nvs\n%s", before, after)
+	}
+
+	fresh, err := datagen.GenerateIMDb(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := explain3d.CoreParams(&explain3d.Options{BatchSize: rq.BatchSize, Workers: rq.Workers})
+	res, err := core.ExplainContext(context.Background(), core.Input{DB1: fresh.DB1, DB2: fresh.DB2, Q1: q1, Q2: q2, Mattr: mattr}, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(explain3d.ConvertResult(res, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("server body differs from one-shot Explain:\n%s\nvs\n%s", body, want)
 	}
 }
