@@ -411,6 +411,65 @@ func TestCheckCompleteViolations(t *testing.T) {
 	}); err == nil {
 		t.Fatal("deleted+corrected tuple should fail")
 	}
+	// A tuple id outside the instance.
+	if err := CheckComplete(inst, &Explanations{
+		Evidence: []Evidence{{L: 0, R: 0}, {L: 1, R: 2}},
+	}); err == nil {
+		t.Fatal("evidence on right tuple 2 of 2 should fail")
+	}
+}
+
+// TestCheckCompleteReportsLowestViolation gives CheckComplete inputs with
+// two violations of one kind, spread apart in insertion order, and requires
+// the same message, naming the lowest violation, on every call.
+func TestCheckCompleteReportsLowestViolation(t *testing.T) {
+	canon := func(impacts ...float64) *Canonical { return &Canonical{Impacts: impacts} }
+	eight := canon(1, 1, 1, 1, 1, 1, 1, 1)
+	pairs := func() []Evidence {
+		var ev []Evidence
+		for i := 0; i < 8; i++ {
+			ev = append(ev, Evidence{L: i, R: i})
+		}
+		return ev
+	}
+	cases := []struct {
+		name string
+		inst *Instance
+		ev   []Evidence
+		want string
+	}{
+		{
+			name: "left degree",
+			inst: &Instance{T1: eight, T2: canon(1, 1, 1, 1, 1, 1, 1, 1, 0, 0), Card: Cardinality{LeftAtMostOne: true}},
+			ev:   append(pairs(), Evidence{L: 4, R: 9}, Evidence{L: 0, R: 8}),
+			want: "core: left tuple 0 has degree 2 under a left-restricted mapping",
+		},
+		{
+			name: "right degree",
+			inst: &Instance{T1: canon(1, 1, 1, 1, 1, 1, 1, 1, 0, 0), T2: eight, Card: Cardinality{RightAtMostOne: true}},
+			ev:   append(pairs(), Evidence{L: 9, R: 4}, Evidence{L: 8, R: 0}),
+			want: "core: right tuple 0 has degree 2 under a right-restricted mapping",
+		},
+		{
+			name: "impact equality",
+			inst: &Instance{T1: eight, T2: canon(2, 1, 1, 1, 3, 1, 1, 1)},
+			ev:   pairs(),
+			want: "core: component containing left [0] right [0] violates impact equality: 1 vs 2",
+		},
+	}
+	for _, tc := range cases {
+		seen := map[string]int{}
+		for k := 0; k < 50; k++ {
+			err := CheckComplete(tc.inst, &Explanations{Evidence: tc.ev})
+			if err == nil {
+				t.Fatalf("%s: violation not reported", tc.name)
+			}
+			seen[err.Error()]++
+		}
+		if len(seen) != 1 || seen[tc.want] != 50 {
+			t.Errorf("%s: messages over 50 calls = %v, want only %q", tc.name, seen, tc.want)
+		}
+	}
 }
 
 func TestParamsValidation(t *testing.T) {

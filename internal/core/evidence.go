@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -13,121 +15,123 @@ const impactTol = 1e-6
 // record-linkage baselines do (Section 5.1.3): tuples without a match in
 // the evidence become provenance-based explanations; connected components
 // whose two sides disagree on total impact yield a value-based explanation
-// on the component's dominant right-side tuple (or left-side when the
-// right side is empty).
+// on the component's dominant right-side tuple.
 func ExplanationsFromEvidence(inst *Instance, evidence []Evidence) *Explanations {
 	out := &Explanations{Evidence: append([]Evidence(nil), evidence...)}
-	matchedL := make(map[int]bool)
-	matchedR := make(map[int]bool)
-	for _, ev := range evidence {
-		matchedL[ev.L] = true
-		matchedR[ev.R] = true
+	nL := inst.T1.Len()
+	impact := append(slices.Clone(inst.T1.Impacts), inst.T2.Impacts...)
+	at, members := evidenceComponents(nL, inst.T2.Len(), evidence)
+	matched := make([]bool, len(impact))
+	for _, v := range members {
+		matched[v] = true
 	}
-	for i := 0; i < inst.T1.Len(); i++ {
-		if !matchedL[i] {
-			out.Prov = append(out.Prov, ProvExpl{Side: Left, Tuple: i})
+	for v, m := range matched {
+		if !m {
+			s, t := tupleOf(v, nL)
+			out.Prov = append(out.Prov, ProvExpl{Side: s, Tuple: t})
 		}
 	}
-	for j := 0; j < inst.T2.Len(); j++ {
-		if !matchedR[j] {
-			out.Prov = append(out.Prov, ProvExpl{Side: Right, Tuple: j})
-		}
-	}
-	// Union-find over evidence to form components.
-	parent := make(map[[2]int][2]int)
-	var find func(k [2]int) [2]int
-	find = func(k [2]int) [2]int {
-		p, ok := parent[k]
-		if !ok || p == k {
-			return k
-		}
-		root := find(p)
-		parent[k] = root
-		return root
-	}
-	union := func(a, b [2]int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	nodeL := func(i int) [2]int { return [2]int{0, i} }
-	nodeR := func(j int) [2]int { return [2]int{1, j} }
-	for _, ev := range evidence {
-		union(nodeL(ev.L), nodeR(ev.R))
-	}
-	type comp struct {
-		ls, rs []int
-	}
-	// Ascending tuple order, not map order: component member lists feed a
-	// float impact sum and a largest-|impact| tie-break below, so their
-	// order must not depend on random map iteration.
-	comps := make(map[[2]int]*comp)
-	for i := 0; i < inst.T1.Len(); i++ {
-		if !matchedL[i] {
-			continue
-		}
-		root := find(nodeL(i))
-		if comps[root] == nil {
-			comps[root] = &comp{}
-		}
-		comps[root].ls = append(comps[root].ls, i)
-	}
-	for j := 0; j < inst.T2.Len(); j++ {
-		if !matchedR[j] {
-			continue
-		}
-		root := find(nodeR(j))
-		if comps[root] == nil {
-			comps[root] = &comp{}
-		}
-		comps[root].rs = append(comps[root].rs, j)
-	}
-	roots := make([][2]int, 0, len(comps))
-	for r := range comps {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(a, b int) bool {
-		if roots[a][0] != roots[b][0] {
-			return roots[a][0] < roots[b][0]
-		}
-		return roots[a][1] < roots[b][1]
-	})
-	for _, r := range roots {
-		c := comps[r]
+	for c := 0; c+1 < len(at); c++ {
+		ls, rs := splitSides(members[at[c]:at[c+1]], nL)
 		sumL, sumR := 0.0, 0.0
-		for _, i := range c.ls {
-			sumL += inst.T1.Impacts[i]
+		for _, v := range ls {
+			sumL += impact[v]
 		}
-		for _, j := range c.rs {
-			sumR += inst.T2.Impacts[j]
+		// The correction goes to the largest-impact right tuple (the
+		// aggregated side in ⊑ mappings); every component has one, since
+		// each of its tuples is matched.
+		best := rs[0]
+		for _, v := range rs {
+			sumR += impact[v]
+			if math.Abs(impact[v]) > math.Abs(impact[best]) {
+				best = v
+			}
 		}
 		if math.Abs(sumL-sumR) <= impactTol {
 			continue
 		}
-		// Attach the correction to the largest-impact right tuple (the
-		// aggregated side in ⊑ mappings), falling back to the left.
-		if len(c.rs) > 0 {
-			best := c.rs[0]
-			for _, j := range c.rs {
-				if math.Abs(inst.T2.Impacts[j]) > math.Abs(inst.T2.Impacts[best]) {
-					best = j
-				}
-			}
-			out.Val = append(out.Val, ValExpl{
-				Side: Right, Tuple: best,
-				NewImpact: inst.T2.Impacts[best] + (sumL - sumR),
-			})
-		} else if len(c.ls) > 0 {
-			best := c.ls[0]
-			out.Val = append(out.Val, ValExpl{
-				Side: Left, Tuple: best,
-				NewImpact: inst.T1.Impacts[best] + (sumR - sumL),
-			})
-		}
+		out.Val = append(out.Val, ValExpl{Side: Right, Tuple: best - nL, NewImpact: impact[best] + (sumL - sumR)})
 	}
 	sortExplanations(out)
 	return out
+}
+
+// evidenceComponents groups the tuples the evidence matches into the
+// connected components of the evidence graph, where left tuple i is node i
+// and right tuple j is node nL+j. Components are numbered in order of their
+// smallest node, and component c's nodes are members[at[c]:at[c+1]],
+// ascending, so its left tuples come first. Tuples the evidence does not
+// touch are in no component.
+func evidenceComponents(nL, nR int, evidence []Evidence) (at, members []int) {
+	n := nL + nR
+	parent := make([]int, n)
+	for v := range parent {
+		parent[v] = -1
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for _, ev := range evidence {
+		l, r := ev.L, nL+ev.R
+		for _, v := range [2]int{l, r} {
+			if parent[v] < 0 {
+				parent[v] = v
+			}
+		}
+		if a, b := find(l), find(r); a != b {
+			parent[a] = b
+		}
+	}
+	// label[v] is touched node v's component; a root's label is set when
+	// the component's smallest node is reached.
+	label := make([]int, n)
+	for v := range label {
+		label[v] = -1
+	}
+	at = []int{0}
+	for v := range label {
+		if parent[v] < 0 {
+			continue
+		}
+		r := find(v)
+		if label[r] < 0 {
+			label[r] = len(at) - 1
+			at = append(at, 0)
+		}
+		label[v] = label[r]
+		at[label[v]+1]++
+	}
+	for c := 1; c < len(at); c++ {
+		at[c] += at[c-1]
+	}
+	members = make([]int, at[len(at)-1])
+	next := append([]int(nil), at...)
+	for v, c := range label {
+		if c >= 0 {
+			members[next[c]] = v
+			next[c]++
+		}
+	}
+	return at, members
+}
+
+// splitSides cuts a component's ascending node list into its left tuples
+// and its right nodes (right tuple j is node nL+j).
+func splitSides(nodes []int, nL int) (ls, rs []int) {
+	k, _ := slices.BinarySearch(nodes, nL)
+	return nodes[:k], nodes[k:]
+}
+
+// tupleOf maps node v of the evidence graph back to its side and tuple.
+func tupleOf(v, nL int) (Side, int) {
+	if v < nL {
+		return Left, v
+	}
+	return Right, v - nL
 }
 
 func sortExplanations(e *Explanations) {
@@ -156,126 +160,81 @@ func sortExplanations(e *Explanations) {
 // canonical relations, deleted tuples carry no matches or value changes,
 // every kept tuple is matched, and every connected component satisfies
 // impact equality (Definition 3.3) after applying the value-based
-// explanations.
+// explanations. Tuples and components are checked in id order, so the
+// violation it reports is the same on every call.
 func CheckComplete(inst *Instance, e *Explanations) error {
-	deletedL := make(map[int]bool)
-	deletedR := make(map[int]bool)
+	nL, n := inst.T1.Len(), inst.T1.Len()+inst.T2.Len()
+	side := [2]string{"left", "right"}
+	node := func(s Side, t int) (int, error) {
+		v := t
+		if s == Right {
+			v += nL
+		}
+		if t < 0 || (s == Left && t >= nL) || v >= n {
+			return 0, fmt.Errorf("core: %s tuple %d out of range", side[s], t)
+		}
+		return v, nil
+	}
+	impact := append(slices.Clone(inst.T1.Impacts), inst.T2.Impacts...)
+	deleted := make([]bool, n)
 	for _, pe := range e.Prov {
-		if pe.Side == Left {
-			deletedL[pe.Tuple] = true
-		} else {
-			deletedR[pe.Tuple] = true
+		v, err := node(pe.Side, pe.Tuple)
+		if err != nil {
+			return err
 		}
+		deleted[v] = true
 	}
-	newL := make(map[int]float64)
-	newR := make(map[int]float64)
 	for _, ve := range e.Val {
-		if ve.Side == Left {
-			if deletedL[ve.Tuple] {
-				return fmt.Errorf("core: left tuple %d is both deleted and value-corrected", ve.Tuple)
-			}
-			newL[ve.Tuple] = ve.NewImpact
-		} else {
-			if deletedR[ve.Tuple] {
-				return fmt.Errorf("core: right tuple %d is both deleted and value-corrected", ve.Tuple)
-			}
-			newR[ve.Tuple] = ve.NewImpact
+		v, err := node(ve.Side, ve.Tuple)
+		if err != nil {
+			return err
 		}
-	}
-	impactL := func(i int) float64 {
-		if v, ok := newL[i]; ok {
-			return v
+		if deleted[v] {
+			return fmt.Errorf("core: %s tuple %d is both deleted and value-corrected", side[ve.Side], ve.Tuple)
 		}
-		return inst.T1.Impacts[i]
+		impact[v] = ve.NewImpact
 	}
-	impactR := func(j int) float64 {
-		if v, ok := newR[j]; ok {
-			return v
-		}
-		return inst.T2.Impacts[j]
-	}
-	degL := make(map[int]int)
-	degR := make(map[int]int)
+	deg := make([]int, n)
 	for _, ev := range e.Evidence {
-		if deletedL[ev.L] || deletedR[ev.R] {
+		l, errL := node(Left, ev.L)
+		r, errR := node(Right, ev.R)
+		if err := cmp.Or(errL, errR); err != nil {
+			return err
+		}
+		if deleted[l] || deleted[r] {
 			return fmt.Errorf("core: evidence (%d→%d) touches a deleted tuple", ev.L, ev.R)
 		}
-		degL[ev.L]++
-		degR[ev.R]++
+		deg[l]++
+		deg[r]++
 	}
-	if inst.Card.LeftAtMostOne {
-		for i, d := range degL {
-			if d > 1 {
-				return fmt.Errorf("core: left tuple %d has degree %d under a left-restricted mapping", i, d)
-			}
+	atMostOne := [2]bool{inst.Card.LeftAtMostOne, inst.Card.RightAtMostOne}
+	for v, d := range deg {
+		if s, t := tupleOf(v, nL); d > 1 && atMostOne[s] {
+			return fmt.Errorf("core: %s tuple %d has degree %d under a %s-restricted mapping", side[s], t, d, side[s])
 		}
 	}
-	if inst.Card.RightAtMostOne {
-		for j, d := range degR {
-			if d > 1 {
-				return fmt.Errorf("core: right tuple %d has degree %d under a right-restricted mapping", j, d)
-			}
-		}
-	}
-	for i := 0; i < inst.T1.Len(); i++ {
-		if !deletedL[i] && degL[i] == 0 {
-			return fmt.Errorf("core: kept left tuple %d is unmatched", i)
-		}
-	}
-	for j := 0; j < inst.T2.Len(); j++ {
-		if !deletedR[j] && degR[j] == 0 {
-			return fmt.Errorf("core: kept right tuple %d is unmatched", j)
+	for v, d := range deg {
+		if s, t := tupleOf(v, nL); d == 0 && !deleted[v] {
+			return fmt.Errorf("core: kept %s tuple %d is unmatched", side[s], t)
 		}
 	}
 	// Impact equality per component of the evidence graph.
-	adjL := make(map[int][]int)
-	adjR := make(map[int][]int)
-	for _, ev := range e.Evidence {
-		adjL[ev.L] = append(adjL[ev.L], ev.R)
-		adjR[ev.R] = append(adjR[ev.R], ev.L)
-	}
-	seenL := make(map[int]bool)
-	seenR := make(map[int]bool)
-	for start := range adjL {
-		if seenL[start] {
-			continue
-		}
-		var ls, rs []int
-		stackL := []int{start}
-		seenL[start] = true
-		var stackR []int
-		for len(stackL) > 0 || len(stackR) > 0 {
-			if len(stackL) > 0 {
-				u := stackL[len(stackL)-1]
-				stackL = stackL[:len(stackL)-1]
-				ls = append(ls, u)
-				for _, v := range adjL[u] {
-					if !seenR[v] {
-						seenR[v] = true
-						stackR = append(stackR, v)
-					}
-				}
-				continue
-			}
-			v := stackR[len(stackR)-1]
-			stackR = stackR[:len(stackR)-1]
-			rs = append(rs, v)
-			for _, u := range adjR[v] {
-				if !seenL[u] {
-					seenL[u] = true
-					stackL = append(stackL, u)
-				}
-			}
-		}
+	at, members := evidenceComponents(nL, n-nL, e.Evidence)
+	for c := 0; c+1 < len(at); c++ {
+		ls, rs := splitSides(members[at[c]:at[c+1]], nL)
 		sumL, sumR := 0.0, 0.0
-		for _, i := range ls {
-			sumL += impactL(i)
+		for _, v := range ls {
+			sumL += impact[v]
 		}
-		for _, j := range rs {
-			sumR += impactR(j)
+		for _, v := range rs {
+			sumR += impact[v]
 		}
 		if math.Abs(sumL-sumR) > 1e-4 {
-			return fmt.Errorf("core: component containing left %v right %v violates impact equality: %v vs %v", ls, rs, sumL, sumR)
+			right := make([]int, len(rs))
+			for k, v := range rs {
+				right[k] = v - nL
+			}
+			return fmt.Errorf("core: component containing left %v right %v violates impact equality: %v vs %v", ls, right, sumL, sumR)
 		}
 	}
 	return nil

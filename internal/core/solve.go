@@ -366,6 +366,7 @@ func splitInstance(inst *Instance, p Params) ([]*subProblem, error) {
 		return []*subProblem{all}, nil
 	}
 	bip := graph.NewBipartite(inst.T1.Len(), inst.T2.Len())
+	bip.Edges = make([]graph.BEdge, 0, len(inst.Matches))
 	for _, m := range inst.Matches {
 		bip.AddMatch(m.L, m.R, m.P)
 	}

@@ -27,6 +27,7 @@ func ablationGraph(n int, seed int64) *Bipartite {
 func BenchmarkSmartPartitionWithPrePartition(b *testing.B) {
 	bip := ablationGraph(5000, 1)
 	opt := DefaultSmartOptions(1000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SmartPartition(bip, opt); err != nil {
@@ -41,10 +42,15 @@ func BenchmarkSmartPartitionWithPrePartition(b *testing.B) {
 func BenchmarkPartitionWithoutPrePartition(b *testing.B) {
 	bip := ablationGraph(5000, 1)
 	opt := DefaultSmartOptions(1000)
-	g := bip.ToGraph(adjustedWeight)
+	arcs := bipartiteArcs(bip)
+	for i := range arcs {
+		arcs[i].w = adjustedWeight(arcs[i].w)
+	}
+	g := newGraph(ones(bip.size()), arcs)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Partition(g, PartitionOptions{LMax: opt.BatchSize, K: (bip.Size() + opt.BatchSize - 1) / opt.BatchSize}); err != nil {
+		if _, err := partition(g, partitionOptions{lmax: opt.BatchSize, k: (bip.size() + opt.BatchSize - 1) / opt.BatchSize}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,7 +74,7 @@ func TestPrePartitionAblationQuality(t *testing.T) {
 	}
 	cutHigh := 0
 	for _, e := range bip.Edges {
-		if e.P >= thetaHigh && partOf[e.L] != partOf[bip.RightID(e.R)] {
+		if e.P >= thetaHigh && partOf[e.L] != partOf[bip.NLeft+e.R] {
 			cutHigh++
 		}
 	}

@@ -1,156 +1,154 @@
 // Package graph provides the graph machinery behind explain3d's
-// smart-partitioning optimizer (Section 4 of the paper): weighted
-// undirected graphs, connected components, a multilevel partitioner in the
-// style of METIS (heavy-edge-matching coarsening, greedy initial
-// partitioning, FM boundary refinement), the paper's pre-partitioning
-// (Algorithm 2), and the smart-partitioning driver (Algorithm 3).
+// smart-partitioning optimizer (Section 4 of the paper): the paper's
+// pre-partitioning (Algorithm 2), which merges tuples joined by
+// high-probability matches into super-nodes, and the smart-partitioning
+// driver (Algorithm 3), which splits each oversized connected component of
+// the merged graph with a multilevel partitioner in the style of METIS
+// (heavy-edge-matching coarsening, greedy initial partitioning, FM boundary
+// refinement) and packs the pieces into batches.
+//
+// Graphs are stored as METIS stores them, in compressed sparse row form
+// built once from an arc list, and connected components come from one
+// union-find over arrays; the package keeps no maps, so every result is a
+// function of the input alone.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
-
-// Edge is one endpoint of an undirected weighted edge.
-type Edge struct {
-	To     int
-	Weight float64
+// arc is one undirected weighted edge of the list a graph is built from.
+type arc struct {
+	u, v int
+	w    float64
 }
 
-// Graph is an undirected graph with node and edge weights. Parallel edges
-// are merged on AddEdge.
-type Graph struct {
-	NodeWeight []int
-	adj        []map[int]float64
+// graph is an undirected graph with node and edge weights in compressed
+// sparse row form: node u's neighbours are adj[off[u]:off[u+1]], ascending
+// by id, and wgt holds the weights of those edges at the same positions.
+type graph struct {
+	nodeWeight []int
+	off        []int
+	adj        []int
+	wgt        []float64
 }
 
-// New creates a graph with n nodes of weight 1.
-func New(n int) *Graph {
-	g := &Graph{
-		NodeWeight: make([]int, n),
-		adj:        make([]map[int]float64, n),
+// newGraph builds the graph on len(nodeWeight) nodes from an arc list.
+// Self-loops are dropped. The parallel arcs of a pair become one edge whose
+// weight is summed from zero in list order, and an edge of weight zero is
+// kept: it still counts toward its endpoints' degrees and links them.
+func newGraph(nodeWeight []int, arcs []arc) *graph {
+	n := len(nodeWeight)
+	off := make([]int, n+1)
+	for _, a := range arcs {
+		if a.u != a.v {
+			off[a.u+1]++
+			off[a.v+1]++
+		}
 	}
-	for i := range g.NodeWeight {
-		g.NodeWeight[i] = 1
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
 	}
-	return g
-}
-
-// Len returns the number of nodes.
-func (g *Graph) Len() int { return len(g.NodeWeight) }
-
-// AddEdge adds weight w to the undirected edge (u, v). Self-loops are
-// ignored.
-func (g *Graph) AddEdge(u, v int, w float64) {
-	if u == v {
-		return
+	// Two stable counting sorts of the directed arcs, by neighbour and then
+	// by node, leave each row ascending by neighbour with the parallel arcs
+	// of a pair in list order.
+	byNbr := make([]arc, off[n])
+	next := make([]int, n)
+	copy(next, off)
+	for _, a := range arcs {
+		if a.u != a.v {
+			byNbr[next[a.v]] = a
+			next[a.v]++
+			byNbr[next[a.u]] = arc{a.v, a.u, a.w}
+			next[a.u]++
+		}
 	}
-	if g.adj[u] == nil {
-		g.adj[u] = make(map[int]float64)
+	copy(next, off)
+	adj, wgt := make([]int, off[n]), make([]float64, off[n])
+	for _, a := range byNbr {
+		adj[next[a.u]], wgt[next[a.u]] = a.v, a.w
+		next[a.u]++
 	}
-	if g.adj[v] == nil {
-		g.adj[v] = make(map[int]float64)
-	}
-	g.adj[u][v] += w
-	g.adj[v][u] += w
-}
-
-// EdgeWeight returns the weight of edge (u, v), 0 if absent.
-func (g *Graph) EdgeWeight(u, v int) float64 {
-	if g.adj[u] == nil {
-		return 0
-	}
-	return g.adj[u][v]
-}
-
-// Neighbors returns the sorted adjacency of u.
-func (g *Graph) Neighbors(u int) []Edge {
-	out := make([]Edge, 0, len(g.adj[u]))
-	for v, w := range g.adj[u] {
-		out = append(out, Edge{To: v, Weight: w})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].To < out[j].To })
-	return out
-}
-
-// Degree returns the number of distinct neighbors of u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
-
-// TotalNodeWeight sums all node weights.
-func (g *Graph) TotalNodeWeight() int {
-	t := 0
-	for _, w := range g.NodeWeight {
-		t += w
-	}
-	return t
-}
-
-// TotalEdgeWeight sums all edge weights (each undirected edge once), in
-// sorted neighbor order so the float sum is bit-identical across runs.
-func (g *Graph) TotalEdgeWeight() float64 {
-	t := 0.0
-	for u := range g.adj {
-		for _, e := range g.Neighbors(u) {
-			if u < e.To {
-				t += e.Weight
+	// Merge each row's parallel arcs in place.
+	k := 0
+	for u := 0; u < n; u++ {
+		lo, hi := off[u], off[u+1]
+		off[u] = k
+		for i := lo; i < hi; i++ {
+			v, w := adj[i], wgt[i]
+			if k == off[u] || adj[k-1] != v {
+				adj[k], wgt[k] = v, 0
+				k++
 			}
+			wgt[k-1] += w
 		}
 	}
-	return t
+	off[n] = k
+	return &graph{nodeWeight: nodeWeight, off: off, adj: adj[:k], wgt: wgt[:k]}
 }
 
-// ConnectedComponents returns the node sets of the maximal connected
-// components, each sorted, ordered by smallest member.
-func (g *Graph) ConnectedComponents() [][]int {
-	n := g.Len()
-	seen := make([]bool, n)
-	var comps [][]int
-	stack := make([]int, 0, 64)
-	for s := 0; s < n; s++ {
-		if seen[s] {
-			continue
-		}
-		var comp []int
-		stack = append(stack[:0], s)
-		seen[s] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
-			for v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					//lint:ignore mapiter DFS push order cannot reach the output: comp is sorted before return and membership is order-independent
-					stack = append(stack, v)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
-	return comps
+// nbrs returns u's neighbours, ascending, and the weights of u's edges to
+// them.
+func (g *graph) nbrs(u int) ([]int, []float64) {
+	lo, hi := g.off[u], g.off[u+1]
+	return g.adj[lo:hi], g.wgt[lo:hi]
 }
 
-// CutWeight computes the total weight of edges crossing between different
-// parts under the given assignment.
-func (g *Graph) CutWeight(part []int) float64 {
-	cut := 0.0
-	for u := range g.adj {
-		for _, e := range g.Neighbors(u) {
-			if u < e.To && part[u] != part[e.To] {
-				cut += e.Weight
-			}
-		}
-	}
-	return cut
+// degree returns the number of distinct neighbours of u.
+func (g *graph) degree(u int) int { return g.off[u+1] - g.off[u] }
+
+// groups is a grouping of nodes 0..n-1: node v is in group of[v], and group
+// c's members are members[at[c]:at[c+1]], ascending.
+type groups struct {
+	of, at, members []int
 }
 
-// String summarizes the graph.
-func (g *Graph) String() string {
-	edges := 0
-	for u := range g.adj {
-		edges += len(g.adj[u])
+// size returns the number of members of group c.
+func (s groups) size(c int) int { return s.at[c+1] - s.at[c] }
+
+// components groups the nodes 0..n-1 into the connected components of the
+// graph with the given arcs, numbered in order of their smallest member.
+func components(n int, arcs []arc) groups {
+	parent := make([]int, n)
+	for v := range parent {
+		parent[v] = v
 	}
-	return fmt.Sprintf("graph(%d nodes, %d edges, node weight %d)", g.Len(), edges/2, g.TotalNodeWeight())
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for _, a := range arcs {
+		if ru, rv := find(a.u), find(a.v); ru != rv {
+			parent[ru] = rv
+		}
+	}
+	// A root's label is its component, numbered when the component's
+	// smallest node is reached.
+	label := make([]int, n)
+	for v := range label {
+		label[v] = -1
+	}
+	nc := 0
+	for v := 0; v < n; v++ {
+		r := find(v)
+		if label[r] < 0 {
+			label[r] = nc
+			nc++
+		}
+		label[v] = label[r]
+	}
+	at := make([]int, nc+1)
+	for _, c := range label {
+		at[c+1]++
+	}
+	for c := 0; c < nc; c++ {
+		at[c+1] += at[c]
+	}
+	members := make([]int, n)
+	next := parent[:nc] // the forest is no longer needed
+	copy(next, at)
+	for v, c := range label {
+		members[next[c]] = v
+		next[c]++
+	}
+	return groups{of: label, at: at, members: members}
 }

@@ -2,63 +2,122 @@ package graph
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 )
 
-func TestConnectedComponents(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(3, 4, 1)
-	comps := g.ConnectedComponents()
-	if len(comps) != 3 {
-		t.Fatalf("components = %d, want 3", len(comps))
+// ones returns n unit node weights.
+func ones(n int) []int {
+	w := make([]int, n)
+	for i := range w {
+		w[i] = 1
 	}
-	want := [][]int{{0, 1, 2}, {3, 4}, {5}}
-	for i := range want {
-		if len(comps[i]) != len(want[i]) {
-			t.Fatalf("comp %d = %v, want %v", i, comps[i], want[i])
-		}
-		for j := range want[i] {
-			if comps[i][j] != want[i][j] {
-				t.Fatalf("comp %d = %v, want %v", i, comps[i], want[i])
+	return w
+}
+
+// edgeWeight returns the weight of edge (u, v), 0 if absent.
+func edgeWeight(g *graph, u, v int) float64 {
+	nbr, wgt := g.nbrs(u)
+	if i, ok := slices.BinarySearch(nbr, v); ok {
+		return wgt[i]
+	}
+	return 0
+}
+
+// totalEdgeWeight sums all edge weights, each undirected edge once.
+func totalEdgeWeight(g *graph) float64 {
+	t := 0.0
+	for u := range g.nodeWeight {
+		nbr, wgt := g.nbrs(u)
+		for i, v := range nbr {
+			if u < v {
+				t += wgt[i]
 			}
 		}
+	}
+	return t
+}
+
+// cutWeight sums the weights of edges between different parts.
+func cutWeight(g *graph, part []int) float64 {
+	cut := 0.0
+	for u := range g.nodeWeight {
+		nbr, wgt := g.nbrs(u)
+		for i, v := range nbr {
+			if u < v && part[u] != part[v] {
+				cut += wgt[i]
+			}
+		}
+	}
+	return cut
+}
+
+// bipartiteArcs lists b's matches as arcs between global node ids, with
+// probabilities as weights.
+func bipartiteArcs(b *Bipartite) []arc {
+	arcs := make([]arc, len(b.Edges))
+	for i, e := range b.Edges {
+		arcs[i] = arc{e.L, b.NLeft + e.R, e.P}
+	}
+	return arcs
+}
+
+// groupLists expands a grouping into one member list per group.
+func groupLists(s groups) [][]int {
+	out := make([][]int, len(s.at)-1)
+	for c := range out {
+		out[c] = s.members[s.at[c]:s.at[c+1]]
+	}
+	return out
+}
+
+func TestConnectedComponents(t *testing.T) {
+	comps := components(6, []arc{{0, 1, 1}, {1, 2, 1}, {3, 4, 1}})
+	want := [][]int{{0, 1, 2}, {3, 4}, {5}}
+	if got := groupLists(comps); !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("components = %v, want %v", got, want)
+	}
+	if want := []int{0, 0, 0, 1, 1, 2}; !slices.Equal(comps.of, want) {
+		t.Fatalf("component of = %v, want %v", comps.of, want)
 	}
 }
 
 func TestEdgeMergeAndSelfLoop(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 0.5)
-	g.AddEdge(1, 0, 0.25)
-	g.AddEdge(2, 2, 9) // ignored
-	if w := g.EdgeWeight(0, 1); w != 0.75 {
+	g := newGraph(ones(4), []arc{
+		{0, 1, 0.5},
+		{1, 0, 0.25},
+		{2, 2, 9}, // ignored
+		{1, 3, 0}, // kept: zero weight still links 1 and 3
+	})
+	if w := edgeWeight(g, 0, 1); w != 0.75 {
 		t.Fatalf("merged weight = %v, want 0.75", w)
 	}
-	if g.Degree(2) != 0 {
+	if w := edgeWeight(g, 1, 0); w != 0.75 {
+		t.Fatalf("merged weight (1, 0) = %v, want 0.75", w)
+	}
+	if g.degree(2) != 0 {
 		t.Fatal("self loop should be ignored")
 	}
-	if g.TotalEdgeWeight() != 0.75 {
-		t.Fatalf("total edge weight = %v", g.TotalEdgeWeight())
+	if nbr, _ := g.nbrs(1); !slices.Equal(nbr, []int{0, 3}) || g.degree(3) != 1 {
+		t.Fatalf("zero-weight edge dropped: neighbours of 1 = %v, degree of 3 = %d", nbr, g.degree(3))
+	}
+	if totalEdgeWeight(g) != 0.75 {
+		t.Fatalf("total edge weight = %v", totalEdgeWeight(g))
 	}
 }
 
 func TestCutWeight(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 2)
-	g.AddEdge(1, 2, 3)
-	g.AddEdge(2, 3, 4)
+	g := newGraph(ones(4), []arc{{0, 1, 2}, {1, 2, 3}, {2, 3, 4}})
 	part := []int{0, 0, 1, 1}
-	if cut := g.CutWeight(part); cut != 3 {
+	if cut := cutWeight(g, part); cut != 3 {
 		t.Fatalf("cut = %v, want 3", cut)
 	}
 }
 
-func validatePartition(t *testing.T, g *Graph, part []int, lmax int) {
+func validatePartition(t *testing.T, g *graph, part []int, lmax int) {
 	t.Helper()
-	if len(part) != g.Len() {
-		t.Fatalf("partition covers %d of %d nodes", len(part), g.Len())
+	if len(part) != len(g.nodeWeight) {
+		t.Fatalf("partition covers %d of %d nodes", len(part), len(g.nodeWeight))
 	}
 	load := map[int]int{}
 	count := map[int]int{}
@@ -66,44 +125,42 @@ func validatePartition(t *testing.T, g *Graph, part []int, lmax int) {
 		if p < 0 {
 			t.Fatalf("node %d unassigned", u)
 		}
-		load[p] += g.NodeWeight[u]
+		load[p] += g.nodeWeight[u]
 		count[p]++
 	}
 	for p, l := range load {
 		if l > lmax && count[p] > 1 {
-			t.Fatalf("part %d has weight %d > LMax %d with %d nodes", p, l, lmax, count[p])
+			t.Fatalf("part %d has weight %d > lmax %d with %d nodes", p, l, lmax, count[p])
 		}
 	}
 }
 
 func TestPartitionPath(t *testing.T) {
 	// A path graph: balanced bisection should cut one edge.
-	g := New(8)
+	var arcs []arc
 	for i := 0; i < 7; i++ {
-		g.AddEdge(i, i+1, 1)
+		arcs = append(arcs, arc{i, i + 1, 1})
 	}
-	part, err := Partition(g, PartitionOptions{LMax: 4, K: 2})
+	g := newGraph(ones(8), arcs)
+	part, err := partition(g, partitionOptions{lmax: 4, k: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	validatePartition(t, g, part, 4)
-	if cut := g.CutWeight(part); cut > 2 {
+	if cut := cutWeight(g, part); cut > 2 {
 		t.Fatalf("path cut = %v, want ≤ 2", cut)
 	}
 }
 
 func TestPartitionRespectsHeavyEdges(t *testing.T) {
 	// Two 3-cliques joined by a light edge: the light edge should be cut.
-	g := New(6)
 	heavy := 10.0
-	g.AddEdge(0, 1, heavy)
-	g.AddEdge(1, 2, heavy)
-	g.AddEdge(0, 2, heavy)
-	g.AddEdge(3, 4, heavy)
-	g.AddEdge(4, 5, heavy)
-	g.AddEdge(3, 5, heavy)
-	g.AddEdge(2, 3, 0.1)
-	part, err := Partition(g, PartitionOptions{LMax: 3, K: 2})
+	g := newGraph(ones(6), []arc{
+		{0, 1, heavy}, {1, 2, heavy}, {0, 2, heavy},
+		{3, 4, heavy}, {4, 5, heavy}, {3, 5, heavy},
+		{2, 3, 0.1},
+	})
+	part, err := partition(g, partitionOptions{lmax: 3, k: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +177,10 @@ func TestPartitionRespectsHeavyEdges(t *testing.T) {
 }
 
 func TestPartitionOversizedNode(t *testing.T) {
-	g := New(3)
-	g.NodeWeight[0] = 10 // exceeds LMax
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	part, err := Partition(g, PartitionOptions{LMax: 4, K: 2})
+	w := ones(3)
+	w[0] = 10 // exceeds lmax
+	g := newGraph(w, []arc{{0, 1, 1}, {1, 2, 1}})
+	part, err := partition(g, partitionOptions{lmax: 4, k: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,20 +196,20 @@ func TestPartitionRandomValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 40; trial++ {
 		n := 10 + rng.Intn(120)
-		g := New(n)
+		var arcs []arc
 		edges := n * (1 + rng.Intn(3))
 		for e := 0; e < edges; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			g.AddEdge(u, v, rng.Float64())
+			arcs = append(arcs, arc{rng.Intn(n), rng.Intn(n), rng.Float64()})
 		}
+		g := newGraph(ones(n), arcs)
 		lmax := 5 + rng.Intn(20)
-		part, err := Partition(g, PartitionOptions{LMax: lmax, K: (n + lmax - 1) / lmax})
+		part, err := partition(g, partitionOptions{lmax: lmax, k: (n + lmax - 1) / lmax})
 		if err != nil {
 			t.Fatal(err)
 		}
 		validatePartition(t, g, part, lmax)
-		if cut := g.CutWeight(part); cut > g.TotalEdgeWeight()+1e-9 {
-			t.Fatalf("trial %d: cut %v exceeds total %v", trial, cut, g.TotalEdgeWeight())
+		if cut := cutWeight(g, part); cut > totalEdgeWeight(g)+1e-9 {
+			t.Fatalf("trial %d: cut %v exceeds total %v", trial, cut, totalEdgeWeight(g))
 		}
 	}
 }
@@ -162,24 +218,33 @@ func TestCoarsenPreservesWeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		n := 20 + rng.Intn(100)
-		g := New(n)
+		var arcs []arc
 		for e := 0; e < 3*n; e++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n), rng.Float64())
+			arcs = append(arcs, arc{rng.Intn(n), rng.Intn(n), rng.Float64()})
 		}
+		g := newGraph(ones(n), arcs)
 		coarse, toCoarse := coarsen(g, 1<<30)
-		if coarse.TotalNodeWeight() != g.TotalNodeWeight() {
-			t.Fatalf("coarsen lost node weight: %d -> %d", g.TotalNodeWeight(), coarse.TotalNodeWeight())
+		if got := sum(coarse.nodeWeight); got != n {
+			t.Fatalf("coarsen lost node weight: %d -> %d", n, got)
 		}
 		for u := 0; u < n; u++ {
-			if toCoarse[u] < 0 || toCoarse[u] >= coarse.Len() {
+			if toCoarse[u] < 0 || toCoarse[u] >= len(coarse.nodeWeight) {
 				t.Fatalf("node %d maps to invalid coarse node %d", u, toCoarse[u])
 			}
 		}
 		// Edge weight is preserved up to weights absorbed into merged nodes.
-		if coarse.TotalEdgeWeight() > g.TotalEdgeWeight()+1e-9 {
-			t.Fatalf("coarse edge weight grew: %v -> %v", g.TotalEdgeWeight(), coarse.TotalEdgeWeight())
+		if totalEdgeWeight(coarse) > totalEdgeWeight(g)+1e-9 {
+			t.Fatalf("coarse edge weight grew: %v -> %v", totalEdgeWeight(g), totalEdgeWeight(coarse))
 		}
 	}
+}
+
+func sum(xs []int) int {
+	t := 0
+	for _, x := range xs {
+		t += x
+	}
+	return t
 }
 
 func TestBipartiteComponents(t *testing.T) {
@@ -187,9 +252,10 @@ func TestBipartiteComponents(t *testing.T) {
 	b.AddMatch(0, 0, 0.9)
 	b.AddMatch(1, 0, 0.5)
 	b.AddMatch(2, 2, 1.0)
-	comps := b.ConnectedComponents()
-	if len(comps) != 3 { // {0, 1, R0}, {2, R2}, {R1}
-		t.Fatalf("components = %v", comps)
+	comps := groupLists(components(b.size(), bipartiteArcs(b)))
+	want := [][]int{{0, 1, 3}, {2, 5}, {4}} // {0, 1, R0}, {2, R2}, {R1}
+	if !slices.EqualFunc(comps, want, slices.Equal) {
+		t.Fatalf("components = %v, want %v", comps, want)
 	}
 }
 
@@ -211,26 +277,28 @@ func TestPrePartitionMergesHighProbability(t *testing.T) {
 	b.AddMatch(1, 0, 0.95) // merged (chains 1 into {0, R0})
 	b.AddMatch(1, 1, 0.4)  // kept as edge
 	b.AddMatch(2, 2, 0.05) // kept, penalized
-	pre := PrePartition(b)
+	super, arcs := prePartition(b)
 	// Super node containing 0, 1, R0.
-	if pre.NodeMap[0] != pre.NodeMap[1] || pre.NodeMap[0] != pre.NodeMap[b.RightID(0)] {
-		t.Fatalf("high-probability chain not merged: %v", pre.NodeMap)
+	if super.of[0] != super.of[1] || super.of[0] != super.of[b.NLeft+0] {
+		t.Fatalf("high-probability chain not merged: %v", super.of)
 	}
-	if pre.NodeMap[2] == pre.NodeMap[0] || pre.NodeMap[b.RightID(2)] == pre.NodeMap[2] && false {
-		t.Fatalf("low probability edge should not merge: %v", pre.NodeMap)
+	if super.of[2] == super.of[0] || super.of[b.NLeft+2] == super.of[2] {
+		t.Fatalf("low probability edge should not merge: %v", super.of)
 	}
 	// Total weight preserved.
-	if pre.Coarse.TotalNodeWeight() != b.Size() {
-		t.Fatalf("coarse node weight = %d, want %d", pre.Coarse.TotalNodeWeight(), b.Size())
+	weight := make([]int, len(super.at)-1)
+	for c := range weight {
+		weight[c] = super.size(c)
+	}
+	if sum(weight) != b.size() {
+		t.Fatalf("coarse node weight = %d, want %d", sum(weight), b.size())
 	}
 	// The 0.4 edge survives with unadjusted weight; the 0.05 edge shrinks.
-	su := pre.NodeMap[1]
-	sv := pre.NodeMap[b.RightID(1)]
-	if w := pre.Coarse.EdgeWeight(su, sv); w != 0.4 {
+	coarse := newGraph(weight, arcs)
+	if w := edgeWeight(coarse, super.of[1], super.of[b.NLeft+1]); w != 0.4 {
 		t.Fatalf("mid edge weight = %v, want 0.4", w)
 	}
-	lu, lv := pre.NodeMap[2], pre.NodeMap[b.RightID(2)]
-	if w := pre.Coarse.EdgeWeight(lu, lv); w != 0.05/100 {
+	if w := edgeWeight(coarse, super.of[2], super.of[b.NLeft+2]); w != 0.05/100 {
 		t.Fatalf("low edge weight = %v, want %v", w, 0.05/100)
 	}
 }
@@ -248,33 +316,8 @@ func TestSmartPartitionCoversAndBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := make([]bool, b.Size())
-		for _, p := range parts {
-			for _, u := range p {
-				if seen[u] {
-					t.Fatalf("trial %d: node %d in two partitions", trial, u)
-				}
-				seen[u] = true
-			}
-		}
-		for u, s := range seen {
-			if !s {
-				t.Fatalf("trial %d: node %d unassigned", trial, u)
-			}
-		}
-		// Parts exceed the batch size only when forced by a merged
-		// high-probability bundle.
-		pre := PrePartition(b)
-		maxBundle := 0
-		for _, m := range pre.Members {
-			if len(m) > maxBundle {
-				maxBundle = len(m)
-			}
-		}
-		for _, p := range parts {
-			if len(p) > batch && len(p) > maxBundle {
-				t.Fatalf("trial %d: partition size %d exceeds batch %d and bundle %d", trial, len(p), batch, maxBundle)
-			}
+		if msg := checkSmartPartition(b, batch, parts); msg != "" {
+			t.Fatalf("trial %d: %s", trial, msg)
 		}
 	}
 }
@@ -300,7 +343,7 @@ func TestSmartPartitionAvoidsCuttingHighProbEdges(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20; i++ {
-		if partOf[i] != partOf[b.RightID(i)] {
+		if partOf[i] != partOf[b.NLeft+i] {
 			t.Fatalf("high-probability match (%d, R%d) split across partitions", i, i)
 		}
 	}
@@ -314,29 +357,15 @@ func TestSmartPartitionErrors(t *testing.T) {
 }
 
 func TestPartitionEmptyGraph(t *testing.T) {
-	part, err := Partition(New(0), PartitionOptions{LMax: 5, K: 1})
+	part, err := partition(newGraph(nil, nil), partitionOptions{lmax: 5, k: 1})
 	if err != nil || part != nil {
 		t.Fatalf("empty graph: part=%v err=%v", part, err)
 	}
 }
 
-func sortedCopy(xs []int) []int {
-	out := append([]int(nil), xs...)
-	sort.Ints(out)
-	return out
-}
-
 func TestNeighborsSorted(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 3, 1)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(0, 2, 1)
-	ns := g.Neighbors(0)
-	ids := []int{ns[0].To, ns[1].To, ns[2].To}
-	want := sortedCopy(ids)
-	for i := range ids {
-		if ids[i] != want[i] {
-			t.Fatalf("neighbors not sorted: %v", ids)
-		}
+	g := newGraph(ones(4), []arc{{0, 3, 1}, {0, 1, 1}, {2, 0, 1}})
+	if nbr, _ := g.nbrs(0); !slices.Equal(nbr, []int{1, 2, 3}) {
+		t.Fatalf("neighbors not sorted: %v", nbr)
 	}
 }

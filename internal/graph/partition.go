@@ -2,63 +2,64 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// PartitionOptions tunes the multilevel partitioner.
-type PartitionOptions struct {
-	// LMax is the balance bound: the total node weight of a part must not
+// partitionOptions tunes the multilevel partitioner.
+type partitionOptions struct {
+	// lmax is the balance bound: the total node weight of a part must not
 	// exceed it (Problem 2's |T1,i|+|T2,j| ≤ Lmax).
-	LMax int
-	// K is the target number of parts; more parts are opened when capacity
+	lmax int
+	// k is the target number of parts; more parts are opened when capacity
 	// requires it, fewer when the graph is small.
-	K int
+	k int
 }
 
 // refinePasses bounds FM refinement passes per level.
 const refinePasses = 8
 
-// Partition assigns every node to a part such that each part's node weight
-// is at most LMax, heuristically minimizing the cut weight (the Graph
+// partition assigns every node to a part such that each part's node weight
+// is at most lmax, heuristically minimizing the cut weight (the Graph
 // Partitioning Problem of Section 4). It returns part indexes per node.
-// Nodes whose individual weight exceeds LMax get a dedicated part (they
+// Nodes whose individual weight exceeds lmax get a dedicated part (they
 // cannot be split at this level; the caller created them knowingly).
-func Partition(g *Graph, opt PartitionOptions) ([]int, error) {
-	if opt.K < 1 {
-		opt.K = 1
+func partition(g *graph, opt partitionOptions) ([]int, error) {
+	if opt.k < 1 {
+		opt.k = 1
 	}
-	if opt.LMax < 1 {
-		return nil, fmt.Errorf("graph: Partition requires LMax ≥ 1, got %d", opt.LMax)
+	if opt.lmax < 1 {
+		return nil, fmt.Errorf("graph: partition requires lmax ≥ 1, got %d", opt.lmax)
 	}
-	if g.Len() == 0 {
+	if len(g.nodeWeight) == 0 {
 		return nil, nil
 	}
 	// Multilevel coarsening.
-	levels := []*Graph{g}
+	levels := []*graph{g}
 	var maps [][]int // maps[i][node in levels[i]] = node in levels[i+1]
 	cur := g
-	coarsenTo := max(64, 4*opt.K) // stop coarsening at this many nodes
-	for cur.Len() > coarsenTo {
-		coarse, toCoarse := coarsen(cur, opt.LMax)
-		if coarse.Len() >= cur.Len() {
+	coarsenTo := max(64, 4*opt.k) // stop coarsening at this many nodes
+	for len(cur.nodeWeight) > coarsenTo {
+		coarse, toCoarse := coarsen(cur, opt.lmax)
+		if len(coarse.nodeWeight) >= len(cur.nodeWeight) {
 			break // no progress (e.g. matching blocked by weights)
 		}
 		levels = append(levels, coarse)
 		maps = append(maps, toCoarse)
 		cur = coarse
 	}
-	// Initial partition on the coarsest level.
-	part := initialPartition(cur, opt)
-	refine(cur, part, opt)
+	// Initial partition on the coarsest level; it opens at most one part
+	// per node, which bounds the part ids every level sees.
+	s := newPartScores(len(cur.nodeWeight))
+	part := initialPartition(cur, opt, s)
+	refine(cur, part, opt, s)
 	// Uncoarsen with refinement at every level.
 	for lvl := len(maps) - 1; lvl >= 0; lvl-- {
-		fine := levels[lvl]
-		finePart := make([]int, fine.Len())
-		for v := 0; v < fine.Len(); v++ {
-			finePart[v] = part[maps[lvl][v]]
+		finePart := make([]int, len(maps[lvl]))
+		for v, cv := range maps[lvl] {
+			finePart[v] = part[cv]
 		}
 		part = finePart
-		refine(fine, part, opt)
+		refine(levels[lvl], part, opt, s)
 	}
 	return part, nil
 }
@@ -66,122 +67,135 @@ func Partition(g *Graph, opt PartitionOptions) ([]int, error) {
 // coarsen performs one level of heavy-edge matching: each unmatched node
 // merges with its unmatched neighbor of maximum edge weight, provided the
 // merged weight stays within lmax.
-func coarsen(g *Graph, lmax int) (*Graph, []int) {
-	n := g.Len()
+func coarsen(g *graph, lmax int) (*graph, []int) {
+	n := len(g.nodeWeight)
+	// Visit nodes in increasing degree order, ties by id (a stable counting
+	// sort): low-degree nodes have fewer options, matching them first
+	// improves match quality.
+	at := make([]int, n+1)
+	for u := 0; u < n; u++ {
+		at[g.degree(u)+1]++
+	}
+	for d := 0; d < n; d++ {
+		at[d+1] += at[d]
+	}
+	order := make([]int, n)
+	for u := 0; u < n; u++ {
+		d := g.degree(u)
+		order[at[d]] = u
+		at[d]++
+	}
 	match := make([]int, n)
 	for i := range match {
 		match[i] = -1
 	}
-	// Visit nodes in increasing degree order: low-degree nodes have fewer
-	// options, matching them first improves match quality.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		da, db := g.Degree(order[a]), g.Degree(order[b])
-		if da != db {
-			return da < db
-		}
-		return order[a] < order[b]
-	})
 	for _, u := range order {
 		if match[u] >= 0 {
 			continue
 		}
-		best, bestW := -1, 0.0
-		for _, e := range g.Neighbors(u) {
-			if match[e.To] >= 0 {
-				continue
-			}
-			if g.NodeWeight[u]+g.NodeWeight[e.To] > lmax {
-				continue
-			}
-			if e.Weight > bestW || (e.Weight == bestW && best >= 0 && e.To < best) {
-				best, bestW = e.To, e.Weight
+		// The first neighbour of strictly greatest positive weight wins; a
+		// node with none is matched with itself.
+		best, bestW := u, 0.0
+		nbr, wgt := g.nbrs(u)
+		for i, v := range nbr {
+			if match[v] < 0 && g.nodeWeight[u]+g.nodeWeight[v] <= lmax && wgt[i] > bestW {
+				best, bestW = v, wgt[i]
 			}
 		}
-		if best >= 0 {
-			match[u] = best
-			match[best] = u
-		} else {
-			match[u] = u // matched with itself
-		}
+		match[u], match[best] = best, u
 	}
+	// A coarse node is numbered when the smaller of its pair is visited.
 	toCoarse := make([]int, n)
 	next := 0
 	for _, u := range order {
-		if match[u] == u {
-			toCoarse[u] = next
-			next++
-		} else if match[u] > -1 && u < match[u] {
-			toCoarse[u] = next
-			toCoarse[match[u]] = next
+		if v := match[u]; u <= v {
+			toCoarse[u], toCoarse[v] = next, next
 			next++
 		}
 	}
-	coarse := New(next)
+	weight := make([]int, next)
+	var arcs []arc
 	for u := 0; u < n; u++ {
 		cu := toCoarse[u]
-		if match[u] == u || u < match[u] {
-			w := g.NodeWeight[u]
-			if match[u] != u {
-				w += g.NodeWeight[match[u]]
-			}
-			coarse.NodeWeight[cu] = w
-		}
-		for _, e := range g.Neighbors(u) {
-			cv := toCoarse[e.To]
-			if cu < cv {
-				coarse.AddEdge(cu, cv, e.Weight)
+		weight[cu] += g.nodeWeight[u]
+		nbr, wgt := g.nbrs(u)
+		for i, v := range nbr {
+			if cv := toCoarse[v]; cu < cv {
+				arcs = append(arcs, arc{cu, cv, wgt[i]})
 			}
 		}
 	}
-	return coarse, toCoarse
+	return newGraph(weight, arcs), toCoarse
+}
+
+// partScores accumulates one node's connecting weight to each adjacent
+// part. score is all zero between nodes; touched lists the parts scored so
+// far, seen marks them.
+type partScores struct {
+	score   []float64
+	seen    []bool
+	touched []int
+}
+
+func newPartScores(nParts int) *partScores {
+	return &partScores{score: make([]float64, nParts), seen: make([]bool, nParts)}
+}
+
+func (s *partScores) add(p int, w float64) {
+	if !s.seen[p] {
+		s.seen[p] = true
+		s.touched = append(s.touched, p)
+	}
+	s.score[p] += w
+}
+
+// parts returns the touched parts in increasing index, so that ties
+// resolve the same way on every run.
+func (s *partScores) parts() []int {
+	slices.Sort(s.touched)
+	return s.touched
+}
+
+func (s *partScores) reset() {
+	for _, p := range s.touched {
+		s.score[p], s.seen[p] = 0, false
+	}
+	s.touched = s.touched[:0]
 }
 
 // initialPartition grows parts greedily: nodes are visited in BFS order
 // from arbitrary seeds; each node goes to the adjacent part with the most
 // connecting weight that still has capacity, else to the lightest part
 // with capacity, else to a new part.
-func initialPartition(g *Graph, opt PartitionOptions) []int {
-	n := g.Len()
+func initialPartition(g *graph, opt partitionOptions, s *partScores) []int {
+	n := len(g.nodeWeight)
 	part := make([]int, n)
 	for i := range part {
 		part[i] = -1
 	}
 	var load []int
 	place := func(u int) {
-		// Score adjacent parts by connecting edge weight. Candidates are
-		// visited in increasing part index so ties resolve identically on
-		// every run (map iteration order must not leak into the result).
-		scores := make(map[int]float64)
-		for _, e := range g.Neighbors(u) {
-			if p := part[e.To]; p >= 0 {
-				scores[p] += e.Weight
+		nw := g.nodeWeight[u]
+		nbr, wgt := g.nbrs(u)
+		for i, v := range nbr {
+			if p := part[v]; p >= 0 {
+				s.add(p, wgt[i])
 			}
 		}
-		cands := make([]int, 0, len(scores))
-		for p := range scores {
-			cands = append(cands, p)
-		}
-		sort.Ints(cands)
 		bestPart, bestScore := -1, 0.0
-		for _, p := range cands {
-			if load[p]+g.NodeWeight[u] > opt.LMax {
-				continue
-			}
-			if s := scores[p]; s > bestScore {
-				bestPart, bestScore = p, s
+		for _, p := range s.parts() {
+			if load[p]+nw <= opt.lmax && s.score[p] > bestScore {
+				bestPart, bestScore = p, s.score[p]
 			}
 		}
+		s.reset()
 		if bestPart < 0 {
 			// Lightest existing part with room, if we are at or above the
 			// target part count; otherwise open a new one.
-			if len(load) >= opt.K {
+			if len(load) >= opt.k {
 				lightest, lw := -1, 0
 				for p, l := range load {
-					if l+g.NodeWeight[u] <= opt.LMax && (lightest < 0 || l < lw) {
+					if l+nw <= opt.lmax && (lightest < 0 || l < lw) {
 						lightest, lw = p, l
 					}
 				}
@@ -193,25 +207,25 @@ func initialPartition(g *Graph, opt PartitionOptions) []int {
 			}
 		}
 		part[u] = bestPart
-		load[bestPart] += g.NodeWeight[u]
+		load[bestPart] += nw
 	}
 	// BFS from each unvisited seed so parts grow contiguously.
 	queue := make([]int, 0, n)
-	for s := 0; s < n; s++ {
-		if part[s] >= 0 {
+	for seed := 0; seed < n; seed++ {
+		if part[seed] >= 0 {
 			continue
 		}
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		queue = append(queue[:0], seed)
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
 			if part[u] >= 0 {
 				continue
 			}
 			place(u)
-			for _, e := range g.Neighbors(u) {
-				if part[e.To] < 0 {
-					queue = append(queue, e.To)
+			nbr, _ := g.nbrs(u)
+			for _, v := range nbr {
+				if part[v] < 0 {
+					queue = append(queue, v)
 				}
 			}
 		}
@@ -221,51 +235,38 @@ func initialPartition(g *Graph, opt PartitionOptions) []int {
 
 // refine runs FM-style boundary passes: move a node to an adjacent part
 // when that strictly reduces the cut and respects capacity.
-func refine(g *Graph, part []int, opt PartitionOptions) {
-	n := g.Len()
+func refine(g *graph, part []int, opt partitionOptions, s *partScores) {
 	nParts := 0
 	for _, p := range part {
-		if p+1 > nParts {
-			nParts = p + 1
-		}
+		nParts = max(nParts, p+1)
 	}
 	load := make([]int, nParts)
-	for u := 0; u < n; u++ {
-		load[part[u]] += g.NodeWeight[u]
+	for u, p := range part {
+		load[p] += g.nodeWeight[u]
 	}
 	for pass := 0; pass < refinePasses; pass++ {
 		improved := false
-		for u := 0; u < n; u++ {
-			from := part[u]
-			// Connection weight to each adjacent part, visited in
-			// increasing part index: near-ties (within the 1e-12 gain
-			// tolerance) must resolve the same way on every run, so map
-			// iteration order cannot be allowed to pick the winner.
-			conn := make(map[int]float64)
-			for _, e := range g.Neighbors(u) {
-				conn[part[e.To]] += e.Weight
+		for u, from := range part {
+			nw := g.nodeWeight[u]
+			nbr, wgt := g.nbrs(u)
+			for i, v := range nbr {
+				s.add(part[v], wgt[i])
 			}
-			cands := make([]int, 0, len(conn))
-			for p := range conn {
-				cands = append(cands, p)
-			}
-			sort.Ints(cands)
+			// Near-ties (within the 1e-12 gain tolerance) go to the first
+			// part in increasing index that clears it.
 			bestPart, bestGain := from, 0.0
-			for _, p := range cands {
-				if p == from {
+			for _, p := range s.parts() {
+				if p == from || load[p]+nw > opt.lmax {
 					continue
 				}
-				if load[p]+g.NodeWeight[u] > opt.LMax {
-					continue
-				}
-				gain := conn[p] - conn[from]
-				if gain > bestGain+1e-12 {
+				if gain := s.score[p] - s.score[from]; gain > bestGain+1e-12 {
 					bestPart, bestGain = p, gain
 				}
 			}
+			s.reset()
 			if bestPart != from && bestGain > 1e-12 {
-				load[from] -= g.NodeWeight[u]
-				load[bestPart] += g.NodeWeight[u]
+				load[from] -= nw
+				load[bestPart] += nw
 				part[u] = bestPart
 				improved = true
 			}

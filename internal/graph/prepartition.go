@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Bipartite is the tuple-match graph G = (T1, T2, Mtuple): left nodes are
@@ -31,31 +31,9 @@ func (b *Bipartite) AddMatch(l, r int, p float64) {
 	b.Edges = append(b.Edges, BEdge{L: l, R: r, P: p})
 }
 
-// Size returns the total node count; node ids are left nodes followed by
+// size returns the total node count; node ids are left nodes followed by
 // right nodes (right node r has id NLeft + r).
-func (b *Bipartite) Size() int { return b.NLeft + b.NRight }
-
-// RightID converts a right index to a global node id.
-func (b *Bipartite) RightID(r int) int { return b.NLeft + r }
-
-// ToGraph materializes the match graph with unit node weights and edge
-// weights transformed by the given function (identity when nil).
-func (b *Bipartite) ToGraph(weight func(p float64) float64) *Graph {
-	g := New(b.Size())
-	for _, e := range b.Edges {
-		w := e.P
-		if weight != nil {
-			w = weight(e.P)
-		}
-		g.AddEdge(e.L, b.RightID(e.R), w)
-	}
-	return g
-}
-
-// ConnectedComponents returns components as global node id sets.
-func (b *Bipartite) ConnectedComponents() [][]int {
-	return b.ToGraph(nil).ConnectedComponents()
-}
+func (b *Bipartite) size() int { return b.NLeft + b.NRight }
 
 // The paper's fixed partitioning parameters: matches with p ≥ thetaHigh
 // are merged before partitioning, and edge weights are scaled by weightR
@@ -93,73 +71,32 @@ func adjustedWeight(p float64) float64 {
 	}
 }
 
-// PrePartitionResult is the coarse graph of Algorithm 2 together with the
-// merge bookkeeping.
-type PrePartitionResult struct {
-	// Coarse is the merged graph Gc = (C1, C2, Mc) with adjusted edge
-	// weights between super-nodes.
-	Coarse *Graph
-	// NodeMap maps every original global node id to its super-node.
-	NodeMap []int
-	// Members lists original node ids per super-node.
-	Members [][]int
-}
-
-// PrePartition implements Algorithm 2: tuples connected by matches with
-// p ≥ θh are merged into super-nodes via DFS over high-probability edges;
-// the remaining matches become edges between super-nodes with adjusted
-// weights.
-func PrePartition(b *Bipartite) *PrePartitionResult {
-	n := b.Size()
-	// High-probability adjacency only.
-	high := make([][]int, n)
+// prePartition implements Algorithm 2: tuples connected by matches with
+// p ≥ θh are merged into super-nodes, the components of the
+// high-probability matches; the remaining matches become arcs between
+// super-nodes with adjusted weights, in match order. A super-node's weight
+// is its member count.
+func prePartition(b *Bipartite) (super groups, coarse []arc) {
+	nHigh := 0
 	for _, e := range b.Edges {
 		if e.P >= thetaHigh {
-			u, v := e.L, b.RightID(e.R)
-			high[u] = append(high[u], v)
-			high[v] = append(high[v], u)
+			nHigh++
 		}
 	}
-	nodeMap := make([]int, n)
-	for i := range nodeMap {
-		nodeMap[i] = -1
-	}
-	var members [][]int
-	stack := make([]int, 0, 16)
-	for s := 0; s < n; s++ {
-		if nodeMap[s] >= 0 {
-			continue
-		}
-		id := len(members)
-		var group []int
-		stack = append(stack[:0], s)
-		nodeMap[s] = id
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			group = append(group, u)
-			for _, v := range high[u] {
-				if nodeMap[v] < 0 {
-					nodeMap[v] = id
-					stack = append(stack, v)
-				}
-			}
-		}
-		sort.Ints(group)
-		members = append(members, group)
-	}
-	coarse := New(len(members))
-	for i, g := range members {
-		coarse.NodeWeight[i] = len(g)
-	}
+	high := make([]arc, 0, nHigh)
 	for _, e := range b.Edges {
-		cu, cv := nodeMap[e.L], nodeMap[b.RightID(e.R)]
-		if cu == cv {
-			continue
+		if e.P >= thetaHigh {
+			high = append(high, arc{e.L, b.NLeft + e.R, e.P})
 		}
-		coarse.AddEdge(cu, cv, adjustedWeight(e.P))
 	}
-	return &PrePartitionResult{Coarse: coarse, NodeMap: nodeMap, Members: members}
+	super = components(b.size(), high)
+	coarse = make([]arc, 0, len(b.Edges)-nHigh)
+	for _, e := range b.Edges {
+		if cu, cv := super.of[e.L], super.of[b.NLeft+e.R]; cu != cv {
+			coarse = append(coarse, arc{cu, cv, adjustedWeight(e.P)})
+		}
+	}
+	return super, coarse
 }
 
 // SmartPartition implements Algorithm 3 with locality-preserving packing:
@@ -178,102 +115,132 @@ func SmartPartition(b *Bipartite, opt SmartOptions) ([][]int, error) {
 	if opt.BatchSize < 1 {
 		return nil, fmt.Errorf("graph: SmartPartition requires BatchSize ≥ 1, got %d", opt.BatchSize)
 	}
-	pre := PrePartition(b)
-	coarse := pre.Coarse
-
-	// A packing unit is a set of coarse nodes no batch boundary may cut,
-	// expanded to sorted original node ids.
-	type unit struct {
-		weight int
-		nodes  []int
-	}
-	var units []unit
-	addUnit := func(coarseNodes []int) {
+	super, arcs := prePartition(b)
+	comps := components(len(super.at)-1, arcs)
+	nComps := len(comps.at) - 1
+	// A packing unit is a set of super-nodes no batch boundary may cut: a
+	// coarse component, or one part of an oversized component's split.
+	// unit[c] is super-node c's unit; component i is unit i while whole.
+	unit := slices.Clone(comps.of)
+	nUnits := nComps
+	var local []arc
+	var localAt []int
+	for i := 0; i < nComps; i++ {
+		members := comps.members[comps.at[i]:comps.at[i+1]]
 		w := 0
-		var nodes []int
-		for _, cn := range coarseNodes {
-			w += coarse.NodeWeight[cn]
-			nodes = append(nodes, pre.Members[cn]...)
+		for _, c := range members {
+			w += super.size(c)
 		}
-		sort.Ints(nodes)
-		units = append(units, unit{weight: w, nodes: nodes})
-	}
-	for _, comp := range coarse.ConnectedComponents() {
-		w := 0
-		for _, cn := range comp {
-			w += coarse.NodeWeight[cn]
-		}
-		if w <= opt.BatchSize || len(comp) == 1 {
-			addUnit(comp)
+		if w <= opt.BatchSize || len(members) == 1 {
 			continue
+		}
+		if localAt == nil {
+			local, localAt = localArcs(arcs, comps)
 		}
 		// Oversized component: split it alone under the balance bound,
 		// minimizing the severed match weight within the component.
-		parts, err := splitComponent(coarse, comp, opt.BatchSize)
+		part, err := splitComponent(super, members, local[localAt[i]:localAt[i+1]], opt.BatchSize)
 		if err != nil {
 			return nil, err
 		}
-		for _, part := range parts {
-			addUnit(part)
+		for j, c := range members {
+			unit[c] = nUnits + part[j]
 		}
+		nUnits += slices.Max(part) + 1
 	}
-	// Units come out ordered by smallest original member; a sequential
-	// first-fit then yields batches whose id spans follow that order.
-	sort.Slice(units, func(i, j int) bool { return units[i].nodes[0] < units[j].nodes[0] })
-	var out [][]int
-	var cur []int
-	curW := 0
-	for _, u := range units {
-		if curW > 0 && curW+u.weight > opt.BatchSize {
-			sort.Ints(cur)
-			out = append(out, cur)
-			cur, curW = nil, 0
-		}
-		cur = append(cur, u.nodes...)
-		curW += u.weight
-	}
-	if len(cur) > 0 {
-		sort.Ints(cur)
-		out = append(out, cur)
-	}
-	return out, nil
+	return pack(b.size(), super, unit, nUnits, opt.BatchSize), nil
 }
 
-// splitComponent partitions one oversized coarse component under the batch
-// bound and returns groups of coarse node ids, ordered by part index.
-func splitComponent(coarse *Graph, comp []int, batch int) ([][]int, error) {
-	local := New(len(comp))
-	idx := make(map[int]int, len(comp))
+// localArcs groups the coarse arcs by component, each group in list order,
+// with every end renumbered to its position in its component: component
+// i's arcs are local[at[i]:at[i+1]].
+func localArcs(arcs []arc, comps groups) (local []arc, at []int) {
+	pos := make([]int, len(comps.of))
+	for k, c := range comps.members {
+		pos[c] = k - comps.at[comps.of[c]]
+	}
+	nComps := len(comps.at) - 1
+	at = make([]int, nComps+1)
+	for _, a := range arcs {
+		at[comps.of[a.u]+1]++
+	}
+	for i := 0; i < nComps; i++ {
+		at[i+1] += at[i]
+	}
+	next := slices.Clone(at[:nComps])
+	local = make([]arc, len(arcs))
+	for _, a := range arcs {
+		i := comps.of[a.u]
+		local[next[i]] = arc{pos[a.u], pos[a.v], a.w}
+		next[i]++
+	}
+	return local, at
+}
+
+// splitComponent partitions one oversized coarse component, given as its
+// super-nodes and its arcs in local ids, under the batch bound and returns
+// the part of each super-node.
+func splitComponent(super groups, members []int, arcs []arc, batch int) ([]int, error) {
+	weight := make([]int, len(members))
 	w := 0
-	for i, cn := range comp {
-		idx[cn] = i
-		local.NodeWeight[i] = coarse.NodeWeight[cn]
-		w += coarse.NodeWeight[cn]
+	for j, c := range members {
+		weight[j] = super.size(c)
+		w += weight[j]
 	}
-	for i, cn := range comp {
-		for _, e := range coarse.Neighbors(cn) {
-			if j, ok := idx[e.To]; ok && j > i {
-				local.AddEdge(i, j, e.Weight)
-			}
+	return partition(newGraph(weight, arcs), partitionOptions{lmax: batch, k: (w + batch - 1) / batch})
+}
+
+// pack orders the units by smallest original node and fills batches
+// first-fit in that order, so that batch id spans follow it: a unit opens a
+// new batch when adding it to a non-empty one would exceed the batch size.
+// It returns each batch's original nodes, ascending.
+func pack(n int, super groups, unit []int, nUnits, batch int) [][]int {
+	// unitOf[v] is node v's unit, renumbered by smallest node.
+	rank := make([]int, nUnits)
+	for u := range rank {
+		rank[u] = -1
+	}
+	unitOf := make([]int, n)
+	var size []int
+	for v := range unitOf {
+		u := unit[super.of[v]]
+		if rank[u] < 0 {
+			rank[u] = len(size)
+			size = append(size, 0)
 		}
+		unitOf[v] = rank[u]
+		size[rank[u]]++
 	}
-	k := (w + batch - 1) / batch
-	part, err := Partition(local, PartitionOptions{LMax: batch, K: k})
-	if err != nil {
-		return nil, err
+	if len(size) == 0 {
+		return nil
 	}
-	groups := make(map[int][]int)
-	for i, p := range part {
-		groups[p] = append(groups[p], comp[i])
+	batchOf := make([]int, len(size))
+	nb, cur := 0, 0
+	for u, w := range size {
+		if cur > 0 && cur+w > batch {
+			nb, cur = nb+1, 0
+		}
+		batchOf[u] = nb
+		cur += w
 	}
-	keys := make([]int, 0, len(groups))
-	for p := range groups {
-		keys = append(keys, p)
+	nb++
+	at := make([]int, nb+1)
+	for u, w := range size {
+		at[batchOf[u]+1] += w
 	}
-	sort.Ints(keys)
-	out := make([][]int, 0, len(keys))
-	for _, p := range keys {
-		out = append(out, groups[p])
+	for i := 0; i < nb; i++ {
+		at[i+1] += at[i]
 	}
-	return out, nil
+	next := slices.Clone(at[:nb])
+	nodes := make([]int, n)
+	for v, u := range unitOf {
+		i := batchOf[u]
+		nodes[next[i]] = v
+		next[i]++
+	}
+	out := make([][]int, nb)
+	for i := range out {
+		out[i] = nodes[at[i]:at[i+1]:at[i+1]]
+	}
+	return out
 }
