@@ -254,8 +254,9 @@ func CoreParams(opts *Options) core.Params {
 }
 
 // ConvertResult renders a finished core result into the public Result
-// shape (withSummary controls Stage 3). It is exported so the serving
-// layer produces responses byte-identical to one-shot Explain output.
+// shape (withSummary controls Stage 3). Library callers get the structs;
+// a server that only needs the JSON body calls AppendResultJSON, which
+// writes the bytes json.Marshal writes for this Result without building it.
 func ConvertResult(res *core.Result, withSummary bool) *Result {
 	out := &Result{
 		Result1:  res.Prov1.Result.String(),
@@ -263,36 +264,40 @@ func ConvertResult(res *core.Result, withSummary bool) *Result {
 		TimedOut: res.Stats.TimedOut,
 		res:      res,
 	}
+	kw := [2]core.KeyWriter{res.T1.KeyWriter(), res.T2.KeyWriter()}
+	impacts := [2][]float64{res.T1.Impacts, res.T2.Impacts}
 	for _, pe := range res.Expl.Prov {
-		canon, q := res.T1, 1
-		if pe.Side == core.Right {
-			canon, q = res.T2, 2
-		}
+		si := sideIndex(pe.Side)
 		out.Explanations = append(out.Explanations, Explanation{
-			Kind: MissingTuple, Query: q,
-			Tuple: canon.Keys[pe.Tuple], Impact: canon.Impacts[pe.Tuple],
+			Kind: MissingTuple, Query: si + 1,
+			Tuple: kw[si].Key(pe.Tuple), Impact: impacts[si][pe.Tuple],
 		})
 	}
 	for _, ve := range res.Expl.Val {
-		canon, q := res.T1, 1
-		if ve.Side == core.Right {
-			canon, q = res.T2, 2
-		}
+		si := sideIndex(ve.Side)
 		out.Explanations = append(out.Explanations, Explanation{
-			Kind: WrongValue, Query: q,
-			Tuple: canon.Keys[ve.Tuple], Impact: canon.Impacts[ve.Tuple],
+			Kind: WrongValue, Query: si + 1,
+			Tuple: kw[si].Key(ve.Tuple), Impact: impacts[si][ve.Tuple],
 			NewImpact: ve.NewImpact,
 		})
 	}
 	for _, ev := range res.Expl.Evidence {
 		out.Evidence = append(out.Evidence, MatchedPair{
-			Tuple1: res.T1.Keys[ev.L], Tuple2: res.T2.Keys[ev.R], Probability: ev.P,
+			Tuple1: kw[0].Key(ev.L), Tuple2: kw[1].Key(ev.R), Probability: ev.P,
 		})
 	}
 	if withSummary {
 		out.Summary = summarizeResult(res)
 	}
 	return out
+}
+
+// sideIndex maps an explanation's side to 0 (Q1) or 1 (Q2).
+func sideIndex(s core.Side) int {
+	if s == core.Right {
+		return 1
+	}
+	return 0
 }
 
 // summarizeResult runs Stage 3 over both sides' derived explanations. The

@@ -164,11 +164,16 @@ func ExactCover(inst *Instance, p Params) (*Explanations, error) {
 		elemVar[i] = m.AddVar(0, 1, milp.Binary, "e")
 		m.SetObjCoef(elemVar[i], 1)
 	}
-	edges := make(map[int][]int) // element -> candidate sets
+	edges := make([][]int, inst.T1.Len()) // element -> candidate sets
 	for _, match := range inst.Matches {
 		edges[match.L] = append(edges[match.L], match.R)
 	}
+	// Rows go in element order, so tied optima resolve the same way on
+	// every run.
 	for i, sets := range edges {
+		if len(sets) == 0 {
+			continue
+		}
 		var terms []milp.Term
 		for _, j := range sets {
 			terms = append(terms, milp.Term{Var: setVar[j], Coef: 1})
@@ -243,8 +248,9 @@ func topKPredicateTuples(c *Canonical, k int, gap float64) []int {
 		effect float64
 	}
 	byToken := make(map[string]*pred)
-	for i, key := range c.Keys {
-		for _, tok := range linkage.Tokenize(key) {
+	kw := c.KeyWriter()
+	for i := 0; i < c.Len(); i++ {
+		for _, tok := range linkage.Tokenize(kw.Key(i)) {
 			p := byToken[tok]
 			if p == nil {
 				p = &pred{token: tok}

@@ -1,16 +1,19 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"explain3d/internal/linkage"
+	"explain3d/internal/relation"
 )
 
 // smallInstance: 3 left tuples, 3 right tuples; a/b true pairs, c missing
 // on the right; b's right impact is wrong.
 func smallInstance() *Instance {
-	t1 := &Canonical{Impacts: []float64{1, 2, 1}, Keys: []string{"alpha", "beta", "gamma"}}
-	t2 := &Canonical{Impacts: []float64{1, 1}, Keys: []string{"alpha", "beta"}}
+	t1 := keyedCanonical([]float64{1, 2, 1}, "alpha", "beta", "gamma")
+	t2 := keyedCanonical([]float64{1, 1}, "alpha", "beta")
 	return &Instance{
 		T1: t1, T2: t2,
 		Matches: []linkage.Match{
@@ -20,6 +23,26 @@ func smallInstance() *Instance {
 		},
 		Card: Cardinality{LeftAtMostOne: true, RightAtMostOne: true},
 	}
+}
+
+// keyedCanonical builds a canonical relation with one string matching
+// attribute holding the given display keys.
+func keyedCanonical(impacts []float64, keys ...string) *Canonical {
+	rel := relation.New("T", "k")
+	for _, k := range keys {
+		rel.Append(k)
+	}
+	return &Canonical{Rel: rel, Impacts: impacts, MatchIdx: []int{0}}
+}
+
+// canonKeys renders every display key of c.
+func canonKeys(c *Canonical) []string {
+	kw := c.KeyWriter()
+	keys := make([]string, c.Len())
+	for g := range keys {
+		keys[g] = kw.Key(g)
+	}
+	return keys
 }
 
 func TestThresholdBaseline(t *testing.T) {
@@ -62,8 +85,8 @@ func TestGreedyBaseline(t *testing.T) {
 }
 
 func TestGreedyRespectsCardinality(t *testing.T) {
-	t1 := &Canonical{Impacts: []float64{1, 1}, Keys: []string{"a", "b"}}
-	t2 := &Canonical{Impacts: []float64{2}, Keys: []string{"ab"}}
+	t1 := &Canonical{Impacts: []float64{1, 1}}
+	t2 := &Canonical{Impacts: []float64{2}}
 	inst := &Instance{T1: t1, T2: t2,
 		Matches: []linkage.Match{{L: 0, R: 0, P: 0.9}, {L: 1, R: 0, P: 0.9}},
 		Card:    Cardinality{LeftAtMostOne: true, RightAtMostOne: false}}
@@ -133,6 +156,44 @@ func TestBaselinesVersusOptimal(t *testing.T) {
 	} {
 		if s := Score(inst, e, p); s > optScore+1e-9 {
 			t.Fatalf("%s scored %v > optimal %v", name, s, optScore)
+		}
+	}
+}
+
+// TestExactCoverDeterministic runs ExactCover five times on each of 300
+// random small instances, with many tied optima: it must return the same
+// explanations every time, so its rows cannot follow map iteration order.
+func TestExactCoverDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for k := 0; k < 300; k++ {
+		nl, nr := 1+rng.Intn(9), 1+rng.Intn(9)
+		inst := &Instance{T1: &Canonical{}, T2: &Canonical{},
+			Card: Cardinality{LeftAtMostOne: true, RightAtMostOne: rng.Intn(2) == 0}}
+		for i := 0; i < nl; i++ {
+			inst.T1.Impacts = append(inst.T1.Impacts, float64(1+rng.Intn(3)))
+		}
+		for j := 0; j < nr; j++ {
+			inst.T2.Impacts = append(inst.T2.Impacts, float64(1+rng.Intn(3)))
+		}
+		for i := 0; i < nl; i++ {
+			for j := 0; j < nr; j++ {
+				if rng.Intn(3) == 0 {
+					inst.Matches = append(inst.Matches, linkage.Match{L: i, R: j, P: 0.5})
+				}
+			}
+		}
+		var first string
+		for run := 0; run < 5; run++ {
+			e, err := ExactCover(inst, DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("%+v", *e)
+			if run == 0 {
+				first = got
+			} else if got != first {
+				t.Fatalf("instance %d run %d: %s, first run %s", k, run, got, first)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"explain3d/internal/query"
 	"explain3d/internal/relation"
@@ -13,24 +12,71 @@ import (
 // Canonical is a canonical relation T (Definition 3.1): provenance tuples
 // grouped by the matching attributes with impacts summed. Queries with
 // AVG/MAX/MIN aggregation skip grouping because they require a strict
-// one-to-one mapping.
+// one-to-one mapping. Display keys are not stored: Key and KeyWriter render
+// them on demand from Rel's matching columns.
 type Canonical struct {
 	// Rel holds one row per canonical tuple: the matching attributes
 	// followed by the summed impact column I.
 	Rel *relation.Relation
 	// Impacts caches the impact column as floats.
 	Impacts []float64
-	// Keys are display identifiers (the matching-attribute values joined).
-	Keys []string
-	// SourceRows lists, per canonical tuple, the provenance row indexes it
-	// consolidates.
-	SourceRows [][]int
 	// MatchIdx are the column indexes of the matching attributes in Rel.
 	MatchIdx []int
+	// srcStart and srcRows hold the source rows in CSR form: tuple g
+	// consolidates provenance rows srcRows[srcStart[g]:srcStart[g+1]].
+	srcStart, srcRows []int32
 }
 
 // Len returns the number of canonical tuples.
 func (c *Canonical) Len() int { return len(c.Impacts) }
+
+// Rows returns the provenance row indexes canonical tuple g consolidates,
+// in row order. The slice aliases the canonical relation's storage.
+//
+//lint:view
+func (c *Canonical) Rows(g int) []int32 {
+	return c.srcRows[c.srcStart[g]:c.srcStart[g+1]:c.srcStart[g+1]]
+}
+
+// Key renders canonical tuple g's display key: its matching-attribute
+// values joined by " / ". To render many keys, use KeyWriter.
+func (c *Canonical) Key(g int) string { return c.KeyWriter().Key(g) }
+
+// KeyWriter binds the matching columns' accessors once, for rendering many
+// display keys.
+func (c *Canonical) KeyWriter() KeyWriter {
+	kw := KeyWriter{accs: make([]func(int) relation.Value, len(c.MatchIdx))}
+	for i, j := range c.MatchIdx {
+		kw.accs[i] = c.Rel.Accessor(j)
+	}
+	return kw
+}
+
+// KeyWriter renders a canonical relation's display keys straight from its
+// gathered matching columns.
+type KeyWriter struct {
+	accs []func(int) relation.Value
+}
+
+// Key renders tuple g's display key. A one-column key is the cell's own
+// String, so a string cell's key shares the dictionary's string.
+func (kw KeyWriter) Key(g int) string {
+	if len(kw.accs) == 1 {
+		return kw.accs[0](g).String()
+	}
+	return string(kw.AppendKey(nil, g))
+}
+
+// AppendKey appends tuple g's display key to dst.
+func (kw KeyWriter) AppendKey(dst []byte, g int) []byte {
+	for i, acc := range kw.accs {
+		if i > 0 {
+			dst = append(dst, " / "...)
+		}
+		dst = acc(g).AppendString(dst)
+	}
+	return dst
+}
 
 // TotalImpact sums all impacts.
 func (c *Canonical) TotalImpact() float64 {
@@ -128,35 +174,19 @@ func Canonicalize(p *query.Provenance, attrs []string) (*Canonical, error) {
 		out.MatchIdx = append(out.MatchIdx, i)
 	}
 
-	// Display keys render from the gathered matching columns.
-	accs := make([]func(int) relation.Value, len(attrs))
-	for c := range accs {
-		accs[c] = out.Rel.Accessor(c)
-	}
-	parts := make([]string, len(attrs))
-	out.Keys = make([]string, len(firstRows))
-	for g := range out.Keys {
-		for c, acc := range accs {
-			parts[c] = acc(g).String()
-		}
-		out.Keys[g] = strings.Join(parts, " / ")
-	}
-
-	// SourceRows carve one backing array, group by group in row order.
-	start := make([]int, len(firstRows)+1)
+	// The source rows land group by group, in row order, by counting sort.
+	out.srcStart = make([]int32, len(firstRows)+1)
 	for _, g := range gid {
-		start[g+1]++
+		out.srcStart[g+1]++
 	}
 	for g := range firstRows {
-		start[g+1] += start[g]
+		out.srcStart[g+1] += out.srcStart[g]
 	}
-	backing := make([]int, len(gid))
-	out.SourceRows = make([][]int, len(firstRows))
-	for g := range out.SourceRows {
-		out.SourceRows[g] = backing[start[g]:start[g]:start[g+1]]
-	}
+	out.srcRows = make([]int32, len(gid))
+	next := append([]int32(nil), out.srcStart[:len(firstRows)]...)
 	for row, g := range gid {
-		out.SourceRows[g] = append(out.SourceRows[g], row)
+		out.srcRows[next[g]] = int32(row)
+		next[g]++
 	}
 	return out, nil
 }

@@ -9,11 +9,21 @@ import (
 	"explain3d/internal/relation"
 )
 
+// refCanonical is a reference canonical relation with its display keys
+// and source rows stored eagerly.
+type refCanonical struct {
+	*Canonical
+	keys       []string
+	sourceRows [][]int
+}
+
 // refCanonicalize is the Canonicalize that grouped on its own
 // map[uint64][]int32 and built the canonical relation row by row
 // (AppendRow per new group, Rel.Set per repeat row), kept verbatim as the
-// reference the gather-based Canonicalize must reproduce cell for cell.
-func refCanonicalize(p *query.Provenance, attrs []string) (*Canonical, error) {
+// reference the gather-based Canonicalize must reproduce cell for cell. It
+// keeps the eager display keys and per-tuple source-row slices the
+// Canonical once stored, which Key and Rows must reproduce.
+func refCanonicalize(p *query.Provenance, attrs []string) (*refCanonical, error) {
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("core: canonicalization requires at least one matching attribute (queries not comparable)")
 	}
@@ -37,7 +47,7 @@ func refCanonicalize(p *query.Provenance, attrs []string) (*Canonical, error) {
 	cols = append(cols, query.ImpactColumn)
 	// The canonical relation shares the provenance relation's dictionary:
 	// matching-attribute strings keep their codes, so no re-interning.
-	out := &Canonical{Rel: relation.NewWithDict(p.Rel.Dict(), "T", cols...)}
+	out := &refCanonical{Canonical: &Canonical{Rel: relation.NewWithDict(p.Rel.Dict(), "T", cols...)}}
 	for i := range attrs {
 		out.MatchIdx = append(out.MatchIdx, i)
 	}
@@ -108,8 +118,8 @@ func refCanonicalize(p *query.Provenance, attrs []string) (*Canonical, error) {
 			rec = append(rec, relation.Float(impact))
 			out.Rel.AppendRow(rec)
 			out.Impacts = append(out.Impacts, impact)
-			out.Keys = append(out.Keys, strings.Join(keyParts, " / "))
-			out.SourceRows = append(out.SourceRows, []int{rowID})
+			out.keys = append(out.keys, strings.Join(keyParts, " / "))
+			out.sourceRows = append(out.sourceRows, []int{rowID})
 			continue
 		}
 		out.Impacts[gi] += impact
@@ -117,7 +127,7 @@ func refCanonicalize(p *query.Provenance, attrs []string) (*Canonical, error) {
 			return nil, fmt.Errorf("core: canonical impact sum overflows to %v at provenance row %d", out.Impacts[gi], rowID)
 		}
 		out.Rel.Set(gi, len(idx), relation.Float(out.Impacts[gi]))
-		out.SourceRows[gi] = append(out.SourceRows[gi], rowID)
+		out.sourceRows[gi] = append(out.sourceRows[gi], rowID)
 	}
 	return out, nil
 }

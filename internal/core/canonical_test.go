@@ -135,7 +135,7 @@ func storage(r *relation.Relation, j int) string {
 // the relation's name, schema, dictionary, physical storage and every cell
 // (kind, key and rendering), the impact bits, the display keys, the source
 // rows and the matching-column indexes.
-func canonicalsIdentical(t *testing.T, label string, got, want *Canonical) {
+func canonicalsIdentical(t *testing.T, label string, got *Canonical, want *refCanonical) {
 	t.Helper()
 	g, w := got.Rel, want.Rel
 	if g.Name != w.Name || fmt.Sprint(g.Schema.Names()) != fmt.Sprint(w.Schema.Names()) || g.Dict() != w.Dict() {
@@ -161,16 +161,17 @@ func canonicalsIdentical(t *testing.T, label string, got, want *Canonical) {
 		if math.Float64bits(got.Impacts[i]) != math.Float64bits(want.Impacts[i]) {
 			t.Fatalf("%s: impact %d = %v, want %v", label, i, got.Impacts[i], want.Impacts[i])
 		}
-		if got.Keys[i] != want.Keys[i] {
-			t.Fatalf("%s: key %d = %q, want %q", label, i, got.Keys[i], want.Keys[i])
+		if k := got.Key(i); k != want.keys[i] {
+			t.Fatalf("%s: key %d = %q, want %q", label, i, k, want.keys[i])
 		}
-		if fmt.Sprint(got.SourceRows[i]) != fmt.Sprint(want.SourceRows[i]) {
-			t.Fatalf("%s: source rows %d = %v, want %v", label, i, got.SourceRows[i], want.SourceRows[i])
+		if fmt.Sprint(got.Rows(i)) != fmt.Sprint(want.sourceRows[i]) {
+			t.Fatalf("%s: source rows %d = %v, want %v", label, i, got.Rows(i), want.sourceRows[i])
 		}
 	}
-	if len(got.Keys) != len(want.Keys) || len(got.SourceRows) != len(want.SourceRows) || fmt.Sprint(got.MatchIdx) != fmt.Sprint(want.MatchIdx) {
-		t.Fatalf("%s: %d keys, %d source rows, match columns %v; want %d, %d, %v", label,
-			len(got.Keys), len(got.SourceRows), got.MatchIdx, len(want.Keys), len(want.SourceRows), want.MatchIdx)
+	if len(want.keys) != want.Len() || len(want.sourceRows) != want.Len() || len(got.srcStart) != got.Len()+1 ||
+		int(got.srcStart[got.Len()]) != len(got.srcRows) || fmt.Sprint(got.MatchIdx) != fmt.Sprint(want.MatchIdx) {
+		t.Fatalf("%s: %d source-row offsets over %d rows, match columns %v; want %d tuples, %v", label,
+			len(got.srcStart), len(got.srcRows), got.MatchIdx, want.Len(), want.MatchIdx)
 	}
 }
 

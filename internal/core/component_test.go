@@ -76,11 +76,9 @@ func randomSubProblem(rng *rand.Rand, trial int) (*Instance, *subProblem) {
 	t1, t2 := &Canonical{}, &Canonical{}
 	for i := 0; i < nl; i++ {
 		t1.Impacts = append(t1.Impacts, impact())
-		t1.Keys = append(t1.Keys, "l")
 	}
 	for j := 0; j < nr; j++ {
 		t2.Impacts = append(t2.Impacts, impact())
-		t2.Keys = append(t2.Keys, "r")
 	}
 	var matches []linkage.Match
 	for i := 0; i < nl; i++ {
@@ -92,9 +90,7 @@ func randomSubProblem(rng *rand.Rand, trial int) (*Instance, *subProblem) {
 	}
 	if rng.Intn(2) == 0 {
 		t1.Impacts = append(t1.Impacts, t1.Impacts...)
-		t1.Keys = append(t1.Keys, t1.Keys...)
 		t2.Impacts = append(t2.Impacts, t2.Impacts...)
-		t2.Keys = append(t2.Keys, t2.Keys...)
 		for _, m := range matches {
 			matches = append(matches, linkage.Match{L: m.L + nl, R: m.R + nr, P: m.P})
 		}
@@ -180,8 +176,8 @@ func TestComponentSolveMatchesWholeSubProblem(t *testing.T) {
 func TestComponentKeyDistinguishes(t *testing.T) {
 	base := func() (*Instance, *subProblem) {
 		inst := &Instance{
-			T1:      &Canonical{Impacts: []float64{2, 3}, Keys: []string{"a", "b"}},
-			T2:      &Canonical{Impacts: []float64{2, 4}, Keys: []string{"x", "y"}},
+			T1:      &Canonical{Impacts: []float64{2, 3}},
+			T2:      &Canonical{Impacts: []float64{2, 4}},
 			Matches: []linkage.Match{{L: 0, R: 0, P: 0.9}, {L: 0, R: 1, P: 0.6}, {L: 1, R: 1, P: 0.7}},
 			Card:    Cardinality{LeftAtMostOne: true, RightAtMostOne: true},
 		}
@@ -243,8 +239,8 @@ func TestComponentKeyDistinguishes(t *testing.T) {
 	// The same component behind an unmatched tuple on each side: other
 	// ids and sub positions, one more component, an equal key.
 	shifted := &Instance{
-		T1:   &Canonical{Impacts: []float64{9, 2, 3}, Keys: []string{"z", "a", "b"}},
-		T2:   &Canonical{Impacts: []float64{9, 2, 4}, Keys: []string{"z", "x", "y"}},
+		T1:   &Canonical{Impacts: []float64{9, 2, 3}},
+		T2:   &Canonical{Impacts: []float64{9, 2, 4}},
 		Card: inst.Card,
 	}
 	for _, m := range inst.Matches {

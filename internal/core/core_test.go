@@ -60,7 +60,7 @@ func TestCanonicalizeFigure3(t *testing.T) {
 		t.Fatalf("|T1| = %d, want 6", t1.Len())
 	}
 	byKey := map[string]float64{}
-	for i, k := range t1.Keys {
+	for i, k := range canonKeys(t1) {
 		byKey[k] = t1.Impacts[i]
 	}
 	if byKey["CS"] != 2 || byKey["Design"] != 1 {
@@ -70,9 +70,9 @@ func TestCanonicalizeFigure3(t *testing.T) {
 		t.Fatalf("total impact = %v, want 7 (canonicalization preserves impact)", t1.TotalImpact())
 	}
 	// CS consolidates two provenance rows.
-	for i, k := range t1.Keys {
-		if k == "CS" && len(t1.SourceRows[i]) != 2 {
-			t.Fatalf("CS source rows = %v", t1.SourceRows[i])
+	for i, k := range canonKeys(t1) {
+		if k == "CS" && len(t1.Rows(i)) != 2 {
+			t.Fatalf("CS source rows = %v", t1.Rows(i))
 		}
 	}
 }
@@ -170,12 +170,12 @@ func fig1Instance(t *testing.T) *Instance {
 		t.Fatal(err)
 	}
 	idx := func(c *Canonical, key string) int {
-		for i, k := range c.Keys {
+		for i, k := range canonKeys(c) {
 			if k == key {
 				return i
 			}
 		}
-		t.Fatalf("key %q not found in %v", key, c.Keys)
+		t.Fatalf("key %q not found in %v", key, canonKeys(c))
 		return -1
 	}
 	matches := []linkage.Match{
@@ -207,9 +207,9 @@ func TestSolveInstanceFigure1Q1Q2(t *testing.T) {
 		t.Fatalf("δ = %v, want one (CS/CSE)", expl.Val)
 	}
 	ve := expl.Val[0]
-	key := inst.T1.Keys[ve.Tuple]
+	key := inst.T1.Key(ve.Tuple)
 	if ve.Side == Right {
-		key = inst.T2.Keys[ve.Tuple]
+		key = inst.T2.Key(ve.Tuple)
 	}
 	if key != "CS" && key != "CSE" {
 		t.Fatalf("value explanation on %q, want CS or CSE", key)
@@ -238,7 +238,7 @@ func fig1Q1Q3Instance(t *testing.T) *Instance {
 		t.Fatal(err)
 	}
 	idx := func(c *Canonical, key string) int {
-		for i, k := range c.Keys {
+		for i, k := range canonKeys(c) {
 			if k == key {
 				return i
 			}
@@ -268,17 +268,17 @@ func TestSolveInstanceFigure1Q1Q3(t *testing.T) {
 		t.Fatalf("solution incomplete: %v", err)
 	}
 	// Design has no candidate: must be a provenance-based explanation.
-	if len(expl.Prov) != 1 || expl.Prov[0].Side != Left || inst.T1.Keys[expl.Prov[0].Tuple] != "Design" {
+	if len(expl.Prov) != 1 || expl.Prov[0].Side != Left || inst.T1.Key(expl.Prov[0].Tuple) != "Design" {
 		t.Fatalf("Δ = %v, want exactly Design", expl.Prov)
 	}
 	// CS must map to Computer Science (p=0.8 beats 0.3 and avoids extra
 	// explanations), with one value fix for the double-counted degree.
 	foundCS := false
 	for _, ev := range expl.Evidence {
-		if inst.T1.Keys[ev.L] == "CS" {
+		if inst.T1.Key(ev.L) == "CS" {
 			foundCS = true
-			if inst.T2.Keys[ev.R] != "Computer Science" {
-				t.Fatalf("CS mapped to %q, want Computer Science", inst.T2.Keys[ev.R])
+			if inst.T2.Key(ev.R) != "Computer Science" {
+				t.Fatalf("CS mapped to %q, want Computer Science", inst.T2.Key(ev.R))
 			}
 		}
 	}
@@ -319,8 +319,8 @@ func TestSolveInstancePartitionedMatchesUnpartitioned(t *testing.T) {
 
 func TestScoreHandComputed(t *testing.T) {
 	// One tuple each side, one match p=0.8, both impacts equal.
-	t1 := &Canonical{Impacts: []float64{1}, Keys: []string{"a"}}
-	t2 := &Canonical{Impacts: []float64{1}, Keys: []string{"a"}}
+	t1 := &Canonical{Impacts: []float64{1}}
+	t2 := &Canonical{Impacts: []float64{1}}
 	inst := &Instance{T1: t1, T2: t2,
 		Matches: []linkage.Match{{L: 0, R: 0, P: 0.8}},
 		Card:    Cardinality{LeftAtMostOne: true, RightAtMostOne: true}}
@@ -349,8 +349,8 @@ func TestScoreHandComputed(t *testing.T) {
 }
 
 func TestExplanationsFromEvidence(t *testing.T) {
-	t1 := &Canonical{Impacts: []float64{2, 1, 1}, Keys: []string{"a", "b", "c"}}
-	t2 := &Canonical{Impacts: []float64{1, 1}, Keys: []string{"a", "b"}}
+	t1 := &Canonical{Impacts: []float64{2, 1, 1}}
+	t2 := &Canonical{Impacts: []float64{1, 1}}
 	inst := &Instance{T1: t1, T2: t2, Card: Cardinality{LeftAtMostOne: true, RightAtMostOne: true}}
 	ev := []Evidence{{L: 0, R: 0, P: 1}, {L: 1, R: 1, P: 1}}
 	e := ExplanationsFromEvidence(inst, ev)
@@ -364,8 +364,8 @@ func TestExplanationsFromEvidence(t *testing.T) {
 }
 
 func TestCheckCompleteViolations(t *testing.T) {
-	t1 := &Canonical{Impacts: []float64{1, 1}, Keys: []string{"a", "b"}}
-	t2 := &Canonical{Impacts: []float64{1, 1}, Keys: []string{"a", "b"}}
+	t1 := &Canonical{Impacts: []float64{1, 1}}
+	t2 := &Canonical{Impacts: []float64{1, 1}}
 	inst := &Instance{T1: t1, T2: t2, Card: Cardinality{LeftAtMostOne: true, RightAtMostOne: true}}
 
 	// Kept but unmatched.
@@ -389,7 +389,7 @@ func TestCheckCompleteViolations(t *testing.T) {
 		t.Fatal("deleted tuple with evidence should fail")
 	}
 	// Impact inequality.
-	t2b := &Canonical{Impacts: []float64{5, 1}, Keys: []string{"a", "b"}}
+	t2b := &Canonical{Impacts: []float64{5, 1}}
 	inst2 := &Instance{T1: t1, T2: t2b, Card: inst.Card}
 	if err := CheckComplete(inst2, &Explanations{
 		Evidence: []Evidence{{L: 0, R: 0}, {L: 1, R: 1}},

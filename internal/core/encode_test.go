@@ -140,12 +140,10 @@ func TestMILPMatchesBruteForce(t *testing.T) {
 		t1 := &Canonical{}
 		for i := 0; i < nl; i++ {
 			t1.Impacts = append(t1.Impacts, float64(1+rng.Intn(4)))
-			t1.Keys = append(t1.Keys, "l")
 		}
 		t2 := &Canonical{}
 		for j := 0; j < nr; j++ {
 			t2.Impacts = append(t2.Impacts, float64(1+rng.Intn(4)))
-			t2.Keys = append(t2.Keys, "r")
 		}
 		var matches []linkage.Match
 		for i := 0; i < nl; i++ {
@@ -187,12 +185,10 @@ func TestPartitionedSolutionsComplete(t *testing.T) {
 		t1 := &Canonical{}
 		for i := 0; i < nl; i++ {
 			t1.Impacts = append(t1.Impacts, float64(1+rng.Intn(4)))
-			t1.Keys = append(t1.Keys, "l")
 		}
 		t2 := &Canonical{}
 		for j := 0; j < nr; j++ {
 			t2.Impacts = append(t2.Impacts, float64(1+rng.Intn(4)))
-			t2.Keys = append(t2.Keys, "r")
 		}
 		var matches []linkage.Match
 		for i := 0; i < nl; i++ {

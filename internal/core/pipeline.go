@@ -202,29 +202,20 @@ func VirtualColumns(c *Canonical, mattr schemamap.Matching, left bool) (*relatio
 func (r *Result) Describe(e *Explanations) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Result of Q1: %v  |  Result of Q2: %v\n", r.Prov1.Result, r.Prov2.Result)
+	// Left and Right are 0 and 1, so a Side indexes the per-side arrays.
+	kw := [2]KeyWriter{r.T1.KeyWriter(), r.T2.KeyWriter()}
+	impacts := [2][]float64{r.T1.Impacts, r.T2.Impacts}
 	fmt.Fprintf(&b, "Provenance-based explanations (%d):\n", len(e.Prov))
 	for _, pe := range e.Prov {
-		key := r.T1.Keys
-		impacts := r.T1.Impacts
-		if pe.Side == Right {
-			key = r.T2.Keys
-			impacts = r.T2.Impacts
-		}
-		fmt.Fprintf(&b, "  [%s] %s (impact %v) has no counterpart\n", pe.Side, key[pe.Tuple], impacts[pe.Tuple])
+		fmt.Fprintf(&b, "  [%s] %s (impact %v) has no counterpart\n", pe.Side, kw[pe.Side].Key(pe.Tuple), impacts[pe.Side][pe.Tuple])
 	}
 	fmt.Fprintf(&b, "Value-based explanations (%d):\n", len(e.Val))
 	for _, ve := range e.Val {
-		key := r.T1.Keys
-		impacts := r.T1.Impacts
-		if ve.Side == Right {
-			key = r.T2.Keys
-			impacts = r.T2.Impacts
-		}
-		fmt.Fprintf(&b, "  [%s] %s: impact %v ↦ %v\n", ve.Side, key[ve.Tuple], impacts[ve.Tuple], ve.NewImpact)
+		fmt.Fprintf(&b, "  [%s] %s: impact %v ↦ %v\n", ve.Side, kw[ve.Side].Key(ve.Tuple), impacts[ve.Side][ve.Tuple], ve.NewImpact)
 	}
 	fmt.Fprintf(&b, "Evidence mapping (%d matches):\n", len(e.Evidence))
 	for _, ev := range e.Evidence {
-		fmt.Fprintf(&b, "  %s ↔ %s (p=%.2f)\n", r.T1.Keys[ev.L], r.T2.Keys[ev.R], ev.P)
+		fmt.Fprintf(&b, "  %s ↔ %s (p=%.2f)\n", kw[0].Key(ev.L), kw[1].Key(ev.R), ev.P)
 	}
 	return b.String()
 }

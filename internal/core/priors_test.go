@@ -11,8 +11,8 @@ import (
 // whose impacts differ: the prior on the right tuples decides which match
 // the optimum selects.
 func ambiguousInstance() *Instance {
-	t1 := &Canonical{Impacts: []float64{2}, Keys: []string{"x"}}
-	t2 := &Canonical{Impacts: []float64{2, 1}, Keys: []string{"r0", "r1"}}
+	t1 := &Canonical{Impacts: []float64{2}}
+	t2 := &Canonical{Impacts: []float64{2, 1}}
 	return &Instance{
 		T1: t1, T2: t2,
 		Matches: []linkage.Match{
@@ -86,12 +86,10 @@ func TestWarmStartAlwaysFeasible(t *testing.T) {
 		t1 := &Canonical{}
 		for i := 0; i < nl; i++ {
 			t1.Impacts = append(t1.Impacts, float64(rng.Intn(6)))
-			t1.Keys = append(t1.Keys, "l")
 		}
 		t2 := &Canonical{}
 		for j := 0; j < nr; j++ {
 			t2.Impacts = append(t2.Impacts, float64(rng.Intn(6)))
-			t2.Keys = append(t2.Keys, "r")
 		}
 		var matches []linkage.Match
 		for i := 0; i < nl; i++ {
@@ -149,12 +147,10 @@ func randomInstanceForImpact(rng *rand.Rand) *Instance {
 	t1 := &Canonical{}
 	for i := 0; i < nl; i++ {
 		t1.Impacts = append(t1.Impacts, float64(1+rng.Intn(5)))
-		t1.Keys = append(t1.Keys, "l")
 	}
 	t2 := &Canonical{}
 	for j := 0; j < nr; j++ {
 		t2.Impacts = append(t2.Impacts, float64(1+rng.Intn(5)))
-		t2.Keys = append(t2.Keys, "r")
 	}
 	var matches []linkage.Match
 	for i := 0; i < nl; i++ {

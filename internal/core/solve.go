@@ -384,35 +384,73 @@ func splitInstance(inst *Instance, p Params) ([]*subProblem, error) {
 // though its tuples are not in that sub-problem's left/right — corrupting
 // the encode. Matches with an unassigned endpoint are dropped instead,
 // exactly like cut matches.
+//
+// Every sub-problem's slices are carved from two flat arrays: one holds
+// each part's left ids and then its right ids, in the part's node order;
+// the other holds the kept matches, placed by counting sort on their part
+// and so in instance order within it.
 func buildSubProblems(inst *Instance, parts [][]int) []*subProblem {
-	partOf := make([]int, inst.T1.Len()+inst.T2.Len())
+	n1 := inst.T1.Len()
+	partOf := make([]int, n1+inst.T2.Len())
 	for i := range partOf {
 		partOf[i] = -1
 	}
+	nodes := 0
 	for pi, part := range parts {
+		nodes += len(part)
 		for _, node := range part {
 			partOf[node] = pi
 		}
 	}
-	subs := make([]*subProblem, len(parts))
+	ids := make([]int, 0, nodes)
+	lEnd := make([]int, len(parts))
+	rEnd := make([]int, len(parts))
 	for pi, part := range parts {
-		sub := &subProblem{}
 		for _, node := range part {
-			if node < inst.T1.Len() {
-				sub.left = append(sub.left, node)
-			} else {
-				sub.right = append(sub.right, node-inst.T1.Len())
+			if node < n1 {
+				ids = append(ids, node)
 			}
 		}
-		subs[pi] = sub
+		lEnd[pi] = len(ids)
+		for _, node := range part {
+			if node >= n1 {
+				ids = append(ids, node-n1)
+			}
+		}
+		rEnd[pi] = len(ids)
 	}
+	// matchAt[pi+1] first counts part pi's kept matches, then becomes the
+	// end of its run.
+	matchAt := make([]int, len(parts)+1)
+	for _, m := range inst.Matches {
+		if pl := partOf[m.L]; pl >= 0 && pl == partOf[n1+m.R] {
+			matchAt[pl+1]++
+		}
+	}
+	for pi := range parts {
+		matchAt[pi+1] += matchAt[pi]
+	}
+	matches := make([]linkage.Match, matchAt[len(parts)])
+	next := append([]int(nil), matchAt[:len(parts)]...)
 	for _, m := range inst.Matches {
 		pl := partOf[m.L]
-		pr := partOf[inst.T1.Len()+m.R]
-		if pl < 0 || pl != pr {
+		if pl < 0 || pl != partOf[n1+m.R] {
 			continue // cut by the partitioning, or endpoint unassigned
 		}
-		subs[pl].matches = append(subs[pl].matches, m)
+		matches[next[pl]] = m
+		next[pl]++
+	}
+	backing := make([]subProblem, len(parts))
+	subs := make([]*subProblem, len(parts))
+	start := 0
+	for pi := range parts {
+		backing[pi] = subProblem{
+			left:    ids[start:lEnd[pi]:lEnd[pi]],
+			right:   ids[lEnd[pi]:rEnd[pi]:rEnd[pi]],
+			matches: matches[matchAt[pi]:matchAt[pi+1]:matchAt[pi+1]],
+		}
+		subs[pi] = &backing[pi]
+		start = rEnd[pi]
 	}
 	return subs
 }

@@ -23,9 +23,7 @@ func clusteredInstance(n int) *Instance {
 		l0, l1 := 2*k, 2*k+1
 		r0, r1 := 2*k, 2*k+1
 		t1.Impacts = append(t1.Impacts, float64(1+k%3), 2)
-		t1.Keys = append(t1.Keys, "L", "L")
 		t2.Impacts = append(t2.Impacts, float64(1+k%3), float64(2+k%2))
-		t2.Keys = append(t2.Keys, "R", "R")
 		matches = append(matches,
 			linkage.Match{L: l0, R: r0, P: 0.95},
 			linkage.Match{L: l1, R: r1, P: 0.55 + 0.01*float64(k%20)},
@@ -161,8 +159,8 @@ func TestFilterMatchesEdgeCases(t *testing.T) {
 
 func TestSplitInstanceZeroMatches(t *testing.T) {
 	inst := &Instance{
-		T1:   &Canonical{Impacts: []float64{1, 2, 3}, Keys: []string{"a", "b", "c"}},
-		T2:   &Canonical{Impacts: []float64{4, 5}, Keys: []string{"x", "y"}},
+		T1:   &Canonical{Impacts: []float64{1, 2, 3}},
+		T2:   &Canonical{Impacts: []float64{4, 5}},
 		Card: Cardinality{LeftAtMostOne: true, RightAtMostOne: true},
 	}
 	for _, batch := range []int{0, 2} {
@@ -233,8 +231,8 @@ func TestSolveInstanceCanceledBudget(t *testing.T) {
 // that sub-problem's left/right, corrupting the encode.
 func TestBuildSubProblemsDropsUnassignedNodes(t *testing.T) {
 	inst := &Instance{
-		T1:      &Canonical{Impacts: []float64{1, 2}, Keys: []string{"a", "b"}},
-		T2:      &Canonical{Impacts: []float64{3, 4}, Keys: []string{"x", "y"}},
+		T1:      &Canonical{Impacts: []float64{1, 2}},
+		T2:      &Canonical{Impacts: []float64{3, 4}},
 		Matches: []linkage.Match{{L: 0, R: 0, P: 0.9}, {L: 1, R: 1, P: 0.8}},
 	}
 	// Nodes are left tuples then right tuples: {0, 2} assigns left 0 and

@@ -95,7 +95,7 @@ func SummarizeSide(res *core.Result, expl *core.Explanations, side core.Side) []
 	}
 	targets := make([]bool, prov.Rel.Len())
 	mark := func(tuple int) {
-		for _, row := range canon.SourceRows[tuple] {
+		for _, row := range canon.Rows(tuple) {
 			targets[row] = true
 		}
 	}

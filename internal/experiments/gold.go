@@ -73,8 +73,8 @@ func canonicalEIDs(c *core.Canonical, p *query.Provenance, eidAttr string) ([][]
 	out := make([][]int64, c.Len())
 	for t := 0; t < c.Len(); t++ {
 		seen := make(map[int64]bool)
-		for _, row := range c.SourceRows[t] {
-			v := p.Rel.At(row, idx)
+		for _, row := range c.Rows(t) {
+			v := p.Rel.At(int(row), idx)
 			if v.IsNull() {
 				continue
 			}

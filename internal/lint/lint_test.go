@@ -90,8 +90,14 @@ func runFixture(t *testing.T, name, asPath string) []Finding {
 	return findings
 }
 
-func TestMapIterFixture(t *testing.T)   { runFixture(t, "mapiter", "fixture/mapiter") }
-func TestCtxRootFixture(t *testing.T)   { runFixture(t, "ctxroot", "fixture/ctxroot") }
+func TestMapIterFixture(t *testing.T) { runFixture(t, "mapiter", "fixture/mapiter") }
+func TestCtxRootFixture(t *testing.T) { runFixture(t, "ctxroot", "fixture/ctxroot") }
+
+// TestMapIterModelFixture checks the model-building rule under an import
+// path ending in internal/milp, where the fixture's Model is the solver's.
+func TestMapIterModelFixture(t *testing.T) {
+	runFixture(t, "mapitermilp", "fixture/internal/milp")
+}
 func TestGuardedFixture(t *testing.T)   { runFixture(t, "guarded", "fixture/guarded") }
 func TestViewAliasFixture(t *testing.T) { runFixture(t, "viewalias", "fixture/viewalias") }
 

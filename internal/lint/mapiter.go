@@ -2,7 +2,9 @@ package lint
 
 // mapiter: flag `range` over a map whose body feeds an ordered result —
 // appends to a slice declared outside the loop, accumulates into an outer
-// float or string, sends on a channel, or calls an ordered writer — unless
+// float or string, sends on a channel, calls an ordered writer, or adds a
+// variable or constraint to a MILP model (their order is the model's
+// column and row order, which decides among tied optima) — unless
 // every appended slice is sorted later in the same function. Go randomizes
 // map iteration order, so any of these silently breaks the byte-identical
 // explanation guarantees the differential tests enforce. (Integer and
@@ -13,6 +15,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // MapIterAnalyzer returns the mapiter analyzer.
@@ -91,6 +94,9 @@ func checkMapRange(pass *Pass, funcBody *ast.BlockStmt, rs *ast.RangeStmt) {
 			if name, ok := orderedWriterCall(pass, v); ok {
 				pass.Reportf(v.Pos(), "call to %s inside range over map emits in random order; iterate a sorted key slice instead", name)
 			}
+			if name, ok := modelBuildCall(pass, v); ok {
+				pass.Reportf(v.Pos(), "call to %s inside range over map orders the model's columns or rows at random, so tied optima differ run to run; iterate a sorted key slice instead", name)
+			}
 		}
 		return true
 	})
@@ -163,6 +169,32 @@ func orderedWriterCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 		return name, true
 	}
 	return "", false
+}
+
+// modelBuildCall reports calls to (*milp.Model).AddVar and AddConstr: the
+// MILP package is recognized by its import path's last two elements
+// (internal/milp).
+func modelBuildCall(pass *Pass, call *ast.CallExpr) (string, bool) {
+	fn := calleeFunc(pass.Pkg, call)
+	if fn == nil || (fn.Name() != "AddVar" && fn.Name() != "AddConstr") {
+		return "", false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return "", false
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Name() != "Model" || named.Obj().Pkg() == nil {
+		return "", false
+	}
+	if path := named.Obj().Pkg().Path(); path != "internal/milp" && !strings.HasSuffix(path, "/internal/milp") {
+		return "", false
+	}
+	return "(*milp.Model)." + fn.Name(), true
 }
 
 // sortedAfter reports whether a sort.* / slices.Sort* call over the same

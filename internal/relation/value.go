@@ -137,6 +137,29 @@ func (v Value) String() string {
 	}
 }
 
+// AppendString appends the String rendering to dst and returns the extended
+// slice. String keeps strconv's Format functions, which return small ints
+// and booleans without allocating.
+func (v Value) AppendString(dst []byte) []byte {
+	switch v.kind {
+	case KindNull:
+		return dst
+	case KindString:
+		return append(dst, v.s...)
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case KindFloat:
+		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e15 {
+			return strconv.AppendFloat(dst, v.f, 'f', 1, 64)
+		}
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	case KindBool:
+		return strconv.AppendBool(dst, v.b)
+	default:
+		return append(dst, '?')
+	}
+}
+
 // Equal reports SQL equality with NULL semantics: NULL equals nothing,
 // including NULL. Numeric comparison crosses INT/FLOAT.
 func (v Value) Equal(o Value) bool {

@@ -139,3 +139,18 @@ func TestFloatKeyGrouping(t *testing.T) {
 		t.Error("distinct non-integral floats must have distinct keys")
 	}
 }
+
+// TestAppendStringMatchesString checks AppendString against String on
+// every kind, including float renderings on both sides of the 1e15
+// integral cut-off and non-finite values.
+func TestAppendStringMatchesString(t *testing.T) {
+	for _, v := range []Value{
+		Null(), String(""), String("a / b\n"), Int(0), Int(-42), Int(math.MaxInt64),
+		Float(0), Float(math.Copysign(0, -1)), Float(2.5), Float(3), Float(-1e14), Float(1e15), Float(1e21),
+		Float(1e-7), Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)), Bool(true), Bool(false),
+	} {
+		if got := string(v.AppendString([]byte("x"))); got != "x"+v.String() {
+			t.Errorf("AppendString(%#v) = %q, want %q", v, got, "x"+v.String())
+		}
+	}
+}

@@ -488,8 +488,7 @@ func (s *Server) solve(ctx context.Context, ds *Dataset, dv *dataVersion, rq *Re
 	if advanced {
 		s.dirtyPartitions.Add(int64(res.Stats.SolveCacheMisses))
 	}
-	out := explain3d.ConvertResult(res, !rq.NoSummary)
-	b, err := json.Marshal(out)
+	b, err := explain3d.AppendResultJSON(nil, res, !rq.NoSummary)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err.Error(), false
 	}
