@@ -267,17 +267,15 @@ func ConvertResult(res *core.Result, withSummary bool) *Result {
 	kw := [2]core.KeyWriter{res.T1.KeyWriter(), res.T2.KeyWriter()}
 	impacts := [2][]float64{res.T1.Impacts, res.T2.Impacts}
 	for _, pe := range res.Expl.Prov {
-		si := sideIndex(pe.Side)
 		out.Explanations = append(out.Explanations, Explanation{
-			Kind: MissingTuple, Query: si + 1,
-			Tuple: kw[si].Key(pe.Tuple), Impact: impacts[si][pe.Tuple],
+			Kind: MissingTuple, Query: int(pe.Side) + 1,
+			Tuple: kw[pe.Side].Key(pe.Tuple), Impact: impacts[pe.Side][pe.Tuple],
 		})
 	}
 	for _, ve := range res.Expl.Val {
-		si := sideIndex(ve.Side)
 		out.Explanations = append(out.Explanations, Explanation{
-			Kind: WrongValue, Query: si + 1,
-			Tuple: kw[si].Key(ve.Tuple), Impact: impacts[si][ve.Tuple],
+			Kind: WrongValue, Query: int(ve.Side) + 1,
+			Tuple: kw[ve.Side].Key(ve.Tuple), Impact: impacts[ve.Side][ve.Tuple],
 			NewImpact: ve.NewImpact,
 		})
 	}
@@ -290,14 +288,6 @@ func ConvertResult(res *core.Result, withSummary bool) *Result {
 		out.Summary = summarizeResult(res)
 	}
 	return out
-}
-
-// sideIndex maps an explanation's side to 0 (Q1) or 1 (Q2).
-func sideIndex(s core.Side) int {
-	if s == core.Right {
-		return 1
-	}
-	return 0
 }
 
 // summarizeResult runs Stage 3 over both sides' derived explanations. The

@@ -12,8 +12,8 @@ import (
 // Canonical is a canonical relation T (Definition 3.1): provenance tuples
 // grouped by the matching attributes with impacts summed. Queries with
 // AVG/MAX/MIN aggregation skip grouping because they require a strict
-// one-to-one mapping. Display keys are not stored: Key and KeyWriter render
-// them on demand from Rel's matching columns.
+// one-to-one mapping. Display keys are not stored: KeyWriter renders them
+// on demand from Rel's matching columns.
 type Canonical struct {
 	// Rel holds one row per canonical tuple: the matching attributes
 	// followed by the summed impact column I.
@@ -37,10 +37,6 @@ func (c *Canonical) Len() int { return len(c.Impacts) }
 func (c *Canonical) Rows(g int) []int32 {
 	return c.srcRows[c.srcStart[g]:c.srcStart[g+1]:c.srcStart[g+1]]
 }
-
-// Key renders canonical tuple g's display key: its matching-attribute
-// values joined by " / ". To render many keys, use KeyWriter.
-func (c *Canonical) Key(g int) string { return c.KeyWriter().Key(g) }
 
 // KeyWriter binds the matching columns' accessors once, for rendering many
 // display keys.

@@ -157,11 +157,12 @@ func canonicalsIdentical(t *testing.T, label string, got *Canonical, want *refCa
 			}
 		}
 	}
+	kw := got.KeyWriter()
 	for i := range want.Impacts {
 		if math.Float64bits(got.Impacts[i]) != math.Float64bits(want.Impacts[i]) {
 			t.Fatalf("%s: impact %d = %v, want %v", label, i, got.Impacts[i], want.Impacts[i])
 		}
-		if k := got.Key(i); k != want.keys[i] {
+		if k := kw.Key(i); k != want.keys[i] {
 			t.Fatalf("%s: key %d = %q, want %q", label, i, k, want.keys[i])
 		}
 		if fmt.Sprint(got.Rows(i)) != fmt.Sprint(want.sourceRows[i]) {

@@ -207,9 +207,9 @@ func TestSolveInstanceFigure1Q1Q2(t *testing.T) {
 		t.Fatalf("δ = %v, want one (CS/CSE)", expl.Val)
 	}
 	ve := expl.Val[0]
-	key := inst.T1.Key(ve.Tuple)
+	key := inst.T1.KeyWriter().Key(ve.Tuple)
 	if ve.Side == Right {
-		key = inst.T2.Key(ve.Tuple)
+		key = inst.T2.KeyWriter().Key(ve.Tuple)
 	}
 	if key != "CS" && key != "CSE" {
 		t.Fatalf("value explanation on %q, want CS or CSE", key)
@@ -268,17 +268,17 @@ func TestSolveInstanceFigure1Q1Q3(t *testing.T) {
 		t.Fatalf("solution incomplete: %v", err)
 	}
 	// Design has no candidate: must be a provenance-based explanation.
-	if len(expl.Prov) != 1 || expl.Prov[0].Side != Left || inst.T1.Key(expl.Prov[0].Tuple) != "Design" {
+	if len(expl.Prov) != 1 || expl.Prov[0].Side != Left || inst.T1.KeyWriter().Key(expl.Prov[0].Tuple) != "Design" {
 		t.Fatalf("Δ = %v, want exactly Design", expl.Prov)
 	}
 	// CS must map to Computer Science (p=0.8 beats 0.3 and avoids extra
 	// explanations), with one value fix for the double-counted degree.
 	foundCS := false
 	for _, ev := range expl.Evidence {
-		if inst.T1.Key(ev.L) == "CS" {
+		if inst.T1.KeyWriter().Key(ev.L) == "CS" {
 			foundCS = true
-			if inst.T2.Key(ev.R) != "Computer Science" {
-				t.Fatalf("CS mapped to %q, want Computer Science", inst.T2.Key(ev.R))
+			if inst.T2.KeyWriter().Key(ev.R) != "Computer Science" {
+				t.Fatalf("CS mapped to %q, want Computer Science", inst.T2.KeyWriter().Key(ev.R))
 			}
 		}
 	}

@@ -126,10 +126,8 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e15 {
-			return strconv.FormatFloat(v.f, 'f', 1, 64)
-		}
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		var buf [32]byte
+		return string(appendFloat(buf[:0], v.f))
 	case KindBool:
 		return strconv.FormatBool(v.b)
 	default:
@@ -138,8 +136,8 @@ func (v Value) String() string {
 }
 
 // AppendString appends the String rendering to dst and returns the extended
-// slice. String keeps strconv's Format functions, which return small ints
-// and booleans without allocating.
+// slice. String keeps strconv's Format functions for ints and booleans,
+// which return small values without allocating.
 func (v Value) AppendString(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
@@ -149,15 +147,21 @@ func (v Value) AppendString(dst []byte) []byte {
 	case KindInt:
 		return strconv.AppendInt(dst, v.i, 10)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e15 {
-			return strconv.AppendFloat(dst, v.f, 'f', 1, 64)
-		}
-		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		return appendFloat(dst, v.f)
 	case KindBool:
 		return strconv.AppendBool(dst, v.b)
 	default:
 		return append(dst, '?')
 	}
+}
+
+// appendFloat appends a float's display form: an integral value below 1e15
+// keeps one decimal ("2.0"), any other the shortest 'g' form.
+func appendFloat(dst []byte, f float64) []byte {
+	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+		return strconv.AppendFloat(dst, f, 'f', 1, 64)
+	}
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
 }
 
 // Equal reports SQL equality with NULL semantics: NULL equals nothing,

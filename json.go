@@ -1,7 +1,6 @@
 package explain3d
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -46,13 +45,11 @@ func appendResultJSON(dst []byte, res *core.Result, summary []string) ([]byte, e
 	} else {
 		sep := byte('[')
 		for _, pe := range e.Prov {
-			si := sideIndex(pe.Side)
-			dst = w.appendExplanation(append(dst, sep), kw[si], MissingTuple, si+1, pe.Tuple, impacts[si][pe.Tuple], 0)
+			dst = w.appendExplanation(append(dst, sep), kw[pe.Side], MissingTuple, int(pe.Side)+1, pe.Tuple, impacts[pe.Side][pe.Tuple], 0)
 			sep = ','
 		}
 		for _, ve := range e.Val {
-			si := sideIndex(ve.Side)
-			dst = w.appendExplanation(append(dst, sep), kw[si], WrongValue, si+1, ve.Tuple, impacts[si][ve.Tuple], ve.NewImpact)
+			dst = w.appendExplanation(append(dst, sep), kw[ve.Side], WrongValue, int(ve.Side)+1, ve.Tuple, impacts[ve.Side][ve.Tuple], ve.NewImpact)
 			sep = ','
 		}
 		dst = append(dst, ']')
@@ -234,28 +231,9 @@ var jsonSafe = func() (t [utf8.RuneSelf]bool) {
 	return t
 }()
 
-// Word-at-a-time byte tests over eight bytes packed little-endian.
-const (
-	lsb = 0x0101010101010101
-	msb = 0x8080808080808080
-)
-
 // jsonSafeRun reports whether json.Marshal copies every byte of b
-// unescaped, testing eight bytes at a time. In a word x, the high bit of
-// x | (x - 0x20…) flags a byte at or above 0x80 or the lowest one below
-// 0x20; (v - 0x01…) &^ v flags a zero byte of v, and v is x with one bit
-// forced so that '"' and '&', and '<' and '>', each test as one value.
+// unescaped.
 func jsonSafeRun(b []byte) bool {
-	for len(b) >= 8 {
-		x := binary.LittleEndian.Uint64(b)
-		quoteAmp := x | 0x04*lsb ^ 0x26*lsb
-		angles := x | 0x02*lsb ^ 0x3e*lsb
-		backslash := x ^ 0x5c*lsb
-		if (x|(x-0x20*lsb)|(quoteAmp-lsb)&^quoteAmp|(angles-lsb)&^angles|(backslash-lsb)&^backslash)&msb != 0 {
-			return false
-		}
-		b = b[8:]
-	}
 	for _, c := range b {
 		if c >= utf8.RuneSelf || !jsonSafe[c] {
 			return false
